@@ -15,8 +15,8 @@ from .constants import HBAR, KB, TORR_L_PER_CM2_S
 from .decoherence import (CoherenceRow, DecoherenceQuadrature, LocalizationRate,
                           PosePair, coherence_map, localization_rate)
 from .errors import (AngleOutOfRange, CoincidentPoints, ConfigError,
-                     DegenerateMesh, DesorbError, NegativeEnergy, NotUnit,
-                     QuadratureNotConverged, ZeroNorm)
+                     DegenerateMesh, DesorbError, NegativeEnergy, NonFinite,
+                     NotUnit, QuadratureNotConverged, ZeroNorm)
 from .flux import (CosineDirection, CosineLaw, EmissionSample, FixedDirection,
                    Isotropic, IsotropicDirection, SingleSite, TabulatedFlux,
                    flux_eval, outgas_rate, sample_event, total_rate)

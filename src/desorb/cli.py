@@ -2,7 +2,7 @@
 
 Subcommands: tensors, locmap, simulate, outgas, validate. Every command
 is a pure function of (config, seed): identical inputs give byte-identical
-outputs, whatever the thread count. Exit codes: 0 ok, 2 config error,
+outputs. `--threads` is accepted and ignored. Exit codes: 0 ok, 2 config error,
 3 quadrature not converged, 4 internal error / failed validation.
 """
 
@@ -173,8 +173,7 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
     model = _require_flux(cfg)
     duration, n_traj, n_times, compare = parse_simulate_block(cfg)
     em = simulate_ensemble(model, cfg.quadrature, cfg.atom_mass, duration,
-                           n_traj, cfg.seed, n_times=n_times,
-                           threads=cfg.threads)
+                           n_traj, cfg.seed, n_times=n_times)
     lines = [_metadata_comment(cfg, "simulate")]
     triu = [(i, j) for i in range(6) for j in range(i, 6)]
     header = ["t_s"]
@@ -264,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (never changes results)")
+                       help="accepted and ignored; one thread runs "
+                            "every command")
         p.add_argument("--resolution-scale", type=float, default=1.0,
                        help="scale all quadrature resolutions")
     return parser

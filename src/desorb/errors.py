@@ -13,6 +13,10 @@ class NegativeEnergy(DesorbError):
     """Kinetic energy must be nonnegative."""
 
 
+class NonFinite(DesorbError):
+    """An input field or table holds NaN or infinity."""
+
+
 class NotUnit(DesorbError):
     """Direction vector is not normalized."""
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .constants import KB
-from .errors import NotUnit
+from .errors import NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
 from .spectra import Spectrum
 
@@ -44,6 +44,8 @@ def _rates_at(rate_per_area: RateField, points: np.ndarray) -> np.ndarray:
         r = np.broadcast_to(r, (len(points),)).astype(float)
     else:
         r = np.full(len(points), float(rate_per_area))
+    if not np.all(np.isfinite(r)):
+        raise NonFinite("rate_per_area gives NaN or infinity on the surface")
     if np.any(r < 0):
         raise ValueError("rate_per_area must be nonnegative")
     return r
@@ -343,6 +345,8 @@ class EventSampler:
             if self.total <= 0:
                 raise ValueError("flux model has zero total rate on this surface")
             self._cdf = np.cumsum(lam) / self.total
+        if isinstance(model, TabulatedFlux):
+            self._cells = _TableCells(model)
 
     def draw(self, rng: np.random.Generator, size: Optional[int] = None) -> EmissionSample:
         count = 1 if size is None else int(size)
@@ -372,7 +376,7 @@ class EventSampler:
             dirs = _uniform_hemisphere(axes, rng, count)
             energies = np.atleast_1d(model.spectrum.sample(rng, count))
         else:
-            mu, energies = _sample_table(model, idx, rng)
+            mu, energies = _sample_table(model, self._cells, idx, rng)
             dirs = _directions_about(axes, mu, rng)
         return EmissionSample(dirs, q.points[idx], energies, idx)
 
@@ -383,8 +387,39 @@ def sample_event(model: FluxModel, q: SurfaceQuadrature,
     return EventSampler(model, q).draw(rng, size)
 
 
-def _sample_table(model: TabulatedFlux, node_idx: np.ndarray,
-                  rng: np.random.Generator):
+class _TableCells:
+    """Per-node cell masses of a bilinear table, as one row-offset CDF.
+
+    Row i of `cdf` holds i + CDF_i over the node's cells, so a single
+    searchsorted of i + u finds the cell of an event at node i. `last`
+    is each node's last cell with positive mass: rounding of i + u near
+    the row end can never pick an empty cell past it.
+    """
+
+    def __init__(self, model: TabulatedFlux):
+        v = model.values
+        cell_mean = 0.25 * (v[:, :-1, :-1] + v[:, 1:, :-1]
+                            + v[:, :-1, 1:] + v[:, 1:, 1:])
+        masses = (cell_mean * np.diff(model.cos_grid)[None, :, None]
+                  * np.diff(model.energy_grid)[None, None, :])
+        self.shape = masses.shape[1:]
+        flat = masses.reshape(len(v), -1)
+        self.n_cells = flat.shape[1]
+        cdf = np.cumsum(flat, axis=1)
+        total = cdf[:, -1:]
+        # nodes without emission are never drawn; keep their rows monotone
+        cdf = np.divide(cdf, total, out=np.ones_like(cdf), where=total > 0)
+        self.cdf = (cdf + np.arange(len(v))[:, None]).ravel()
+        live = flat > 0
+        self.last = self.n_cells - 1 - np.argmax(live[:, ::-1], axis=1)
+
+    def draw(self, node_idx: np.ndarray, u: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(self.cdf, node_idx + u, side="right")
+        return np.minimum(pos - node_idx * self.n_cells, self.last[node_idx])
+
+
+def _sample_table(model: TabulatedFlux, cells: _TableCells,
+                  node_idx: np.ndarray, rng: np.random.Generator):
     """Sample (mu, E) from the bilinear table of each event's node.
 
     Cell selection by exact cell masses, then rejection against the cell
@@ -393,17 +428,8 @@ def _sample_table(model: TabulatedFlux, node_idx: np.ndarray,
     c, eg, v = model.cos_grid, model.energy_grid, model.values
     dc = np.diff(c)
     de = np.diff(eg)
-    cell_mean = 0.25 * (v[:, :-1, :-1] + v[:, 1:, :-1] + v[:, :-1, 1:] + v[:, 1:, 1:])
-    masses = cell_mean * dc[None, :, None] * de[None, None, :]
-    n_cells = masses.shape[1] * masses.shape[2]
-    flat = masses.reshape(len(v), n_cells)
-    cdf = np.cumsum(flat, axis=1)
-    cdf /= cdf[:, -1:]
-    cell = np.empty(len(node_idx), dtype=int)
-    for k, node in enumerate(node_idx):
-        cell[k] = np.searchsorted(cdf[node], rng.random(), side="right")
-    cell = np.clip(cell, 0, n_cells - 1)
-    ic, ie = np.unravel_index(cell, masses.shape[1:])
+    cell = cells.draw(node_idx, rng.random(len(node_idx)))
+    ic, ie = np.unravel_index(cell, cells.shape)
     vmax = np.maximum.reduce([v[node_idx, ic, ie], v[node_idx, ic + 1, ie],
                               v[node_idx, ic, ie + 1], v[node_idx, ic + 1, ie + 1]])
     mu = np.empty(len(node_idx))

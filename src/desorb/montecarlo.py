@@ -7,27 +7,31 @@ held at the reference during a run, matching the regime in which the
 drift/diffusion predictions are derived; an optional free-rotation mode
 propagates rigid-body precession between kicks for exploratory runs.
 
-Ensemble moments come with jackknife standard errors so the quadrature
-predictions can be tested at a stated significance.
+Ensembles run in fixed blocks of trajectories. Each block draws its
+events from one counter-based stream keyed by the block index and turns
+them into kicks as arrays, so a result is fixed by the inputs and the
+seed alone.
+Ensemble moments come with closed-form delete-one jackknife standard
+errors so the quadrature predictions can be tested at a stated
+significance.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy import stats
 
-from .flux import EventSampler, FluxModel, sample_event, total_rate
+from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import BodySpec, SurfaceQuadrature
 from .moments import Diffusion6, ForceTorque6
 from .rng import stream
 from .rotations import momentum_from_energy
 
 _TRAJ_TAG = "trajectory"
-_BLOCK = 2048  # fixed work partition; independent of the thread count
+_BLOCK = 2048  # trajectories per random stream; part of every result
 
 
 @dataclass(frozen=True)
@@ -55,9 +59,14 @@ class EnsembleMoments:
     event_counts: np.ndarray  # (n_traj,) events per trajectory
 
 
+def _kicks(ev: EmissionSample, m_atom: float) -> np.ndarray:
+    """(n, 6) kicks (-p n, -s x p n) of a batch of events on the particle."""
+    atom_p = momentum_from_energy(ev.energies, m_atom)[:, None] * ev.directions
+    return -np.hstack([atom_p, np.cross(ev.sites, atom_p)])
+
+
 def simulate_trajectory(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                         duration: float, rng: np.random.Generator,
-                        check_conservation: bool = False,
                         free_rotation: bool = False,
                         body: Optional[BodySpec] = None) -> Trajectory:
     """One trajectory with full event log (for inspection and tests).
@@ -68,26 +77,18 @@ def simulate_trajectory(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     with body's inertia tensor) and kicks act at the rotated sites; this
     exploratory mode is excluded from all acceptance comparisons.
     """
-    gamma = total_rate(model, q)
-    n_events = rng.poisson(gamma * duration)
+    sampler = EventSampler(model, q)
+    n_events = rng.poisson(sampler.total * duration)
     times = np.sort(rng.uniform(0.0, duration, n_events))
-    ev = sample_event(model, q, rng, size=n_events)
-    p = momentum_from_energy(ev.energies, m_atom)
+    ev = sampler.draw(rng, size=n_events)
     if free_rotation:
         if body is None:
             raise ValueError("free rotation needs the body's inertia tensor")
+        p = momentum_from_energy(ev.energies, m_atom)
         return _free_rotation_trajectory(body, times, ev, p, duration)
-    kicks_p = -p[:, None] * ev.directions
-    kicks_j = -np.cross(ev.sites, p[:, None] * ev.directions)
-    if check_conservation:
-        atom_p = p[:, None] * ev.directions
-        atom_j = np.cross(ev.sites, atom_p)
-        assert np.all(kicks_p + atom_p == 0.0)
-        assert np.all(kicks_j + atom_j == 0.0)
-    momenta = np.vstack([np.zeros(3), np.cumsum(kicks_p, axis=0)])
-    angular = np.vstack([np.zeros(3), np.cumsum(kicks_j, axis=0)])
-    return Trajectory(times, momenta, angular, ev.directions, ev.sites,
-                      ev.energies)
+    path = np.vstack([np.zeros(6), np.cumsum(_kicks(ev, m_atom), axis=0)])
+    return Trajectory(times, path[:, :3], path[:, 3:], ev.directions,
+                      ev.sites, ev.energies)
 
 
 def _free_rotation_trajectory(body, times, ev, p, duration):
@@ -138,32 +139,28 @@ def _propagate_orientation(body, rot, j_lab, dt, n_steps=None):
     return rot
 
 
-def _simulate_block(model, q, m_atom, duration, report_times, seed,
-                    index_range) -> tuple[np.ndarray, np.ndarray]:
-    """(P,J) at the report times for one fixed block of trajectories."""
-    lo, hi = index_range
-    n_t = len(report_times)
-    out = np.zeros((hi - lo, n_t, 6))
-    counts = np.zeros(hi - lo, dtype=np.int64)
-    sampler = EventSampler(model, q)
-    gamma_dt = sampler.total * duration
-    for i in range(lo, hi):
-        rng = stream(seed, _TRAJ_TAG, i)
-        n_events = rng.poisson(gamma_dt)
-        counts[i - lo] = n_events
-        if n_events == 0:
-            continue
-        t_ev = np.sort(rng.uniform(0.0, duration, n_events))
-        ev = sampler.draw(rng, size=n_events)
-        p = momentum_from_energy(ev.energies, m_atom)
-        kick = np.empty((n_events, 6))
-        kick[:, :3] = -p[:, None] * ev.directions
-        kick[:, 3:] = -np.cross(ev.sites, p[:, None] * ev.directions)
-        cum = np.cumsum(kick, axis=0)
-        idx = np.searchsorted(t_ev, report_times, side="right")
-        nonzero = idx > 0
-        out[i - lo, nonzero] = cum[idx[nonzero] - 1]
-    return out, counts
+def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
+                    seed, block, n) -> tuple[np.ndarray, np.ndarray]:
+    """(P, J) at the report times for the n trajectories of one block.
+
+    One stream per block: Poisson counts for every trajectory, then every
+    event time, then every event, each drawn in a single call. A kick is
+    binned at the first report time at or after its event, so the running
+    sum over report times gives each trajectory's (P, J) there.
+    """
+    rng = stream(seed, _TRAJ_TAG, block)
+    counts = rng.poisson(sampler.total * duration, n)
+    total = int(counts.sum())
+    t_ev = rng.uniform(0.0, duration, total)
+    kicks = _kicks(sampler.draw(rng, size=total), m_atom)
+    # slot n_t collects events after the last report time, then is dropped
+    width = len(report_times) + 1
+    bins = (np.repeat(np.arange(n) * width, counts)
+            + np.searchsorted(report_times, t_ev, side="left"))
+    out = np.empty((n * width, 6))
+    for c in range(6):
+        out[:, c] = np.bincount(bins, weights=kicks[:, c], minlength=n * width)
+    return np.cumsum(out.reshape(n, width, 6)[:, :-1], axis=1), counts
 
 
 def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
@@ -171,29 +168,21 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                       n_times: int = 16, threads: int = 1) -> EnsembleMoments:
     """Ensemble moments of (P, J) under the emission kick process.
 
-    Bitwise reproducible for fixed (seed, n_trajectories, n_times): each
-    trajectory owns a counter-based stream keyed by its index and the
-    reduction order is fixed, so the thread count cannot change results.
+    Bitwise reproducible for fixed (seed, n_trajectories, n_times):
+    trajectories are cut into fixed blocks of _BLOCK, each block draws
+    from its own counter-based stream keyed by the block index, and the
+    blocks run in order. `threads` is accepted for compatibility and
+    ignored; one thread runs every block.
     """
     if n_trajectories < 4:
         raise ValueError("need at least four trajectories for jackknife errors")
     if duration <= 0:
         raise ValueError("duration must be positive")
     report_times = duration * np.arange(1, n_times + 1) / n_times
-    blocks = [(lo, min(lo + _BLOCK, n_trajectories))
-              for lo in range(0, n_trajectories, _BLOCK)]
-    results = [None] * len(blocks)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_simulate_block, model, q, m_atom, duration,
-                                   report_times, seed, b): k
-                       for k, b in enumerate(blocks)}
-            for fut, k in futures.items():
-                results[k] = fut.result()
-    else:
-        for k, b in enumerate(blocks):
-            results[k] = _simulate_block(model, q, m_atom, duration,
-                                         report_times, seed, b)
+    sampler = EventSampler(model, q)
+    results = [_simulate_block(sampler, m_atom, duration, report_times, seed,
+                               k, min(_BLOCK, n_trajectories - lo))
+               for k, lo in enumerate(range(0, n_trajectories, _BLOCK))]
     samples = np.concatenate([r[0] for r in results], axis=0)
     counts = np.concatenate([r[1] for r in results])
     mean, cov, se_mean, se_cov = _jackknife_moments(samples)
@@ -205,26 +194,21 @@ def _jackknife_moments(samples: np.ndarray):
     """Mean/covariance over trajectories with delete-one jackknife errors.
 
     samples: (n_traj, n_t, 6). Covariances use the unbiased estimator.
+    With y = x - mean, the covariance without trajectory i is
+    (S - n/(n-1) y_i y_i^T)/(n-2), S = sum_i y_i y_i^T, so its jackknife
+    variance needs only S and Q = sum_i y_ia^2 y_ib^2 (Efron & Stein,
+    Ann. Stat. 9:586, 1981).
     """
-    n, n_t, _ = samples.shape
+    n = samples.shape[0]
     mean = samples.mean(axis=0)
-    se_mean = samples.std(axis=0, ddof=1) / np.sqrt(n)
-    cov = np.empty((n_t, 6, 6))
-    se_cov = np.empty((n_t, 6, 6))
-    for j in range(n_t):
-        x = samples[:, j, :]
-        s1 = x.sum(axis=0)
-        s2 = np.einsum("na,nb->ab", x, x)
-        mu = s1 / n
-        cov[j] = (s2 - n * np.outer(mu, mu)) / (n - 1)
-        # delete-one covariances, vectorized
-        s1_i = s1[None, :] - x                       # (n, 6)
-        mu_i = s1_i / (n - 1)
-        s2_i = s2[None, :, :] - np.einsum("na,nb->nab", x, x)
-        cov_i = (s2_i - (n - 1) * np.einsum("na,nb->nab", mu_i, mu_i)) / (n - 2)
-        cov_bar = cov_i.mean(axis=0)
-        se_cov[j] = np.sqrt((n - 1) / n
-                            * np.sum((cov_i - cov_bar) ** 2, axis=0))
+    y = samples - mean
+    s = np.einsum("nta,ntb->tab", y, y)
+    y *= y
+    q = np.einsum("nta,ntb->tab", y, y)
+    cov = s / (n - 1)
+    se_mean = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
+    spread = np.maximum(q - s * s / n, 0.0)
+    se_cov = np.sqrt(n / ((n - 1) * (n - 2) ** 2) * spread)
     return mean, cov, se_mean, se_cov
 
 
@@ -239,8 +223,13 @@ class ComparisonReport:
     p_value: float
     passed: bool
     max_abs_z: float
+    n_events: int
+    n_trajectories: int
 
     def summary(self) -> str:
+        if self.n_events == 0:
+            return (f"FAIL: no emission events in {self.n_trajectories} "
+                    "trajectories")
         status = "PASS" if self.passed else "FAIL"
         return (f"{status}: max|z| = {self.max_abs_z:.2f}, "
                 f"chi2/dof = {self.chi2:.1f}/{self.dof}, p = {self.p_value:.4g}")
@@ -258,7 +247,8 @@ def compare_to_prediction(moments: EnsembleMoments, d: Diffusion6,
     """z-scores of measured minus predicted moments at the final time.
 
     Passes when every |z| stays below z_limit and the global chi-square
-    p-value exceeds p_floor.
+    p-value exceeds p_floor. An ensemble without a single emission event
+    tests nothing and never passes.
     """
     t = moments.times[-1]
     mean0 = np.zeros(6) if mean0 is None else np.asarray(mean0, dtype=float)
@@ -275,8 +265,10 @@ def compare_to_prediction(moments: EnsembleMoments, d: Diffusion6,
     dof = len(z_all)
     p_value = float(stats.chi2.sf(chi2, dof))
     max_abs_z = float(np.max(np.abs(z_all)))
-    passed = bool(max_abs_z < z_limit and p_value > p_floor)
-    return ComparisonReport(z_mean, z_cov, chi2, dof, p_value, passed, max_abs_z)
+    n_events = int(moments.event_counts.sum())
+    passed = bool(n_events > 0 and max_abs_z < z_limit and p_value > p_floor)
+    return ComparisonReport(z_mean, z_cov, chi2, dof, p_value, passed,
+                            max_abs_z, n_events, moments.n_trajectories)
 
 
 def _z_scores(diff: np.ndarray, stderr: np.ndarray) -> np.ndarray:

@@ -1,8 +1,9 @@
-"""Counter-based random streams, bitwise reproducible under parallelism.
+"""Counter-based random streams, bitwise reproducible.
 
 Each logical consumer derives its own Philox stream from the triple
-(global seed, purpose tag, index), so work can be partitioned across
-threads in any way without changing a single drawn number.
+(global seed, purpose tag, index) (Salmon et al., SC'11). The Monte Carlo
+ensemble keys one stream per fixed block of trajectories, so a drawn
+number depends on the seed, the tag and the block alone.
 """
 
 from __future__ import annotations

@@ -3,12 +3,13 @@ import pytest
 from scipy import stats
 
 from desorb.constants import KB, TORR_L_PER_CM2_S
-from desorb.errors import NotUnit
-from desorb.flux import (CosineLaw, FixedDirection, Isotropic,
+from desorb.errors import DesorbError, NonFinite, NotUnit
+from desorb.flux import (CosineLaw, EventSampler, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
                          flux_eval, node_emission_rates, outgas_rate,
                          sample_event, total_rate)
 from desorb.lebedev import lebedev_rule
+from desorb.moments import diffusion_tensor
 from desorb.quadrules import hemisphere_rule
 from desorb.rng import stream
 from desorb.rotations import random_rotation
@@ -204,6 +205,43 @@ def test_tabulated_flux_roundtrip(sphere_quad_coarse):
     expected = probs * len(mu)
     chi2 = np.sum((counts - expected) ** 2 / expected)
     assert stats.chi2.sf(chi2, len(probs) - 1) > 1e-3
+
+
+def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):
+    # reference: one searchsorted per event on its node's normalized CDF
+    q = sphere_quad_coarse
+    cos_grid = np.linspace(-1, 1, 5)
+    e_grid = np.linspace(0.0, 10 * KB * T_ROOM, 4)
+    rng = stream(107, "test-tab-cells")
+    values = rng.uniform(0.0, 2.0, (q.n_nodes, 5, 4))
+    values[::3] = 0.0                  # nodes that never emit
+    values[1::3, :2, :] = 0.0          # empty leading cells
+    values[2::3, -2:, :] = 0.0         # empty trailing cells
+    sampler = EventSampler(TabulatedFlux(cos_grid, e_grid, values), q)
+    cells = sampler._cells
+    node = sampler.draw(rng, size=20_000).node_index
+    u = rng.random(len(node))
+    v = values
+    masses = 0.25 * (v[:, :-1, :-1] + v[:, 1:, :-1] + v[:, :-1, 1:]
+                     + v[:, 1:, 1:]) * np.diff(cos_grid)[None, :, None] \
+        * np.diff(e_grid)[None, None, :]
+    flat = masses.reshape(q.n_nodes, -1)
+    expected = [np.searchsorted(np.cumsum(flat[i]) / flat[i].sum(), u_k,
+                                side="right") for i, u_k in zip(node, u)]
+    cell = cells.draw(node, u)
+    np.testing.assert_array_equal(cell, expected)
+    assert np.all(flat[node, cell] > 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_rate_field_rejected(sphere_quad_coarse, bad):
+    q = sphere_quad_coarse
+    field = lambda pts: np.where(pts[:, 2] > 0, bad, 1e3)
+    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), field)
+    with pytest.raises(NonFinite, match="rate_per_area"):
+        total_rate(model, q)
+    with pytest.raises(DesorbError):
+        diffusion_tensor(model, q, 4.65e-26)
 
 
 def test_outgas_rate_gold_value():

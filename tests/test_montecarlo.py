@@ -7,7 +7,8 @@ from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
                          SingleSite, total_rate)
 from desorb.geometry import BodySpec, Cylinder, Sphere, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
-from desorb.montecarlo import (compare_to_prediction, simulate_ensemble,
+from desorb.montecarlo import (_BLOCK, _jackknife_moments,
+                               compare_to_prediction, simulate_ensemble,
                                simulate_free_rotation, simulate_trajectory)
 from desorb.rng import stream
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
@@ -25,11 +26,64 @@ def test_zero_event_trajectories_constant(sphere_quad_coarse):
     assert np.all(em.cov == 0.0)
 
 
+def test_zero_event_report_says_no_events(sphere_quad_coarse):
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e-12)
+    em = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, 64, seed=1)
+    d = diffusion_tensor(model, sphere_quad_coarse, N2_MASS)
+    f = force_torque(model, sphere_quad_coarse, N2_MASS)
+    report = compare_to_prediction(em, d, f)
+    assert not report.passed
+    assert report.n_events == 0 and report.n_trajectories == 64
+    assert report.summary() == "FAIL: no emission events in 64 trajectories"
+
+
+def _explicit_jackknife_cov_stderr(samples):
+    """Delete-one covariances built one by one (reference)."""
+    n = samples.shape[0]
+    out = np.empty(samples.shape[1:] + (6,))
+    for j in range(samples.shape[1]):
+        covs = np.array([np.cov(np.delete(samples[:, j], i, axis=0),
+                                rowvar=False) for i in range(n)])
+        out[j] = np.sqrt((n - 1) / n * np.sum((covs - covs.mean(axis=0)) ** 2,
+                                              axis=0))
+    return out
+
+
+def test_jackknife_closed_form_matches_delete_one():
+    rng = stream(41, "test-jackknife")
+    # correlated, offset, unevenly scaled columns like (P, J)
+    mix = rng.normal(size=(6, 6)) * np.array([1e-22] * 3 + [1e-29] * 3)
+    samples = rng.standard_exponential((40, 3, 6)) @ mix.T + 3e-23
+    mean, cov, se_mean, se_cov = _jackknife_moments(samples)
+    for j in range(3):
+        np.testing.assert_allclose(cov[j], np.cov(samples[:, j], rowvar=False),
+                                   rtol=1e-12)
+    np.testing.assert_allclose(se_mean, samples.std(axis=0, ddof=1)
+                               / np.sqrt(40), rtol=1e-12)
+    np.testing.assert_allclose(se_cov, _explicit_jackknife_cov_stderr(samples),
+                               rtol=1e-12)
+
+
+def test_ensemble_size_not_multiple_of_block(sphere_quad_coarse):
+    n = 2053
+    assert n % _BLOCK != 0
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      12.0 / sphere_quad_coarse.total_area)
+    d = diffusion_tensor(model, sphere_quad_coarse, N2_MASS)
+    f = force_torque(model, sphere_quad_coarse, N2_MASS)
+    a = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, n, seed=53)
+    b = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, n, seed=53)
+    assert a.event_counts.shape == (n,) and a.n_trajectories == n
+    report = compare_to_prediction(a, d, f)
+    assert report.passed, report.summary()
+    for name in ("mean", "cov", "stderr_mean", "stderr_cov", "event_counts"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_trajectory_momentum_bookkeeping(sphere_quad_coarse):
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), 5e3 / sphere_quad_coarse.total_area)
     rng = stream(3, "test-traj")
-    traj = simulate_trajectory(model, sphere_quad_coarse, N2_MASS, 1.0, rng,
-                               check_conservation=True)
+    traj = simulate_trajectory(model, sphere_quad_coarse, N2_MASS, 1.0, rng)
     # piecewise-constant record: one state per event plus the initial one
     assert traj.momenta.shape == (len(traj.times) + 1, 3)
     # final momentum equals minus the summed atom momenta
