@@ -27,12 +27,12 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .constants import HBAR
-from .errors import DesorbError, QuadratureNotConverged
+from .errors import DesorbError, NonFinite, QuadratureNotConverged
 from .flux import (CosineLaw, FixedDirection, FluxModel, Isotropic,
                    IsotropicDirection, SingleSite, TabulatedFlux, _rates_at,
                    total_rate)
 from .geometry import SurfaceQuadrature
-from .moments import _table_energy_rule, EnergyQuadrature
+from .moments import _segment_rule
 from .quadrules import filon_grid, filon_moments, orthonormal_frame
 from .rotations import check_rotation, w_from_rotations
 
@@ -68,6 +68,8 @@ class LocalizationRate:
     total_rate: float
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.re, self.im, self.total_rate])):
+            raise NonFinite("localization rate holds NaN or infinity")
         g2 = 2.0 * self.total_rate
         if self.re < -1e-12 * g2:
             raise ValueError(f"negative localization rate {self.re:.3g}")
@@ -105,7 +107,7 @@ def _energy_momentum_rule(model, m_atom: float, n_nodes: int):
     """(p(E_k), w_k) with spectral density folded into the weights for
     separable models; tabulated models get their grid rule (no density)."""
     if isinstance(model, TabulatedFlux):
-        e, w = _table_energy_rule(model, EnergyQuadrature(n_nodes))
+        e, w = _segment_rule(model.energy_grid, n_nodes)
     else:
         e, w = model.spectrum.energy_rule(n_nodes)
     return np.sqrt(2.0 * m_atom * np.asarray(e, dtype=float)), np.asarray(w), e

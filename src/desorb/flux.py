@@ -157,6 +157,9 @@ class TabulatedFlux:
         c = np.asarray(self.cos_grid, dtype=float)
         e = np.asarray(self.energy_grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))
+                and np.all(np.isfinite(v))):
+            raise NonFinite("flux table grids and values must be finite")
         if np.any(np.diff(c) <= 0) or np.any(np.diff(e) <= 0):
             raise ValueError("tabulation grids must be strictly increasing")
         if c[0] < -1.0 - 1e-12 or c[-1] > 1.0 + 1e-12:
@@ -233,7 +236,8 @@ def flux_eval(model: FluxModel, n: np.ndarray, s: np.ndarray,
         rate = float(_rates_at(model.rate_per_area, np.atleast_2d(s))[0])
         return rate * float(model.axial_factor(mu)) * float(model.spectrum.density(energy))
     if isinstance(model, TabulatedFlux):
-        raise ValueError("tabulated flux is evaluated per node; use eval_at_node")
+        raise ValueError("tabulated flux is evaluated per node; use "
+                         "TabulatedFlux.interp")
     if isinstance(model, SingleSite):
         if not np.allclose(np.asarray(s, dtype=float), model.site,
                            rtol=0.0, atol=1e-12 + 1e-9 * np.linalg.norm(model.site)):
@@ -247,11 +251,6 @@ def flux_eval(model: FluxModel, n: np.ndarray, s: np.ndarray,
             ang = float(law.density(np.dot(n, law.axis)))
         return model.rate * ang * float(model.spectrum.density(energy))
     raise TypeError(f"unknown flux model {type(model).__name__}")
-
-
-def eval_at_node(model: TabulatedFlux, mu, energy, node_idx):
-    """Phi for a tabulated model at given node indices and mu = n . n_s."""
-    return model.interp(mu, energy, node_idx)
 
 
 def node_emission_rates(model: FluxModel, q: SurfaceQuadrature) -> np.ndarray:
@@ -453,48 +452,60 @@ def read_flux_csv(path, q: SurfaceQuadrature) -> TabulatedFlux:
 
     Columns: either node_index or s_x,s_y,s_z to identify the node, plus
     cos_theta, E_joule, value. All listed nodes must share the same
-    (cos_theta, E) grid; unlisted nodes emit nothing.
+    (cos_theta, E) grid; unlisted nodes emit nothing. A point listed
+    twice takes the value of its later row.
     """
     import csv
+    import warnings
 
-    entries = []
+    base = ("cos_theta", "E_joule", "value")
     with open(path, "r", encoding="ascii", newline="") as fh:
-        reader = csv.DictReader(fh)
-        names = set(reader.fieldnames or ())
-        base = {"cos_theta", "E_joule", "value"}
-        by_index = base | {"node_index"} <= names
-        by_pos = base | {"s_x", "s_y", "s_z"} <= names
-        if not (by_index or by_pos):
+        header = next(csv.reader(fh), [])
+        column = {name: col for col, name in enumerate(header)}
+        if {"node_index", *base} <= column.keys():
+            ids = ("node_index",)
+        elif {"s_x", "s_y", "s_z", *base} <= column.keys():
+            ids = ("s_x", "s_y", "s_z")
+        else:
             raise ValueError("flux CSV needs node_index or s_x,s_y,s_z plus "
                              "cos_theta, E_joule, value columns")
-        for row in reader:
-            if by_index:
-                node = int(row["node_index"])
-            else:
-                pos = np.array([float(row["s_x"]), float(row["s_y"]),
-                                float(row["s_z"])])
-                node = int(np.argmin(np.linalg.norm(q.points - pos, axis=1)))
-            entries.append((node, float(row["cos_theta"]),
-                            float(row["E_joule"]), float(row["value"])))
-    if not entries:
+        names = ids + base
+        dtype = [(n, np.int64 if n == "node_index" else float) for n in names]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # header-only file
+            rows = np.loadtxt(fh, dtype=dtype, delimiter=",", comments=None,
+                              usecols=[column[n] for n in names], ndmin=1)
+    if rows.size == 0:
         raise ValueError("flux CSV is empty")
-    cos_grid = np.array(sorted({c for _, c, _, _ in entries}))
-    e_grid = np.array(sorted({e for _, _, e, _ in entries}))
+    if ids == ("node_index",):
+        node = rows["node_index"]
+        bad = (node < 0) | (node >= q.n_nodes)
+        if np.any(bad):
+            raise ValueError(f"flux CSV node_index {node[np.argmax(bad)]} "
+                             "out of range")
+    else:
+        node = _nearest_nodes(q.points, np.column_stack([rows[n] for n in ids]))
+    cos_grid, ci = np.unique(rows["cos_theta"], return_inverse=True)
+    e_grid, ei = np.unique(rows["E_joule"], return_inverse=True)
     values = np.zeros((q.n_nodes, len(cos_grid), len(e_grid)))
-    ci = {c: i for i, c in enumerate(cos_grid)}
-    ei = {e: i for i, e in enumerate(e_grid)}
-    seen = np.zeros(values.shape, dtype=bool)
-    listed = set()
-    for node, c, e, v in entries:
-        if not 0 <= node < q.n_nodes:
-            raise ValueError(f"flux CSV node_index {node} out of range")
-        values[node, ci[c], ei[e]] = v
-        seen[node, ci[c], ei[e]] = True
-        listed.add(node)
-    for node in listed:
-        if not np.all(seen[node]):
-            raise ValueError(f"flux CSV node {node} does not cover the full "
-                             "(cos_theta, E) grid")
+    flat = np.ravel_multi_index((node, ci, ei), values.shape)
+    # first occurrence in the reversed rows = last row of each point
+    cells, last = np.unique(flat[::-1], return_index=True)
+    values.flat[cells] = rows["value"][::-1][last]
+    per_node = len(cos_grid) * len(e_grid)
+    seen = np.bincount(cells // per_node, minlength=q.n_nodes)
+    short = (seen > 0) & (seen < per_node)
+    if np.any(short):
+        raise ValueError(f"flux CSV node {np.argmax(short)} does not cover "
+                         "the full (cos_theta, E) grid")
     return TabulatedFlux(cos_grid, e_grid, values)
 
 
+def _nearest_nodes(points: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """Index of the node nearest to each row of pos, in chunks of rows."""
+    out = np.empty(len(pos), dtype=np.int64)
+    step = max(1, 2**18 // len(points))
+    for a in range(0, len(pos), step):
+        d = np.linalg.norm(points[None, :, :] - pos[a:a + step, None, :], axis=2)
+        out[a:a + step] = np.argmin(d, axis=1)
+    return out

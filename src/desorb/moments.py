@@ -14,6 +14,13 @@ run per surface node over product rules aligned with the local normal
 (the emission cutoff would break Lebedev's polynomial exactness), or
 over a full-sphere Lebedev rule with the cutoff folded into the
 integrand when explicitly requested.
+
+A tabulated flux is not separable, but its bilinear interpolant is
+linear in the table values and, segment by segment, in cos(theta) and E.
+Its tensors are therefore one exact contraction of the table with
+per-grid-point weights (the angular and energy rules folded through the
+grid's hat functions), at cost O(nodes x n_cos x n_E); the table is
+never interpolated point by point.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import QuadratureNotConverged
+from .errors import NonFinite, QuadratureNotConverged
 from .flux import (CosineLaw, FluxModel, Isotropic, SingleSite, TabulatedFlux,
                    FixedDirection, IsotropicDirection, _rates_at)
 from .geometry import SurfaceQuadrature
@@ -82,6 +89,8 @@ class Diffusion6:
                 raise ValueError(f"{name} must be 3x3")
             object.__setattr__(self, name, block)
         m = self.matrix
+        if not np.all(np.isfinite(m)):
+            raise NonFinite("diffusion tensor holds NaN or infinity")
         scale = float(np.max(np.abs(m)))
         if scale > 0.0:
             if np.max(np.abs(m - m.T)) > 1e-9 * scale:
@@ -135,71 +144,86 @@ def _axial_moment_integrals(profile_values, mu, wmu):
 
 
 def _axial_moments_to_tensors(normals, t0, t1, t2):
-    """Assemble A0, A1, A2 in the body frame for axially symmetric profiles.
+    """Assemble A0, A1, A2 in the body frame for axially symmetric profiles
+    (t0, t1, t2 per node, with any leading batch axes).
 
     With the azimuthal integral carried out, A1 = 2 pi t1 n_s and
     A2 = pi (t0 - t2) (1 - n (x) n) + 2 pi t2 n (x) n.
     """
     two_pi = 2.0 * np.pi
     a0 = two_pi * t0
-    a1 = two_pi * t1[:, None] * normals
+    a1 = two_pi * t1[..., None] * normals
     eye = np.eye(3)
     nn = np.einsum("ia,ib->iab", normals, normals)
-    a2 = (np.pi * (t0 - t2))[:, None, None] * (eye[None] - nn) \
-        + (two_pi * t2)[:, None, None] * nn
+    a2 = (np.pi * (t0 - t2))[..., None, None] * (eye[None] - nn) \
+        + (two_pi * t2)[..., None, None] * nn
     return a0, a1, a2
 
 
-def _surface_angular_moments(model, q, angular: AngularQuadrature, energy=None):
-    """A0 (n,), A1 (n,3), A2 (n,3,3) per node, including the rate factor.
-
-    For separable models these are per unit spectral density; for
-    tabulated models `energy` selects the evaluation energy.
-    """
-    if angular.kind == "lebedev":
-        return _lebedev_surface_moments(model, q, angular, energy)
-    if isinstance(model, (CosineLaw, Isotropic)):
-        mu, wmu = gauss_legendre(angular.n_polar, 0.0, 1.0)
-        prof = model.axial_factor(mu)[None, :]
-        t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
-        rates = _rates_at(model.rate_per_area, q.points)
-        a0, a1, a2 = _axial_moments_to_tensors(q.normals,
-                                               np.full(q.n_nodes, t0[0]),
-                                               np.full(q.n_nodes, t1[0]),
-                                               np.full(q.n_nodes, t2[0]))
-        return rates * a0, rates[:, None] * a1, rates[:, None, None] * a2
-    if isinstance(model, TabulatedFlux):
-        # per-segment GL in mu: exact for the piecewise-linear table
-        pts = max(3, angular.n_polar // max(len(model.cos_grid) - 1, 1) + 2)
-        mus, wmus = [], []
-        for a, b in zip(model.cos_grid[:-1], model.cos_grid[1:]):
-            m, w = gauss_legendre(pts, a, b)
-            mus.append(m)
-            wmus.append(w)
-        mu = np.concatenate(mus)
-        wmu = np.concatenate(wmus)
-        idx = np.arange(q.n_nodes)[:, None]
-        prof = model.interp(mu[None, :], energy, idx)
-        t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
-        return _axial_moments_to_tensors(q.normals, t0, t1, t2)
-    raise TypeError("surface moments undefined for this model")
-
-
-def _lebedev_surface_moments(model, q, angular: AngularQuadrature, energy=None):
-    nodes, w = lebedev_rule(angular.lebedev_points)
-    mu = q.normals @ nodes.T                     # (n_surf, n_leb)
-    if isinstance(model, (CosineLaw, Isotropic)):
-        rates = _rates_at(model.rate_per_area, q.points)
-        vals = rates[:, None] * model.axial_factor(mu)
-    elif isinstance(model, TabulatedFlux):
-        idx = np.arange(q.n_nodes)[:, None]
-        vals = model.interp(mu, energy, idx)
-    else:
+def _surface_angular_moments(model, q, angular: AngularQuadrature):
+    """A0 (n,), A1 (n,3), A2 (n,3,3) per node of a separable surface model,
+    including the rate factor, per unit spectral density."""
+    if not isinstance(model, (CosineLaw, Isotropic)):
         raise TypeError("surface moments undefined for this model")
+    rates = _rates_at(model.rate_per_area, q.points)
+    if angular.kind == "lebedev":
+        nodes, w = lebedev_rule(angular.lebedev_points)
+        vals = rates[:, None] * model.axial_factor(q.normals @ nodes.T)
+        return _rule_moments(vals, nodes, w)
+    mu, wmu = gauss_legendre(angular.n_polar, 0.0, 1.0)
+    prof = model.axial_factor(mu)[None, :]
+    t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
+    a0, a1, a2 = _axial_moments_to_tensors(q.normals,
+                                           np.full(q.n_nodes, t0[0]),
+                                           np.full(q.n_nodes, t1[0]),
+                                           np.full(q.n_nodes, t2[0]))
+    return rates * a0, rates[:, None] * a1, rates[:, None, None] * a2
+
+
+def _rule_moments(vals, nodes, w):
+    """A0, A1, A2 of values (..., n_k) on a solid-angle rule (nodes, w)."""
     a0 = vals @ w
-    a1 = np.einsum("ik,k,ka->ia", vals, w, nodes)
-    a2 = np.einsum("ik,k,ka,kb->iab", vals, w, nodes, nodes)
+    a1 = np.einsum("...k,k,ka->...a", vals, w, nodes)
+    a2 = np.einsum("...k,k,ka,kb->...ab", vals, w, nodes, nodes)
     return a0, a1, a2
+
+
+def _hats(grid: np.ndarray, x: np.ndarray):
+    """Lower grid neighbour j of each x, and the weights of grid points j
+    and j + 1 in the piecewise-linear interpolant at x (zero outside)."""
+    j = np.clip(np.searchsorted(grid, x) - 1, 0, len(grid) - 2)
+    t = np.clip((x - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
+    inside = (x >= grid[0]) & (x <= grid[-1])
+    return j, np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0)
+
+
+def _hat_matrix(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(len(x), len(grid)) values of the grid's hat functions at x."""
+    j, lo, hi = _hats(grid, x)
+    eye = np.eye(len(grid))
+    return lo[:, None] * eye[j] + hi[:, None] * eye[j + 1]
+
+
+def _table_surface_moments(model: TabulatedFlux, q, m_atom, angular, energy):
+    """A0 (3,n), A1 (3,n,3), A2 (3,n,3,3) of a tabulated flux, integrated
+    over energy with the weights p^0, p and p^2/2 (leading axis). The
+    energy and mu rules fold through the grids' hat functions into weights
+    per grid point, so the table is contracted once."""
+    e, w = _segment_rule(model.energy_grid, energy.n_nodes)
+    powers = np.stack([w, w * np.sqrt(2.0 * m_atom * e), w * m_atom * e])
+    v_p = np.einsum("ijk,rk->rij", model.values,
+                    powers @ _hat_matrix(model.energy_grid, e))
+    if angular.kind == "lebedev":
+        nodes, wl = lebedev_rule(angular.lebedev_points)
+        j, lo, hi = _hats(model.cos_grid, q.normals @ nodes.T)  # (n, n_leb)
+        vals = (lo * np.take_along_axis(v_p, j[None], axis=2)
+                + hi * np.take_along_axis(v_p, j[None] + 1, axis=2))
+        return _rule_moments(vals, nodes, wl)
+    mu, wmu = _segment_rule(model.cos_grid, angular.n_polar)
+    mu_moments = np.stack([wmu, wmu * mu, wmu * mu * mu]) \
+        @ _hat_matrix(model.cos_grid, mu)                     # (3, n_cos)
+    t = np.einsum("rij,aj->ari", v_p, mu_moments)
+    return _axial_moments_to_tensors(q.normals, *t)
 
 
 def _site_angular_moments(model: SingleSite, angular: AngularQuadrature):
@@ -215,10 +239,8 @@ def _site_angular_moments(model: SingleSite, angular: AngularQuadrature):
         nodes, w = sphere_product_rule(angular.n_polar, angular.n_azimuth,
                                        axis=law.axis, mu_min=0.0)
         vals = law.density(nodes @ law.axis)
-    a0 = float(vals @ w)
-    a1 = np.einsum("k,k,ka->a", vals, w, nodes)
-    a2 = np.einsum("k,k,ka,kb->ab", vals, w, nodes, nodes)
-    return a0, a1, a2
+    a0, a1, a2 = _rule_moments(vals, nodes, w)
+    return float(a0), a1, a2
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +258,15 @@ def _moment_blocks(model, q, m_atom, angular, energy):
         f_t, f_r = _force_from_a1(site, (j1 * g) * a1[None])
         return (*d_blocks, -f_t, -f_r)
     if isinstance(model, TabulatedFlux):
-        e_nodes, e_weights = _table_energy_rule(model, energy)
-        d_tt = np.zeros((3, 3)); d_tr = np.zeros((3, 3))
-        d_rt = np.zeros((3, 3)); d_rr = np.zeros((3, 3))
-        f_t = np.zeros(3); f_r = np.zeros(3)
-        for ek, wk in zip(e_nodes, e_weights):
-            a0, a1, a2 = _surface_angular_moments(model, q, angular, energy=ek)
-            p2 = 2.0 * m_atom * ek
-            p1 = np.sqrt(p2)
-            wa2 = (0.5 * wk * p2) * q.weights[:, None, None] * a2
-            tt, tr, rt, rr = _diffusion_from_a2(q.points, wa2)
-            d_tt += tt; d_tr += tr; d_rt += rt; d_rr += rr
-            ft_k, fr_k = _force_from_a1(q.points, (wk * p1) * q.weights[:, None] * a1)
-            f_t -= ft_k; f_r -= fr_k
-        return d_tt, d_tr, d_rt, d_rr, f_t, f_r
-    # separable surface models
-    a0, a1, a2 = _surface_angular_moments(model, q, angular)
-    j1, j2 = spectral_momentum_moments(model.spectrum, m_atom, energy.n_nodes)
-    wa2 = (0.5 * j2) * q.weights[:, None, None] * a2
-    d_tt, d_tr, d_rt, d_rr = _diffusion_from_a2(q.points, wa2)
-    f_t, f_r = _force_from_a1(q.points, j1 * q.weights[:, None] * a1)
-    return d_tt, d_tr, d_rt, d_rr, -f_t, -f_r
+        _, a1, a2 = _table_surface_moments(model, q, m_atom, angular, energy)
+        a1, a2, w1, w2 = a1[1], a2[2], q.weights, q.weights
+    else:  # separable surface models
+        _, a1, a2 = _surface_angular_moments(model, q, angular)
+        j1, j2 = spectral_momentum_moments(model.spectrum, m_atom, energy.n_nodes)
+        w1, w2 = j1 * q.weights, (0.5 * j2) * q.weights
+    d_blocks = _diffusion_from_a2(q.points, w2[:, None, None] * a2)
+    f_t, f_r = _force_from_a1(q.points, w1[:, None] * a1)
+    return (*d_blocks, -f_t, -f_r)
 
 
 def _skews(s: np.ndarray) -> np.ndarray:
@@ -281,16 +291,13 @@ def _force_from_a1(s: np.ndarray, wa1: np.ndarray):
     return wa1.sum(axis=0), np.einsum("iab,ib->a", sx, wa1)
 
 
-def _table_energy_rule(model: TabulatedFlux, energy: EnergyQuadrature):
-    """Per-segment GL nodes on the table's energy grid (no density factor)."""
-    grid = model.energy_grid
-    pts = max(3, energy.n_nodes // max(len(grid) - 1, 1) + 2)
-    nodes, weights = [], []
-    for a, b in zip(grid[:-1], grid[1:]):
-        e, w = gauss_legendre(pts, a, b)
-        nodes.append(e)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+def _segment_rule(grid: np.ndarray, n_nodes: int):
+    """Per-segment GL nodes and weights on a table grid, at least 3 per
+    segment: exact for the piecewise-linear interpolant times quadratics."""
+    pts = max(3, n_nodes // max(len(grid) - 1, 1) + 2)
+    x, w = np.polynomial.legendre.leggauss(pts)
+    half = 0.5 * np.diff(grid)[:, None]
+    return (grid[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _diffusion_change(a: Diffusion6, b: Diffusion6) -> float:
@@ -373,13 +380,10 @@ def _force_scale(model, q, m_atom) -> float:
     else:
         gamma = total_rate(model, q)
     if isinstance(model, TabulatedFlux):
-        e, w = _table_energy_rule(model, EnergyQuadrature())
-        # mean momentum over the table's spectral weight, roughly normalized
-        a0 = np.array([_surface_angular_moments(model, q, _DEF_ANG, ek)[0]
-                       for ek in e])
-        tot = np.einsum("k,ki,i->", w, a0, q.weights)
-        pbar = np.einsum("k,ki,i,k->", w, a0, q.weights,
-                         np.sqrt(2 * m_atom * e)) / max(tot, 1e-300)
+        # mean momentum over the table's spectral weight
+        a0 = _table_surface_moments(model, q, m_atom, _DEF_ANG, _DEF_EN)[0]
+        tot, pbar = a0[:2] @ q.weights
+        pbar /= max(tot, 1e-300)
     else:
         j1, _ = spectral_momentum_moments(model.spectrum, m_atom)
         pbar = j1

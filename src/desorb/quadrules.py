@@ -56,11 +56,6 @@ def sphere_product_rule(n_polar: int, n_azimuth: int, axis=None,
     return nodes.reshape(-1, 3), weights.reshape(-1).copy()
 
 
-def hemisphere_rule(n_polar: int, n_azimuth: int, axis):
-    """Outward-hemisphere product rule about `axis` (mu = n.axis in [0,1])."""
-    return sphere_product_rule(n_polar, n_azimuth, axis=axis, mu_min=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Filon quadrature for int f(x) cos(k x) dx and int f(x) sin(k x) dx
 # ---------------------------------------------------------------------------

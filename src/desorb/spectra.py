@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import KB
-from .errors import NegativeEnergy
+from .errors import NegativeEnergy, NonFinite
 from .quadrules import gauss_legendre
 
 #: thermal spectra are integrated on [0, ENERGY_CUTOFF_KT * kB T]
@@ -88,6 +88,8 @@ class TabulatedSpectrum:
         v = np.asarray(self.values, dtype=float)
         if e.ndim != 1 or e.shape != v.shape or len(e) < 2:
             raise ValueError("need matching 1D energy and value grids (>= 2 points)")
+        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
+            raise NonFinite("tabulated energies and densities must be finite")
         if np.any(np.diff(e) <= 0):
             raise ValueError("energy grid must be strictly increasing")
         if np.any(e < 0):

@@ -137,6 +137,43 @@ def test_read_flux_csv_partial_grid_rejected(tmp_path):
         read_flux_csv(path, q)
 
 
+def _write_index_csv(tmp_path, rows):
+    path = tmp_path / "flux.csv"
+    path.write_text("\n".join(["cos_theta,value,E_joule,node_index"] + rows)
+                    + "\n", encoding="ascii")
+    return path
+
+
+def test_read_flux_csv_later_duplicate_wins(tmp_path):
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 2)
+    rows = [f"{c},1.0,{e},1" for c in (0.0, 1.0) for e in (0.0, 1e-21)]
+    path = _write_index_csv(tmp_path, rows + ["1.0,7.5,0.0,1", "1.0,4.0,0.0,1"])
+    model = read_flux_csv(path, q)
+    assert model.values[1, 1, 0] == 4.0
+    assert model.values[1, 0, 1] == 1.0
+    assert np.all(model.values[np.arange(q.n_nodes) != 1] == 0.0)
+
+
+@pytest.mark.parametrize("node", ["-1", "8", "1.5"])
+def test_read_flux_csv_rejects_bad_node_index(tmp_path, node):
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 2)
+    assert q.n_nodes == 8
+    rows = [f"{c},1.0,{e},{n}" for n in ("0", node)
+            for c in (0.0, 1.0) for e in (0.0, 1e-21)]
+    with pytest.raises(ValueError):
+        read_flux_csv(_write_index_csv(tmp_path, rows), q)
+
+
+def test_read_flux_csv_rejects_empty(tmp_path):
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 2)
+    with pytest.raises(ValueError, match="empty"):
+        read_flux_csv(_write_index_csv(tmp_path, []), q)
+    path = tmp_path / "blank.csv"
+    path.write_text("", encoding="ascii")
+    with pytest.raises(ValueError, match="columns"):
+        read_flux_csv(path, q)
+
+
 def test_missing_required_keys():
     raw = base_raw()
     del raw["atom"]

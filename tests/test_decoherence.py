@@ -5,7 +5,7 @@ from conftest import N2_MASS, SPHERE_RADIUS
 from desorb.constants import HBAR, KB
 from desorb.decoherence import (DecoherenceQuadrature, LocalizationRate,
                                 PosePair, coherence_map, localization_rate)
-from desorb.errors import QuadratureNotConverged
+from desorb.errors import NonFinite, QuadratureNotConverged
 from desorb.flux import (CosineDirection, CosineLaw, FixedDirection,
                          IsotropicDirection, SingleSite, total_rate)
 from desorb.geometry import BodySpec, Sphere, build_quadrature
@@ -178,6 +178,13 @@ def test_localization_rate_type_bounds():
         LocalizationRate(25.0, 0.0, 10.0)
     r = LocalizationRate(5.0, -1.0, 10.0)
     assert r.visibility(0.1) == pytest.approx(np.exp(-0.5))
+
+
+@pytest.mark.parametrize("args", [(np.nan, 0.0, 10.0), (5.0, np.inf, 10.0),
+                                  (np.nan, 0.0, np.nan)])
+def test_localization_rate_rejects_non_finite(args):
+    with pytest.raises(NonFinite):
+        LocalizationRate(*args)
 
 
 def test_quadrature_not_converged(q_small, cosine_mono):

@@ -10,7 +10,7 @@ from desorb.flux import (CosineLaw, EventSampler, FixedDirection, Isotropic,
                          sample_event, total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor
-from desorb.quadrules import hemisphere_rule
+from desorb.quadrules import sphere_product_rule
 from desorb.rng import stream
 from desorb.rotations import random_rotation
 from desorb.spectra import MaxwellBoltzmannFlux
@@ -50,7 +50,7 @@ def test_cosine_solid_angle_integral_lebedev_oracle(cosine_model):
     target = 1e3 * cosine_model.spectrum.density(e)
     assert abs(np.sum(w * vals) / target - 1.0) < 1e-3
     # the hemisphere product rule integrates the same thing to machine accuracy
-    hn, hw = hemisphere_rule(24, 48, nu)
+    hn, hw = sphere_product_rule(24, 48, axis=nu, mu_min=0.0)
     hvals = np.array([flux_eval(cosine_model, n, np.zeros(3), nu, e)
                       for n in hn])
     assert abs(np.sum(hw * hvals) / target - 1.0) < 1e-12
@@ -174,6 +174,17 @@ def test_isotropic_sampler_uniform_mu(sphere_quad_coarse):
     expected = np.full(10, len(mu) / 10.0)
     chi2 = np.sum((counts - expected) ** 2 / expected)
     assert stats.chi2.sf(chi2, 9) > 1e-3
+
+
+@pytest.mark.parametrize("field", ["cos_grid", "energy_grid", "values"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tabulated_flux_rejects_non_finite(field, bad):
+    arrays = {"cos_grid": np.linspace(0.0, 1.0, 3),
+              "energy_grid": np.linspace(0.0, 1e-20, 4),
+              "values": np.ones((3, 3, 4))}
+    arrays[field].flat[1] = bad
+    with pytest.raises(NonFinite):
+        TabulatedFlux(**arrays)
 
 
 def test_tabulated_flux_roundtrip(sphere_quad_coarse):

@@ -3,15 +3,20 @@ import pytest
 
 from conftest import N2_MASS, SPHERE_RADIUS, rel_err
 from desorb.constants import KB
-from desorb.errors import QuadratureNotConverged
+from desorb.errors import NonFinite, QuadratureNotConverged
 from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
                          SingleSite, TabulatedFlux, total_rate)
 from desorb.geometry import (BodySpec, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh)
+from desorb.lebedev import lebedev_rule
 from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
-                            ForceTorque6, analytic_cosine_tensor,
-                            diffusion_tensor, force_torque, predict_moments,
+                            ForceTorque6, _axial_moment_integrals,
+                            _axial_moments_to_tensors, _diffusion_from_a2,
+                            _force_from_a1, _force_scale, _moment_blocks,
+                            analytic_cosine_tensor, diffusion_tensor,
+                            force_torque, predict_moments,
                             spectral_momentum_moments)
+from desorb.quadrules import gauss_legendre
 from desorb.rng import stream
 from desorb.rotations import random_rotation, skew
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
@@ -227,19 +232,123 @@ def test_predict_moments_basics():
     np.testing.assert_allclose(cov, cov0 + 2.0 * d.matrix)
 
 
+def _mb_cosine_table(q, cos_grid, e_grid, rates):
+    """Cosine law times the Maxwell-Boltzmann density, tabulated per node."""
+    kt = KB * T_ROOM
+    sigma = e_grid * np.exp(-e_grid / kt) / kt**2
+    prof = np.maximum(cos_grid, 0.0) / np.pi
+    values = rates[:, None, None] * prof[None, :, None] * sigma[None, None, :]
+    return TabulatedFlux(cos_grid, e_grid, values)
+
+
 def test_tabulated_flux_moments_match_cosine():
     # a cosine-law profile tabulated on a moderately fine grid reproduces
     # the separable cosine-law tensor to the tabulation error
     q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
-    cos_grid = np.linspace(-1.0, 1.0, 201)
-    kt = KB * T_ROOM
-    e_grid = np.linspace(0.0, 30.0 * kt, 61)
-    sigma = e_grid * np.exp(-e_grid / kt) / kt**2
-    prof = np.maximum(cos_grid, 0.0) / np.pi
-    values = np.broadcast_to(RATE * prof[:, None] * sigma[None, :],
-                             (q.n_nodes, len(cos_grid), len(e_grid))).copy()
-    table = TabulatedFlux(cos_grid, e_grid, values)
-    d_tab = diffusion_tensor(table, q, N2_MASS, check_convergence=False)
+    table = _mb_cosine_table(q, np.linspace(-1.0, 1.0, 201),
+                             np.linspace(0.0, 30.0 * KB * T_ROOM, 61),
+                             np.full(q.n_nodes, RATE))
+    d_tab = diffusion_tensor(table, q, N2_MASS)
     d_cos = diffusion_tensor(CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE),
                              q, N2_MASS)
     assert rel_err(d_tab.matrix, d_cos.matrix) < 1e-3
+
+
+def _segment_gl(grid, n_nodes):
+    pts = max(3, n_nodes // max(len(grid) - 1, 1) + 2)
+    rules = [gauss_legendre(pts, a, b) for a, b in zip(grid[:-1], grid[1:])]
+    return (np.concatenate([x for x, _ in rules]),
+            np.concatenate([w for _, w in rules]))
+
+
+def _reference_table_blocks(model, q, m_atom, angular, energy):
+    """Tabulated moments by interpolating the table at every energy node:
+    raw (d_tt, d_tr, d_rt, d_rr, f_t, f_r), and the spectral weight and
+    mean-momentum numerator sum_k w_k p_k^(0, 1) sum_i w_i A0_i(E_k)."""
+    idx = np.arange(q.n_nodes)[:, None]
+    if angular.kind == "lebedev":
+        nodes, w_leb = lebedev_rule(angular.lebedev_points)
+        mu_leb = q.normals @ nodes.T
+    else:
+        mu, wmu = _segment_gl(model.cos_grid, angular.n_polar)
+    d = [np.zeros((3, 3)) for _ in range(4)]
+    f = [np.zeros(3), np.zeros(3)]
+    weight = np.zeros(2)
+    for ek, wk in zip(*_segment_gl(model.energy_grid, energy.n_nodes)):
+        if angular.kind == "lebedev":
+            vals = model.interp(mu_leb, ek, idx)
+            a0 = vals @ w_leb
+            a1 = np.einsum("ik,k,ka->ia", vals, w_leb, nodes)
+            a2 = np.einsum("ik,k,ka,kb->iab", vals, w_leb, nodes, nodes)
+        else:
+            prof = model.interp(mu[None, :], ek, idx)
+            t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
+            a0, a1, a2 = _axial_moments_to_tensors(q.normals, t0, t1, t2)
+        p2 = 2.0 * m_atom * ek
+        wa2 = (0.5 * wk * p2) * q.weights[:, None, None] * a2
+        for acc, block in zip(d, _diffusion_from_a2(q.points, wa2)):
+            acc += block
+        wa1 = (wk * np.sqrt(p2)) * q.weights[:, None] * a1
+        for acc, block in zip(f, _force_from_a1(q.points, wa1)):
+            acc -= block
+        weight += wk * np.array([1.0, np.sqrt(p2)]) * (a0 @ q.weights)
+    return (*d, *f), weight
+
+
+@pytest.fixture(scope="module")
+def random_table():
+    # non-separable: every (node, cos, E) value drawn independently, on a
+    # cos grid covering only part of [-1, 1] and an uneven energy grid; the
+    # shifted centre of mass makes every block, the torque too, nonzero
+    rng = stream(77, "test-table-contraction")
+    body = BodySpec(Sphere(SPHERE_RADIUS), center_of_mass=[2e-8, -1e-8, 3e-8])
+    q = build_quadrature(body, 4)
+    kt = KB * T_ROOM
+    cos_grid = np.concatenate([[-0.4], np.sort(rng.uniform(-0.3, 0.8, 5)), [0.9]])
+    e_grid = kt * np.concatenate([[0.0], np.sort(rng.uniform(0.1, 10.0, 6)),
+                                  [12.0]])
+    values = rng.random((q.n_nodes, len(cos_grid), len(e_grid))) * RATE / kt
+    return q, TabulatedFlux(cos_grid, e_grid, values)
+
+
+@pytest.mark.parametrize("kind", ["auto", "lebedev"])
+@pytest.mark.parametrize("refine", [False, True])
+def test_table_contraction_matches_energy_loop(random_table, kind, refine):
+    q, table = random_table
+    angular, energy = AngularQuadrature(kind=kind), EnergyQuadrature()
+    if refine:
+        angular, energy = angular.refined(), energy.refined()
+    got = _moment_blocks(table, q, N2_MASS, angular, energy)
+    ref, _ = _reference_table_blocks(table, q, N2_MASS, angular, energy)
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_table_force_scale_matches_energy_loop(random_table):
+    q, table = random_table
+    _, (tot, p_sum) = _reference_table_blocks(table, q, N2_MASS,
+                                              AngularQuadrature(),
+                                              EnergyQuadrature())
+    ref = total_rate(table, q) * (p_sum / tot) * max(1.0, q.max_radius())
+    assert abs(_force_scale(table, q, N2_MASS) / ref - 1.0) <= 1e-12
+
+
+def test_table_force_check_is_live():
+    # p = sqrt(2 m E) is not polynomial on the first energy segment, so the
+    # 2x-refined rule moves the force by ~5e-7 of its scale: a 1e-9
+    # tolerance must trip the check and the default 1e-6 must not
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
+    rates = RATE * (1.0 + 0.5 * q.points[:, 2] / SPHERE_RADIUS)
+    table = _mb_cosine_table(q, np.linspace(0.0, 1.0, 9),
+                             np.linspace(0.0, 12.0 * KB * T_ROOM, 13), rates)
+    force_torque(table, q, N2_MASS)
+    with pytest.raises(QuadratureNotConverged):
+        force_torque(table, q, N2_MASS, convergence_tol=1e-9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_diffusion_rejects_non_finite(bad):
+    d_tt = np.eye(3)
+    d_tt[1, 1] = bad
+    with pytest.raises(NonFinite):
+        Diffusion6(d_tt, np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))

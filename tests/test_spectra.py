@@ -3,7 +3,7 @@ import pytest
 from scipy import integrate, stats
 
 from desorb.constants import KB
-from desorb.errors import NegativeEnergy
+from desorb.errors import NegativeEnergy, NonFinite
 from desorb.rng import stream
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
                             TabulatedSpectrum, spectral_moment)
@@ -108,3 +108,14 @@ def test_tabulated_rejects_bad_grids():
         TabulatedSpectrum([0.0, 1.0], [0.0, 0.0])
     with pytest.raises(NegativeEnergy):
         TabulatedSpectrum([-1.0, 1.0], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("energies,values", [
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+    ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
+    ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
+    ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0]),
+])
+def test_tabulated_rejects_non_finite(energies, values):
+    with pytest.raises(NonFinite):
+        TabulatedSpectrum(energies, values)
