@@ -12,28 +12,39 @@ twice the total emission rate; it saturates at the total rate for large
 recoil and reduces to the flux-distinguishability integral for p -> 0.
 
 Numerically, the solid-angle integral per surface node is taken in a
-frame aligned with the local phase vector, so all oscillation lives in
-the polar coordinate; Filon moments then integrate the oscillatory
-factor with accuracy independent of the phase magnitude. The smooth and
+frame aligned with the local phase vector v = dX + (R - R') s, so all
+oscillation lives in the polar coordinate mu = n.v / |v|. Energy is
+integrated first: the spectral average of exp(i p |v| mu / hbar) is the
+spectrum's characteristic function chi, exact for Maxwell-Boltzmann
+(through the Faddeeva function) and monoenergetic spectra, and summed
+over its own rule for a tabulated spectrum. The mu integral of chi
+against the profile's panel-wise quadratic interpolant then takes
+Filon-type panel moments, so the accuracy is uniform in the recoil
+phase. A tabulated flux is not separable; it is integrated node by
+node of its energy rule with pure-phase moments. The smooth and
 oscillatory parts share one grid, so the rate vanishes identically (to
 the last bit) for identical poses.
+
+The 2x self-check samples the angular grid once, at the refined level,
+and takes the coarse level as every other sample in mu and phi. It
+compares both Re F and Im F and returns the refined values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .constants import HBAR
 from .errors import DesorbError, NonFinite, QuadratureNotConverged
-from .flux import (CosineLaw, FixedDirection, FluxModel, Isotropic,
-                   IsotropicDirection, SingleSite, TabulatedFlux, _rates_at,
-                   total_rate)
+from .flux import (CosineDirection, FixedDirection, FluxModel, SingleSite,
+                   TabulatedFlux, _rates_at, check_node_count, total_rate)
 from .geometry import SurfaceQuadrature
 from .moments import _segment_rule
-from .quadrules import filon_grid, filon_moments, orthonormal_frame
+from .quadrules import filon_grid, filon_moments, phase_moments
 from .rotations import check_rotation, w_from_rotations
 
 
@@ -84,14 +95,15 @@ class LocalizationRate:
 
 @dataclass(frozen=True)
 class DecoherenceQuadrature:
-    """Resolution of the aligned-axis angular grid and the energy rule."""
+    """Resolution of the aligned-axis angular grid, and of the energy
+    rule of a tabulated flux (other spectra are integrated exactly)."""
 
     n_mu_panels: int = 96       # polar Filon panels (2n+1 samples)
     n_azimuth: int = 64
     energy_nodes: int = 40
     check_convergence: bool = True
     convergence_tol: float = 1e-3   # relative to the total emission rate
-    node_chunk: int = 64
+    node_chunk: int = 16           # nodes per batch of the refined grid
 
     def refined(self) -> "DecoherenceQuadrature":
         return replace(self, n_mu_panels=2 * self.n_mu_panels,
@@ -103,25 +115,15 @@ class DecoherenceQuadrature:
 _DEF_QUAD = DecoherenceQuadrature()
 
 
-def _energy_momentum_rule(model, m_atom: float, n_nodes: int):
-    """(p(E_k), w_k) with spectral density folded into the weights for
-    separable models; tabulated models get their grid rule (no density)."""
-    if isinstance(model, TabulatedFlux):
-        e, w = _segment_rule(model.energy_grid, n_nodes)
-    else:
-        e, w = model.spectrum.energy_rule(n_nodes)
-    return np.sqrt(2.0 * m_atom * np.asarray(e, dtype=float)), np.asarray(w), e
-
-
 def _pair_geometry(pair: PosePair, points: np.ndarray):
-    """Per-node phase vectors v = dX + (R - R') s and aligned frames."""
+    """Per-node lengths and directions of v = dX + (R - R') s."""
     dr = pair.rotation - pair.rotation_prime
     v = pair.delta_x[None, :] + points @ dr.T
     length = np.linalg.norm(v, axis=1)
     axis = np.where(length[:, None] > 0.0, v / np.where(length[:, None] > 0.0,
                                                         length[:, None], 1.0),
                     np.array([0.0, 0.0, 1.0]))
-    return v, length, axis
+    return length, axis
 
 
 def _frames(axes: np.ndarray):
@@ -134,128 +136,133 @@ def _frames(axes: np.ndarray):
     return e1, e2
 
 
-def _axial_profile_values(model, q, cosines, idx_col, energy=None):
-    """Per-node angular flux factor at cos values (chunk, n_mu, n_phi)."""
-    if isinstance(model, (CosineLaw, Isotropic)):
-        rates = _rates_at(model.rate_per_area, q.points)[idx_col]
-        return rates[:, None, None] * model.axial_factor(cosines)
-    if isinstance(model, TabulatedFlux):
-        return model.interp(cosines, energy, idx_col[:, None, None])
-    raise TypeError("axial profile undefined for this model")
-
-
-def _surface_pair_terms(pair, model, q, m_atom, quad: DecoherenceQuadrature):
-    """(re, im) for surface flux models by chunked aligned-axis quadrature."""
-    p_nodes, w_e, e_nodes = _energy_momentum_rule(model, m_atom, quad.energy_nodes)
-    v, length, axis = _pair_geometry(pair, q.points)
-    e1, e2 = _frames(axis)
-    mu = filon_grid(quad.n_mu_panels)
-    sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    phi = 2.0 * np.pi * (np.arange(quad.n_azimuth) + 0.5) / quad.n_azimuth
-    dphi = 2.0 * np.pi / quad.n_azimuth
-    cphi, sphi = np.cos(phi), np.sin(phi)
-
-    nu_r = q.normals @ pair.rotation.T        # R nu
-    nu_rp = q.normals @ pair.rotation_prime.T
-
-    re = 0.0
-    im = 0.0
-    separable = not isinstance(model, TabulatedFlux)
-    for lo in range(0, q.n_nodes, quad.node_chunk):
-        hi = min(lo + quad.node_chunk, q.n_nodes)
-        idx = np.arange(lo, hi)
-        # cos angle between grid directions and the two rotated normals
-        ca = _grid_cosines(axis[idx], e1[idx], e2[idx], nu_r[idx], mu, sin_t,
-                           cphi, sphi)
-        cb = _grid_cosines(axis[idx], e1[idx], e2[idx], nu_rp[idx], mu, sin_t,
-                           cphi, sphi)
-        k = np.outer(length[idx], p_nodes) / HBAR  # (chunk, nE)
-        w_chunk = q.weights[idx]
-        if separable:
-            a_vals = _axial_profile_values(model, q, ca, idx)
-            b_vals = _axial_profile_values(model, q, cb, idx)
-            dre, dim = _filon_pair_terms(mu, dphi, a_vals, b_vals, k, w_e, w_chunk)
-            re += dre
-            im += dim
-        else:
-            for j, (ek, wk) in enumerate(zip(e_nodes, w_e)):
-                a_vals = _axial_profile_values(model, q, ca, idx, energy=ek)
-                b_vals = _axial_profile_values(model, q, cb, idx, energy=ek)
-                dre, dim = _filon_pair_terms(mu, dphi, a_vals, b_vals,
-                                             k[:, j:j + 1], np.array([wk]), w_chunk)
-                re += dre
-                im += dim
-    return re, im
-
-
-def _filon_pair_terms(mu, dphi, a_vals, b_vals, k, w_e, w_nodes):
-    """Node-resolved (re, im) contributions from one grid evaluation.
-
-    The smooth part is accumulated as (sqrt a - sqrt b)^2 / 2 plus the
-    zero-frequency moment of sqrt(a b), so both it and the oscillatory
-    moment come from identical samples: for identical poses every term
-    cancels exactly, bit for bit.
-    """
-    sqa = np.sqrt(a_vals)
-    sqb = np.sqrt(b_vals)
-    g2 = dphi * np.sum(sqa * sqb, axis=2)                 # (chunk, n_mu)
-    gdiff = dphi * np.sum(0.5 * (sqa - sqb) ** 2, axis=2)
-    zeros = np.zeros((a_vals.shape[0], 1))
-    idiff, _ = filon_moments(mu, gdiff[:, None, :], zeros)
-    i2_static, _ = filon_moments(mu, g2[:, None, :], zeros)
-    ic, is_ = filon_moments(mu, g2[:, None, :], k)
-    re_nodes = np.sum(w_e * (idiff + (i2_static - ic)), axis=1)
-    im_nodes = np.sum(w_e * is_, axis=1)
-    return float(np.sum(w_nodes * re_nodes)), float(np.sum(w_nodes * im_nodes))
-
-
 def _grid_cosines(axis, e1, e2, target, mu, sin_t, cphi, sphi):
     """n(mu, phi) . target for per-node frames, shape (chunk, n_mu, n_phi)."""
     c0 = np.einsum("ia,ia->i", axis, target)
     c1 = np.einsum("ia,ia->i", e1, target)
     c2 = np.einsum("ia,ia->i", e2, target)
     ring = c1[:, None] * cphi + c2[:, None] * sphi      # (chunk, n_phi)
-    return (mu[None, :, None] * c0[:, None, None]
-            + sin_t[None, :, None] * ring[:, None, :])
+    out = sin_t[None, :, None] * ring[:, None, :]
+    out += (c0[:, None] * mu)[:, :, None]
+    return out
 
 
-def _site_pair_terms(pair, model: SingleSite, m_atom, quad):
-    """(re, im) for single-site models; fixed-direction law is analytic."""
-    p_nodes, w_e, _ = _energy_momentum_rule(model, m_atom, quad.energy_nodes)
-    v = pair.delta_x + (pair.rotation - pair.rotation_prime) @ model.site
-    length = float(np.linalg.norm(v))
-    law = model.direction
-    if isinstance(law, FixedDirection):
-        na = pair.rotation @ law.direction
-        nb = pair.rotation_prime @ law.direction
-        if not np.allclose(na, nb, rtol=0.0, atol=1e-12):
-            # disjoint emission directions: fully distinguishable
-            return float(model.rate * np.sum(w_e)), 0.0
-        phase = p_nodes * float(na @ v) / HBAR
-        re = model.rate * float(np.sum(w_e * (1.0 - np.cos(phase))))
-        im = model.rate * float(np.sum(w_e * np.sin(phase)))
-        return re, im
+def _level_terms(a, b, step, n_azimuth, static, weights):
+    """Per-node (re, im) from the two profiles on every step-th sample.
 
-    mu = filon_grid(quad.n_mu_panels)
-    sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    phi = 2.0 * np.pi * (np.arange(quad.n_azimuth) + 0.5) / quad.n_azimuth
-    dphi = 2.0 * np.pi / quad.n_azimuth
-    axis = v / length if length > 0.0 else np.array([0.0, 0.0, 1.0])
-    e1, e2 = orthonormal_frame(axis)
-    if isinstance(law, IsotropicDirection):
-        a_vals = np.full((1, len(mu), len(phi)), model.rate / (4.0 * np.pi))
-        b_vals = a_vals
+    b is None when both poses see the same profile. static is the rule
+    at zero phase and weights the Filon weights per node. Re F takes
+    (sqrt a - sqrt b)^2 / 2, summed over phi as (a + b) / 2 - sqrt(a b),
+    on the static rule, plus sqrt(a b) on static - Re(weights), which is
+    exactly zero at zero phase: identical poses give 0 to the last bit.
+    """
+    dphi = 2.0 * np.pi / n_azimuth
+    a = a[:, ::step, ::step]
+    sum_a = a.sum(axis=2)
+    if b is None:
+        g2 = dphi * sum_a
     else:
-        ca = _grid_cosines(axis[None], e1[None], e2[None],
-                           (pair.rotation @ law.axis)[None], mu, sin_t,
-                           np.cos(phi), np.sin(phi))
-        cb = _grid_cosines(axis[None], e1[None], e2[None],
-                           (pair.rotation_prime @ law.axis)[None], mu, sin_t,
-                           np.cos(phi), np.sin(phi))
-        a_vals = model.rate * law.density(ca)
-        b_vals = model.rate * law.density(cb)
-    k = length * p_nodes[None, :] / HBAR
-    return _filon_pair_terms(mu, dphi, a_vals, b_vals, k, w_e, np.ones(1))
+        b = b[:, ::step, ::step]
+        g2 = dphi * np.sqrt(a * b).sum(axis=2)
+    re = np.einsum("im,im->i", g2, static.real - weights.real)
+    if b is not None:
+        gdiff = 0.5 * dphi * (sum_a + b.sum(axis=2)) - g2
+        re += gdiff @ static.real
+    return re, np.einsum("im,im->i", g2, weights.imag)
+
+
+def _fixed_direction_terms(pair: PosePair, model: SingleSite, m_atom):
+    """(re, im) of a fixed-direction site: rate (1 - chi) along the
+    emission direction, or the full rate when the directions differ."""
+    law = model.direction
+    na = pair.rotation @ law.direction
+    nb = pair.rotation_prime @ law.direction
+    if not np.allclose(na, nb, rtol=0.0, atol=1e-12):
+        return float(model.rate), 0.0   # disjoint directions
+    v = pair.delta_x + (pair.rotation - pair.rotation_prime) @ model.site
+    # the zeroth panel moment at zero width is 2 chi(t)
+    chi = model.spectrum.panel_moments(m_atom, float(na @ v) / HBAR, 0.0)[0] / 2
+    return model.rate * (1.0 - chi.real), model.rate * chi.imag
+
+
+def _pair_terms(pair: PosePair, model, q, m_atom, levels):
+    """[(re, im)] per quadrature level, coarse to fine.
+
+    The levels nest (each doubles the last), so the angular grid and the
+    profiles are evaluated once, on the finest level.
+    """
+    rotated_alike = np.array_equal(pair.rotation, pair.rotation_prime)
+    table = isinstance(model, TabulatedFlux)
+    if isinstance(model, SingleSite):
+        law = model.direction
+        if isinstance(law, FixedDirection):
+            return [_fixed_direction_terms(pair, model, m_atom)] * len(levels)
+        points = model.site[None]
+        node_weights = np.array([float(model.rate)])
+        if isinstance(law, CosineDirection):
+            axes = law.axis[None]
+        else:  # isotropic: the profile ignores the orientation
+            axes, rotated_alike = np.array([[0.0, 0.0, 1.0]]), True
+        profile = law.density
+    else:
+        points, axes, node_weights = q.points, q.normals, q.weights
+        if not table:
+            node_weights = node_weights * _rates_at(model.rate_per_area, points)
+            profile = model.axial_factor
+    fine = levels[-1]
+    length, axis = _pair_geometry(pair, points)
+    kappa = length / HBAR   # phase per unit momentum and unit mu
+    if table:
+        rules = [_segment_rule(model.energy_grid, lv.energy_nodes)
+                 for lv in levels]
+        kernel = phase_moments
+    else:
+        kernel = partial(model.spectrum.panel_moments, m_atom)
+        # nodes at equal distance (every node, for a translation) share
+        # their weights
+        kappas, node_kappa = np.unique(kappa, return_inverse=True)
+        weights = [filon_moments(lv.n_mu_panels, kappas, kernel)[node_kappa]
+                   for lv in levels]
+    static = [filon_moments(lv.n_mu_panels, 0.0, kernel) for lv in levels]
+
+    e1, e2 = _frames(axis)
+    mu = filon_grid(fine.n_mu_panels)
+    sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
+    phi = 2.0 * np.pi * np.arange(fine.n_azimuth) / fine.n_azimuth
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    nu_r = axes @ pair.rotation.T        # R nu
+    nu_rp = axes @ pair.rotation_prime.T
+
+    out = np.zeros((len(levels), 2))
+    for lo in range(0, len(points), fine.node_chunk):
+        idx = np.arange(lo, min(lo + fine.node_chunk, len(points)))
+        grid = (axis[idx], e1[idx], e2[idx])
+        ca = _grid_cosines(*grid, nu_r[idx], mu, sin_t, cphi, sphi)
+        cb = None if rotated_alike else _grid_cosines(
+            *grid, nu_rp[idx], mu, sin_t, cphi, sphi)
+        w_nodes = node_weights[idx]
+        if not table:
+            a, b = profile(ca), None if cb is None else profile(cb)
+        for j, lv in enumerate(levels):
+            step = fine.n_mu_panels // lv.n_mu_panels
+            if not table:
+                re, im = _level_terms(a, b, step, lv.n_azimuth, static[j],
+                                      weights[j][idx])
+                out[j] += w_nodes @ re, w_nodes @ im
+                continue
+            sa = ca[:, ::step, ::step]
+            sb = None if cb is None else cb[:, ::step, ::step]
+            node = idx[:, None, None]
+            for ek, wk in zip(*rules[j]):
+                w_e = filon_moments(lv.n_mu_panels,
+                                    kappa[idx] * np.sqrt(2.0 * m_atom * ek),
+                                    kernel)
+                re, im = _level_terms(
+                    model.interp(sa, ek, node),
+                    None if sb is None else model.interp(sb, ek, node),
+                    1, lv.n_azimuth, static[j], w_e)
+                out[j] += wk * (w_nodes @ re), wk * (w_nodes @ im)
+    return [tuple(row) for row in out]
 
 
 def localization_rate(pair: PosePair, model: FluxModel, q: SurfaceQuadrature,
@@ -263,25 +270,21 @@ def localization_rate(pair: PosePair, model: FluxModel, q: SurfaceQuadrature,
                       quad: DecoherenceQuadrature = _DEF_QUAD) -> LocalizationRate:
     """Complex localization rate F for one pose pair.
 
-    Raises QuadratureNotConverged when doubling all quadrature levels
-    still moves Re F by more than convergence_tol times the emission rate.
+    With check_convergence set, the angular grid (and a tabulated flux's
+    energy rule) is also doubled and the refined rate returned; a change
+    of Re F or Im F above convergence_tol times the emission rate raises
+    QuadratureNotConverged.
     """
+    check_node_count(model, q)
     gamma = total_rate(model, q)
-    if isinstance(model, SingleSite):
-        re, im = _site_pair_terms(pair, model, m_atom, quad)
-    else:
-        re, im = _surface_pair_terms(pair, model, q, m_atom, quad)
-    if quad.check_convergence:
-        fine = quad.refined()
-        if isinstance(model, SingleSite):
-            re2, im2 = _site_pair_terms(pair, model, m_atom, fine)
-        else:
-            re2, im2 = _surface_pair_terms(pair, model, q, m_atom, fine)
-        if abs(re - re2) > quad.convergence_tol * gamma:
-            raise QuadratureNotConverged(
-                f"localization rate moved by {abs(re - re2):.3g} "
-                f"({abs(re - re2) / gamma:.2e} of the emission rate) under refinement")
-        re, im = re2, im2
+    levels = [quad, quad.refined()] if quad.check_convergence else [quad]
+    terms = _pair_terms(pair, model, q, m_atom, levels)
+    re, im = terms[-1]
+    change = max(abs(terms[0][0] - re), abs(terms[0][1] - im))
+    if change > quad.convergence_tol * gamma:
+        raise QuadratureNotConverged(
+            f"localization rate moved by {change:.3g} ({change / gamma:.2e} "
+            f"of the emission rate) under refinement")
     return LocalizationRate(re, im, gamma)
 
 

@@ -20,7 +20,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .constants import KB
-from .errors import NonFinite, NotUnit
+from .errors import ConfigError, NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
 from .spectra import Spectrum
 
@@ -216,6 +216,13 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 FluxModel = Union[CosineLaw, Isotropic, SingleSite, TabulatedFlux]
 
 
+def check_node_count(model: FluxModel, q: SurfaceQuadrature) -> None:
+    """Raise ConfigError when a tabulated flux has other nodes than q."""
+    if isinstance(model, TabulatedFlux) and len(model.values) != q.n_nodes:
+        raise ConfigError(f"tabulated flux has {len(model.values)} nodes, "
+                          f"the surface quadrature {q.n_nodes}")
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -259,8 +266,7 @@ def node_emission_rates(model: FluxModel, q: SurfaceQuadrature) -> np.ndarray:
         r = _rates_at(model.rate_per_area, q.points)
         return q.weights * r * model.hemisphere_fraction
     if isinstance(model, TabulatedFlux):
-        if model.values.shape[0] != q.n_nodes:
-            raise ValueError("tabulated flux node count does not match quadrature")
+        check_node_count(model, q)
         return q.weights * model.node_spectral_rate()
     raise TypeError("node rates are only defined for surface flux models")
 
@@ -333,6 +339,7 @@ class EventSampler:
     """Reusable sampler with the per-node emission CDF precomputed."""
 
     def __init__(self, model: FluxModel, q: SurfaceQuadrature):
+        check_node_count(model, q)
         self.model = model
         self.q = q
         if isinstance(model, SingleSite):

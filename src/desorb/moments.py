@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import NonFinite, QuadratureNotConverged
 from .flux import (CosineLaw, FluxModel, Isotropic, SingleSite, TabulatedFlux,
-                   FixedDirection, IsotropicDirection, _rates_at)
+                   FixedDirection, IsotropicDirection, _rates_at,
+                   check_node_count)
 from .geometry import SurfaceQuadrature
 from .lebedev import lebedev_rule
 from .quadrules import gauss_legendre, sphere_product_rule
@@ -114,8 +115,10 @@ class ForceTorque6:
     def __post_init__(self):
         for name in ("force", "torque"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} must be a finite 3-vector")
+            if v.shape != (3,):
+                raise ValueError(f"{name} must be a 3-vector")
+            if not np.all(np.isfinite(v)):
+                raise NonFinite(f"{name} holds NaN or infinity")
             object.__setattr__(self, name, v)
 
     @property
@@ -331,6 +334,7 @@ def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     refined by 2x and the refined result is returned; a relative change
     above convergence_tol raises QuadratureNotConverged.
     """
+    check_node_count(model, q)
     blocks = _moment_blocks(model, q, m_atom, angular, energy)[:4]
     d = _symmetrized_diffusion(blocks)
     if check_convergence:
@@ -358,6 +362,7 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  check_convergence: bool = True,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
     """Thermophoresis-like force and torque F (body frame)."""
+    check_node_count(model, q)
     raw = _moment_blocks(model, q, m_atom, angular, energy)
     ft = ForceTorque6(raw[4], raw[5])
     if check_convergence:

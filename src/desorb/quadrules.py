@@ -1,5 +1,6 @@
 """Quadrature building blocks: product rules on the sphere, 1D Gauss
-rules, and a Filon integrator for oscillatory cosine/sine moments.
+rules, and Filon-type weights for int f(mu) chi(a mu) dmu with an
+oscillatory kernel chi known through its panel moments.
 
 The spherical product rules pair Gauss-Legendre nodes in cos(theta)
 with a uniform periodic grid in phi. They are the workhorse for
@@ -57,69 +58,79 @@ def sphere_product_rule(n_polar: int, n_azimuth: int, axis=None,
 
 
 # ---------------------------------------------------------------------------
-# Filon quadrature for int f(x) cos(k x) dx and int f(x) sin(k x) dx
+# Filon-type product integration of int f(mu) chi(a mu) dmu on [-1, 1]
 # ---------------------------------------------------------------------------
+
+#: panels narrower than this in the kernel's argument use series_moments
+SERIES_TAU = 0.05
+SERIES_TERMS = 8
+
 
 def filon_grid(n_panels: int, a: float = -1.0, b: float = 1.0):
     """Uniform grid with 2*n_panels + 1 points on [a, b] for filon_moments."""
     return np.linspace(a, b, 2 * int(n_panels) + 1)
 
 
-def _filon_coefficients(theta):
-    """Classic Filon alpha/beta/gamma; series branch keeps theta -> 0 exact
-    (alpha = 0, beta = 2/3, gamma = 4/3, i.e. composite Simpson)."""
-    t = np.asarray(theta, dtype=float)
-    t2 = t * t
-    small = np.abs(t) < 0.05
-    ts = np.where(small, t, 1.0)  # safe series argument
-    ts2 = ts * ts
-    a_ser = ts * ts2 * (2.0 / 45.0 - ts2 * (2.0 / 315.0 - ts2 * (2.0 / 4725.0)))
-    b_ser = 2.0 / 3.0 + ts2 * (2.0 / 15.0 - ts2 * (4.0 / 105.0 - ts2 * (2.0 / 567.0)))
-    g_ser = 4.0 / 3.0 - ts2 * (2.0 / 15.0 - ts2 * (1.0 / 210.0 - ts2 * (1.0 / 11340.0)))
-    tl = np.where(small, 1.0, t)  # safe large argument (avoid /0)
-    s, c = np.sin(tl), np.cos(tl)
-    t3 = tl * tl * tl
-    a_dir = (tl * tl + tl * s * c - 2.0 * s * s) / t3
-    b_dir = 2.0 * (tl * (1.0 + c * c) - 2.0 * s * c) / t3
-    g_dir = 4.0 * (s - tl * c) / t3
-    return (np.where(small, a_ser, a_dir), np.where(small, b_ser, b_dir),
-            np.where(small, g_ser, g_dir))
+def series_moments(tau, derivs):
+    """Small-tau panel moments from the Taylor series of the kernel.
 
-
-def filon_moments(x: np.ndarray, f: np.ndarray, k):
-    """(int f cos(kx) dx, int f sin(kx) dx) on the uniform grid x.
-
-    x must come from filon_grid (odd length, uniform). f is sampled along
-    the last axis; k may be an array, in which case f's leading axes and
-    k's shape broadcast (k axes are appended after f's batch axes).
-    Exact for quadratic f at any k; at k = 0 this reduces to composite
-    Simpson, so differences of moments computed on the same grid samples
-    cancel exactly.
+    derivs[k] is chi^(k)(t) / i^k at the panel centre. Returns M (3, ...)
+    with M[l] = sum_k derivs[k] (i tau)^k / k! int_{-1}^{1} s^(l+k) ds,
+    the l-th moment of chi(t + tau s) over s in [-1, 1].
     """
-    x = np.asarray(x, dtype=float)
-    f = np.asarray(f, dtype=float)
-    k = np.asarray(k, dtype=float)
-    n = x.shape[-1]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("filon grid needs an odd number of points >= 3")
-    h = (x[-1] - x[0]) / (n - 1)
-    alpha, beta, gamma = _filon_coefficients(k * h)
-    kx = k[..., None] * x
-    ck, sk = np.cos(kx), np.sin(kx)
-    fe = f[..., ::2]      # even-index samples (panel edges)
-    fo = f[..., 1::2]     # odd-index samples (panel midpoints)
-    ce, se = ck[..., ::2], sk[..., ::2]
-    co, so = ck[..., 1::2], sk[..., 1::2]
+    z = 1j * np.asarray(tau, dtype=float)
+    out = [0.0, 0.0, 0.0]
+    term = np.ones_like(z)
+    for k, d in enumerate(derivs):
+        for m in range(k % 2, 3, 2):   # int s^(m+k) ds vanishes for odd m+k
+            out[m] = out[m] + (2.0 / (m + k + 1)) * term * d
+        term = term * z / (k + 1)
+    return np.stack(np.broadcast_arrays(*out))
 
-    c_even = (np.sum(fe * ce, axis=-1)
-              - 0.5 * (fe[..., 0] * ce[..., 0] + fe[..., -1] * ce[..., -1]))
-    s_even = (np.sum(fe * se, axis=-1)
-              - 0.5 * (fe[..., 0] * se[..., 0] + fe[..., -1] * se[..., -1]))
-    c_odd = np.sum(fo * co, axis=-1)
-    s_odd = np.sum(fo * so, axis=-1)
 
-    cos_int = h * (alpha * (f[..., -1] * sk[..., -1] - f[..., 0] * sk[..., 0])
-                   + beta * c_even + gamma * c_odd)
-    sin_int = h * (alpha * (f[..., 0] * ck[..., 0] - f[..., -1] * ck[..., -1])
-                   + beta * s_even + gamma * s_odd)
-    return cos_int, sin_int
+def phase_moments(t, tau):
+    """Panel moments of the pure phase chi(t) = exp(i t).
+
+    Returns M (3, ...) complex with M[l] = int_{-1}^{1} s^l
+    exp(i (t + tau s)) ds for l = 0, 1, 2, broadcast over t and tau.
+    Below tau = 0.05 the Taylor series replaces the closed form, whose
+    terms cancel there (Filon's small-theta branch); at tau = 0 the
+    moments are exactly (2, 0, 2/3) exp(i t).
+    """
+    t = np.asarray(t, dtype=float)
+    tau = np.asarray(tau, dtype=float)
+    small = np.abs(tau) < SERIES_TAU
+    phase = np.exp(1j * t)
+    tl = np.where(small, 1.0, tau)
+    s, c = np.sin(tl), np.cos(tl)
+    direct = np.stack(np.broadcast_arrays(
+        2.0 * s / tl, 2j * (s - tl * c) / tl**2,
+        2.0 * ((tl * tl - 2.0) * s + 2.0 * tl * c) / tl**3)) * phase
+    if not np.any(small):
+        return direct
+    series = series_moments(np.where(small, tau, 0.0), [phase] * SERIES_TERMS)
+    return np.where(small, series, direct)
+
+
+def filon_moments(n_panels: int, scale, panel_moments):
+    """Filon weights W with W @ f = int_{-1}^{1} f(mu) chi(scale mu) dmu.
+
+    f is taken as its panel-wise quadratic interpolant on
+    filon_grid(n_panels), so the rule is exact for quadratic f at any
+    scale. panel_moments(t, tau) gives int_{-1}^{1} s^l chi(t + tau s) ds
+    (leading axis l = 0, 1, 2) at panel centres t and half-width tau.
+    scale may be an array; W has shape scale.shape + (2 n_panels + 1,),
+    complex. With chi(0) = 1, scale 0 gives composite Simpson exactly.
+    """
+    n = int(n_panels)
+    if n < 1:
+        raise ValueError("filon grid needs at least one panel")
+    scale = np.asarray(scale, dtype=float)[..., None]
+    h = 1.0 / n                                  # panel half-width
+    centres = -1.0 + h * (2.0 * np.arange(n) + 1.0)
+    m0, m1, m2 = panel_moments(scale * centres, scale * h)
+    w = np.zeros(scale.shape[:-1] + (2 * n + 1,), dtype=complex)
+    w[..., 0:-1:2] += 0.5 * h * (m2 - m1)
+    w[..., 1::2] += h * (m0 - m2)
+    w[..., 2::2] += 0.5 * h * (m2 + m1)
+    return w

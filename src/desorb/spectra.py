@@ -8,16 +8,28 @@ Knudsen description of atoms leaving a surface at internal temperature T.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import factorial
 
 import numpy as np
+from scipy.special import wofz
 
 from .constants import KB
 from .errors import NegativeEnergy, NonFinite
-from .quadrules import gauss_legendre
+from .quadrules import (SERIES_TAU, SERIES_TERMS, gauss_legendre,
+                        phase_moments, series_moments)
 
 #: thermal spectra are integrated on [0, ENERGY_CUTOFF_KT * kB T]
 ENERGY_CUTOFF_KT = 30.0
 DEFAULT_ENERGY_NODES = 40
+
+# J_n(t) switches from the Faddeeva recurrence to its asymptotic series
+# at |t| = _ASYMPTOTIC_T: the recurrence loses about t^(n-1) eps there,
+# and the first omitted series term is below 1e-13 relative for n <= 10.
+_ASYMPTOTIC_T = 20.0
+_ASYMPTOTIC_TERMS = 24
+_ASYMPTOTIC_COEFFS = np.array([[factorial(n + 2 * m) / factorial(m)
+                                for m in range(_ASYMPTOTIC_TERMS)]
+                               for n in range(3 + SERIES_TERMS)])
 
 
 @dataclass(frozen=True)
@@ -37,6 +49,15 @@ class Monoenergetic:
     def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
         """Degenerate rule realizing the delta line: one node, weight 1."""
         return np.array([self.energy]), np.array([1.0])
+
+    def panel_moments(self, m_atom: float, t, tau):
+        """int_{-1}^{1} s^l <exp(i p (t + tau s))> ds, l = 0, 1, 2, averaged
+        over the spectrum, p = sqrt(2 m E); t and tau per unit momentum.
+        Summed over the nodes of energy_rule (one node here)."""
+        e, w = self.energy_rule()
+        t, tau = np.asarray(t), np.asarray(tau)
+        return sum(wk * phase_moments(pk * t, pk * tau)
+                   for pk, wk in zip(np.sqrt(2.0 * m_atom * e), w))
 
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
@@ -70,6 +91,34 @@ class MaxwellBoltzmannFlux:
         x, w = gauss_legendre(n_nodes, 0.0, np.sqrt(ENERGY_CUTOFF_KT))
         return self.kt * x * x, w * 2.0 * x**3 * np.exp(-x * x)
 
+    def panel_moments(self, m_atom: float, t, tau):
+        """Panel moments (see Monoenergetic.panel_moments), exact in energy.
+
+        With p = sqrt(2 m kB T) x the spectral average is the closed form
+        chi(t) = 2 J_3(t), and chi^(k) = 2 i^k J_(3+k); since
+        d/dt J_n = i J_(n+1), the moments over a panel are differences of
+        the antiderivatives -i J_2, -i u J_2 + J_1 and
+        -i u^2 J_2 + 2 u J_1 + 2 i J_0 (u = t - centre). Narrow panels
+        take series_moments instead, as those differences cancel there.
+        """
+        p = np.sqrt(2.0 * m_atom * self.kt)
+        t, tau = np.broadcast_arrays(p * np.asarray(t, dtype=float),
+                                     p * np.asarray(tau, dtype=float))
+        small = np.abs(tau) < SERIES_TAU
+        u = np.where(small, 1.0, tau)
+        j0r, j1r, j2r = _gauss_fourier(t + u, 2)
+        j0l, j1l, j2l = _gauss_fourier(t - u, 2)
+        d2, s1 = j2r - j2l, j1r + j1l
+        direct = 2.0 * np.stack([
+            -1j * d2 / u,
+            (-1j * u * (j2r + j2l) + (j1r - j1l)) / u**2,
+            (-1j * u * u * d2 + 2.0 * u * s1 + 2j * (j0r - j0l)) / u**3])
+        if not np.any(small):
+            return direct
+        derivs = 2.0 * _gauss_fourier(t, 2 + SERIES_TERMS)[3:]
+        series = series_moments(np.where(small, tau, 0.0), derivs)
+        return np.where(small, series, direct)
+
     def sample(self, rng: np.random.Generator, size=None):
         # Gamma(2) in units of kB T: sum of two exponentials
         return self.kt * (rng.standard_exponential(size)
@@ -102,6 +151,8 @@ class TabulatedSpectrum:
 
     def density(self, e):
         return np.interp(e, self.energies, self.values, left=0.0, right=0.0)
+
+    panel_moments = Monoenergetic.panel_moments   # over the per-segment rule
 
     def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
         """Per-segment 3-point GL (exact for the interpolant times quadratics)."""
@@ -142,6 +193,36 @@ class TabulatedSpectrum:
 
 
 Spectrum = Monoenergetic | MaxwellBoltzmannFlux | TabulatedSpectrum
+
+
+def _gauss_fourier(t, n_max: int):
+    """J_n(t) = int_0^inf x^n exp(-x^2 + i t x) dx for n = 0..n_max.
+
+    Returns (n_max + 1, ...) complex. Below _ASYMPTOTIC_T:
+    J_0 = sqrt(pi)/2 w(t/2) with the Faddeeva function w, then
+    J_(n+1) = (delta_n0 + n J_(n-1) + i t J_n) / 2. Above it the
+    asymptotic series J_n ~ (i/t)^(n+1) sum_m (n+2m)!/m! t^(-2m); the
+    exp(-t^2/4) terms it omits are below 1e-30 there.
+    """
+    t = np.asarray(t, dtype=float)
+    out = np.empty((n_max + 1,) + t.shape, dtype=complex)
+    far = np.abs(t) >= _ASYMPTOTIC_T
+    near = t[~far]
+    j = [0.5 * np.sqrt(np.pi) * wofz(0.5 * near)]
+    j.append(0.5 + 0.5j * near * j[0])
+    for n in range(1, n_max):
+        j.append(0.5 * (n * j[n - 1] + 1j * near * j[n]))
+    out[:, ~far] = np.stack(j[:n_max + 1])
+    tf = t[far]
+    if tf.size:
+        u = np.power.outer(1.0 / (tf * tf), np.arange(_ASYMPTOTIC_TERMS))
+        sums = (u @ _ASYMPTOTIC_COEFFS[:n_max + 1].T).T
+        z = 1j / tf
+        z_n = z
+        for n in range(n_max + 1):
+            out[n, far] = z_n * sums[n]
+            z_n = z_n * z
+    return out
 
 
 def spectral_moment(spectrum, fn, n_nodes: int = DEFAULT_ENERGY_NODES) -> float:

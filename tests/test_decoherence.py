@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from conftest import N2_MASS, SPHERE_RADIUS
 from desorb.constants import HBAR, KB
 from desorb.decoherence import (DecoherenceQuadrature, LocalizationRate,
                                 PosePair, coherence_map, localization_rate)
 from desorb.errors import NonFinite, QuadratureNotConverged
-from desorb.flux import (CosineDirection, CosineLaw, FixedDirection,
-                         IsotropicDirection, SingleSite, total_rate)
+from desorb.flux import (CosineDirection, CosineLaw, FixedDirection, Isotropic,
+                         IsotropicDirection, SingleSite, TabulatedFlux,
+                         total_rate)
 from desorb.geometry import BodySpec, Sphere, build_quadrature
-from desorb.quadrules import gauss_legendre
+from desorb.quadrules import (filon_grid, filon_moments, gauss_legendre,
+                              phase_moments)
 from desorb.rng import stream
 from desorb.rotations import random_rotation, rotation_from_w
-from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
+from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
+                            TabulatedSpectrum)
 
 RATE = 1e3
 
@@ -224,3 +229,184 @@ def test_coherence_map_error_annotation(q_small, cosine_mono):
     assert rows[1].rate is None
     assert "QuadratureNotConverged" in rows[1].error
     assert np.isnan(rows[1].visibilities([1.0])[0])
+
+
+# ---------------------------------------------------------------------------
+# Energy in closed form and the nested self-check
+# ---------------------------------------------------------------------------
+
+MB_300 = MaxwellBoltzmannFlux(300.0)
+# atom mass with sqrt(2 m kB T) = 1, so MB_300 panel moments take t in x units
+UNIT_MASS = 0.5 / MB_300.kt
+
+
+def _chi_reference(t):
+    """chi(t) = int 2 x^3 exp(-x^2 + i t x) dx by adaptive quad with a
+    cos/sin weight: on [0, 12] for small |t|, as a Fourier integral on
+    [0, inf) for large |t|, where the finite-range rule loses accuracy."""
+    f = lambda x: 2.0 * x**3 * np.exp(-x * x)  # noqa: E731
+    upper = 12.0 if abs(t) < 50.0 else np.inf
+    re = quad(f, 0.0, upper, weight="cos", wvar=abs(t), limit=200)[0]
+    im = quad(f, 0.0, upper, weight="sin", wvar=abs(t), limit=200)[0]
+    return re + 1j * np.sign(t) * im
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 5.0, 19.99, 20.0, 20.01, -33.0,
+                               186.0, 1860.0, 1e4, 1e6])
+def test_thermal_characteristic_function_matches_quad(t):
+    chi = MB_300.panel_moments(UNIT_MASS, t, 0.0)[0] / 2.0
+    assert abs(chi - _chi_reference(t)) < 1e-10
+
+
+# (centre, half-width) on both sides of the series switch (SERIES_TAU) and
+# of the asymptotic switch of J_n at |t| = 20
+@pytest.mark.parametrize("centre,tau", [
+    (0.0, 0.0), (0.4, 0.01), (3.0, 0.049), (3.0, 0.051), (19.98, 0.01),
+    (20.5, 0.01), (20.0, 0.3), (-20.5, 1.0), (186.0, 1.9), (1860.0, 19.0),
+    (1e6, 1e4)])
+def test_thermal_panel_moments_match_quad(centre, tau):
+    m = MB_300.panel_moments(UNIT_MASS, centre, tau)
+    for power in range(3):
+        ref = [quad(lambda s: s**power * part(_chi_reference(centre + tau * s)),
+                    -1.0, 1.0, epsabs=1e-13, limit=200)[0]
+               for part in (np.real, np.imag)]
+        assert abs(m[power] - (ref[0] + 1j * ref[1])) < 1e-10
+
+
+@pytest.mark.parametrize("spectrum", [
+    MB_300, Monoenergetic(5e-28),
+    TabulatedSpectrum([0.0, 2e-21, 5e-21, 9e-21], [0.0, 1.0, 0.6, 0.1])],
+    ids=["mb", "mono", "tabulated"])
+def test_filon_weights_reduce_to_static_rule_at_zero_phase(spectrum):
+    def kernel(t, tau):
+        return spectrum.panel_moments(N2_MASS, t, tau)
+    static = filon_moments(12, 0.0, kernel)
+    rows = filon_moments(12, np.array([0.0, 3e22, 0.0]), kernel)
+    assert np.array_equal(rows[0], static) and np.array_equal(rows[2], static)
+    assert not np.array_equal(rows[1], static)
+    chi0 = spectrum.panel_moments(N2_MASS, 0.0, 0.0)[0] / 2.0
+    simpson = np.ones(25) / 12.0 / 3.0
+    simpson[1:-1:2] *= 4.0
+    simpson[2:-1:2] *= 2.0
+    assert np.allclose(static, chi0 * simpson, rtol=1e-15, atol=0.0)
+
+
+def test_filon_weights_exact_for_quadratics():
+    mu = filon_grid(5)
+    f = 1.0 - 2.0 * mu + 3.0 * mu**2
+    # panel half-width 1/5: a = 0.02 takes the series branch, 1.7 and 40
+    # the closed form
+    for a in (0.0, 0.02, 1.7, 40.0):
+        w = filon_moments(5, a, phase_moments)
+        re = quad(lambda x: (1 - 2 * x + 3 * x * x) * np.cos(a * x), -1, 1)[0]
+        im = quad(lambda x: (1 - 2 * x + 3 * x * x) * np.sin(a * x), -1, 1)[0]
+        assert abs(w @ f - (re + 1j * im)) < 1e-13
+
+
+def test_quick_start_pair_converges():
+    # the README quick-start pair at surface resolution 16
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 16)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)
+    rate = localization_rate(PosePair([1e-9, 0.0, 0.0]), model, q, N2_MASS)
+    assert abs(rate.re / total_rate(model, q) - 1.0) < 1e-3
+
+
+_TAB_SPECTRUM = TabulatedSpectrum([0.0, 1e-21, 4e-21, 1.2e-20],
+                                  [0.0, 1.0, 0.5, 0.0])
+_SPECTRA = [MaxwellBoltzmannFlux(300.0), Monoenergetic(E_MODERATE),
+            _TAB_SPECTRUM]
+_SITE = np.array([0.0, 0.0, SPHERE_RADIUS])
+_IDENTICAL_MODELS = (
+    [law(spec, RATE) for law in (CosineLaw, Isotropic) for spec in _SPECTRA]
+    + [SingleSite(_SITE, d, MaxwellBoltzmannFlux(300.0), 5.0)
+       for d in (IsotropicDirection(), FixedDirection([0.0, 0.0, 1.0]),
+                 CosineDirection([0.0, 0.6, 0.8]))])
+
+
+@pytest.mark.parametrize("model", _IDENTICAL_MODELS, ids=[
+    f"{type(m).__name__}-"
+    f"{type(m.direction if isinstance(m, SingleSite) else m.spectrum).__name__}"
+    for m in _IDENTICAL_MODELS])
+@pytest.mark.parametrize("w", [[0.0, 0.0, 0.0], [0.4, -0.2, 0.9]],
+                         ids=["identity", "rotated"])
+def test_identical_poses_exactly_zero(q_small, model, w):
+    rot = rotation_from_w(w)
+    rate = localization_rate(PosePair(np.zeros(3), rot, rot), model, q_small,
+                             N2_MASS)
+    assert rate.re == 0.0 and rate.im == 0.0
+
+
+@pytest.mark.parametrize("spectrum", _SPECTRA[:2], ids=["mb", "mono"])
+def test_indistinguishable_rotation_exactly_zero(q_small, spectrum):
+    # R != R' about the emission axis of a site at the origin: no phase and
+    # equal profiles, through the two-profile path
+    site = SingleSite(np.zeros(3), CosineDirection([0.0, 0.0, 1.0]),
+                      spectrum, 5.0)
+    pair = PosePair(np.zeros(3), rotation_from_w([0.0, 0.0, 0.7]), np.eye(3))
+    rate = localization_rate(pair, site, q_small, N2_MASS)
+    assert rate.re == 0.0 and rate.im == 0.0
+
+
+def test_tabulated_flux_matches_cosine_law(q_tiny):
+    # a table that is exactly cos-law x piecewise-linear spectrum, through
+    # the per-energy-node path with its checked energy rule
+    energies = np.array([0.0, 1.0, 3.0, 8.0]) * KB * 300.0
+    spec = TabulatedSpectrum(energies, [0.0, 1.0, 0.4, 0.0])
+    values = np.zeros((q_tiny.n_nodes, 3, 4))
+    values[:, 2, :] = RATE * spec.values / np.pi
+    table = TabulatedFlux([-1.0, 0.0, 1.0], energies, values)
+    cosine = CosineLaw(spec, RATE)
+    quad_small = DecoherenceQuadrature(n_mu_panels=24, n_azimuth=16,
+                                       energy_nodes=12)
+    pair = PosePair([2e-12, 1e-12, 0.0], rotation_from_w([0.0, 0.2, 0.0]))
+    a = localization_rate(pair, cosine, q_tiny, N2_MASS, quad_small)
+    b = localization_rate(pair, table, q_tiny, N2_MASS, quad_small)
+    assert a.total_rate == pytest.approx(b.total_rate, rel=1e-14)
+    assert abs(a.re - b.re) < 1e-6 * a.total_rate
+    assert abs(a.im - b.im) < 1e-9 * a.total_rate
+
+
+@pytest.mark.parametrize("dx", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])
+def test_single_site_isotropic_mb_matches_quad(q_small, dx):
+    # Re F = Gamma (1 - <sinc(p dX / hbar)>), the MB average by quad in x
+    gamma = 7.0
+    site = SingleSite(np.zeros(3), IsotropicDirection(), MB_300, gamma)
+    rate = localization_rate(PosePair([0.0, dx, 0.0]), site, q_small, N2_MASS)
+    a = dx * np.sqrt(2.0 * N2_MASS * MB_300.kt) / HBAR
+    sinc = 2.0 / a * quad(lambda x: x * x * np.exp(-x * x), 0.0, np.inf,
+                          weight="sin", wvar=a)[0]
+    assert abs(rate.re / gamma - (1.0 - sinc)) < 1e-6
+    assert abs(rate.im) < 1e-12 * gamma
+
+
+@pytest.fixture(scope="module")
+def q_tiny():
+    return build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 6)
+
+
+_POSES = st.tuples(
+    st.floats(-13.0, -7.0),                                 # log10 |dX| [m]
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),                 # dX direction
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3),                 # w
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3))                 # w'
+
+
+def _mb_pose_pair(log_dx, direction, w, w_prime):
+    d = np.asarray(direction) + np.array([1e-3, 0.0, 0.0])
+    return PosePair(10.0**log_dx * d / np.linalg.norm(d), rotation_from_w(w),
+                    rotation_from_w(w_prime))
+
+
+@settings(max_examples=25, derandomize=True, deadline=None)
+@given(_POSES)
+def test_mb_rate_bounds_and_swap_property(q_tiny, pose):
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)
+    quad_small = DecoherenceQuadrature(n_mu_panels=24, n_azimuth=16,
+                                       check_convergence=False)
+    gamma = total_rate(model, q_tiny)
+    pair = _mb_pose_pair(*pose)
+    a = localization_rate(pair, model, q_tiny, N2_MASS, quad_small)
+    b = localization_rate(pair.swapped(), model, q_tiny, N2_MASS, quad_small)
+    assert -1e-12 * gamma <= a.re <= 2.0 * gamma
+    assert abs(a.re - b.re) < 1e-10 * gamma
+    assert abs(a.im + b.im) < 1e-10 * gamma

@@ -3,13 +3,14 @@ import pytest
 from scipy import stats
 
 from desorb.constants import KB, TORR_L_PER_CM2_S
-from desorb.errors import DesorbError, NonFinite, NotUnit
+from desorb.decoherence import PosePair, localization_rate
+from desorb.errors import ConfigError, DesorbError, NonFinite, NotUnit
 from desorb.flux import (CosineLaw, EventSampler, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
                          flux_eval, node_emission_rates, outgas_rate,
                          sample_event, total_rate)
 from desorb.lebedev import lebedev_rule
-from desorb.moments import diffusion_tensor
+from desorb.moments import diffusion_tensor, force_torque
 from desorb.quadrules import sphere_product_rule
 from desorb.rng import stream
 from desorb.rotations import random_rotation
@@ -216,6 +217,22 @@ def test_tabulated_flux_roundtrip(sphere_quad_coarse):
     expected = probs * len(mu)
     chi2 = np.sum((counts - expected) ** 2 / expected)
     assert stats.chi2.sf(chi2, len(probs) - 1) > 1e-3
+
+
+@pytest.mark.parametrize("entry", [
+    lambda m, q: diffusion_tensor(m, q, 4.65e-26),
+    lambda m, q: force_torque(m, q, 4.65e-26),
+    lambda m, q: localization_rate(PosePair([1e-12, 0.0, 0.0]), m, q, 4.65e-26),
+    EventSampler,
+], ids=["diffusion_tensor", "force_torque", "localization_rate",
+        "EventSampler"])
+def test_table_node_count_mismatch_is_config_error(sphere_quad_coarse, entry):
+    q = sphere_quad_coarse
+    values = np.ones((q.n_nodes - 1, 3, 4))
+    model = TabulatedFlux(np.linspace(0.0, 1.0, 3),
+                          np.linspace(0.0, 5 * KB * T_ROOM, 4), values)
+    with pytest.raises(ConfigError, match="nodes"):
+        entry(model, q)
 
 
 def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):

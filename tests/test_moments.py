@@ -352,3 +352,13 @@ def test_diffusion_rejects_non_finite(bad):
     d_tt[1, 1] = bad
     with pytest.raises(NonFinite):
         Diffusion6(d_tt, np.zeros((3, 3)), np.zeros((3, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_force_torque_rejects_non_finite(bad):
+    with pytest.raises(NonFinite):
+        ForceTorque6([0.0, bad, 0.0], np.zeros(3))
+    with pytest.raises(NonFinite):
+        ForceTorque6(np.zeros(3), [bad, 0.0, 0.0])
+    with pytest.raises(ValueError):
+        ForceTorque6(np.zeros(2), np.zeros(3))
