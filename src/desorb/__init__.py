@@ -19,7 +19,7 @@ from .errors import (AngleOutOfRange, CoincidentPoints, ConfigError,
                      NotUnit, QuadratureNotConverged, ZeroNorm)
 from .flux import (CosineDirection, CosineLaw, EmissionSample, FixedDirection,
                    Isotropic, IsotropicDirection, SingleSite, TabulatedFlux,
-                   flux_eval, outgas_rate, sample_event, total_rate)
+                   flux_eval, outgas_rate, total_rate)
 from .geometry import (BodySpec, Box, Cylinder, Mesh, Sphere, SurfaceQuadrature,
                        build_quadrature, cube_mesh, read_obj, surface_moment)
 from .moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,

@@ -97,9 +97,7 @@ def _metadata(cfg: RunConfig, command: str) -> dict:
         "seed": cfg.seed,
         "surface_resolution": cfg.surface_resolution,
         "surface_nodes": cfg.quadrature.n_nodes,
-        "angular": {"kind": cfg.angular.kind, "n_polar": cfg.angular.n_polar,
-                    "n_azimuth": cfg.angular.n_azimuth,
-                    "lebedev_points": cfg.angular.lebedev_points},
+        "angular": {"n_polar": cfg.angular.n_polar},
         "energy_nodes": cfg.energy.n_nodes,
     }
 

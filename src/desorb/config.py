@@ -133,27 +133,15 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     body = _parse_body(_get(raw, "body", ""))
 
     quad_block = _get(raw, "quadrature", "", required=False, default={})
-    _check_keys(quad_block, {"surface_resolution", "angular_kind",
-                             "angular_polar", "angular_azimuth",
-                             "lebedev_points", "energy_nodes"}, "quadrature")
+    _check_keys(quad_block, {"surface_resolution", "angular_polar",
+                             "energy_nodes"}, "quadrature")
     resolution = int(_get(quad_block, "surface_resolution", "quadrature",
                           required=False, default=64))
     resolution = max(1, int(round(resolution * resolution_scale)))
-    kind = _get(quad_block, "angular_kind", "quadrature", required=False,
-                default="auto")
-    if kind not in ("auto", "lebedev"):
-        raise ConfigError("'quadrature.angular_kind' must be 'auto' or 'lebedev'")
     angular = AngularQuadrature(
-        kind=kind,
         n_polar=max(2, int(round(int(_get(quad_block, "angular_polar",
                                           "quadrature", required=False,
-                                          default=32)) * resolution_scale))),
-        n_azimuth=max(4, int(round(int(_get(quad_block, "angular_azimuth",
-                                            "quadrature", required=False,
-                                            default=64)) * resolution_scale))),
-        lebedev_points=int(_get(quad_block, "lebedev_points", "quadrature",
-                                required=False, default=434)),
-    )
+                                          default=32)) * resolution_scale))))
     energy = EnergyQuadrature(
         n_nodes=max(4, int(round(int(_get(quad_block, "energy_nodes",
                                           "quadrature", required=False,

@@ -11,10 +11,11 @@ where Phi_R(n) = Phi(R^T n, s, E). Re F is nonnegative and bounded by
 twice the total emission rate; it saturates at the total rate for large
 recoil and reduces to the flux-distinguishability integral for p -> 0.
 
-Numerically, the solid-angle integral per surface node is taken in a
-frame aligned with the local phase vector v = dX + (R - R') s, so all
-oscillation lives in the polar coordinate mu = n.v / |v|. Energy is
-integrated first: the spectral average of exp(i p |v| mu / hbar) is the
+Numerically, the solid-angle integral per emitter (flux.split: a
+surface node or a site) is taken in a frame aligned with the local
+phase vector v = dX + (R - R') s, so all oscillation lives in the polar
+coordinate mu = n.v / |v|; a fixed-direction site is rate (1 - chi).
+Energy is integrated first: the spectral average of exp(i p |v| mu / hbar) is the
 spectrum's characteristic function chi, exact for Maxwell-Boltzmann
 (through the Faddeeva function) and monoenergetic spectra, and summed
 over its own rule for a tabulated spectrum. The mu integral of chi
@@ -40,11 +41,10 @@ import numpy as np
 
 from .constants import HBAR
 from .errors import DesorbError, NonFinite, QuadratureNotConverged
-from .flux import (CosineDirection, FixedDirection, FluxModel, SingleSite,
-                   TabulatedFlux, _rates_at, check_node_count, total_rate)
+from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
 from .moments import _segment_rule
-from .quadrules import filon_grid, filon_moments, phase_moments
+from .quadrules import filon_grid, filon_moments, frames, phase_moments
 from .rotations import check_rotation, w_from_rotations
 
 
@@ -126,16 +126,6 @@ def _pair_geometry(pair: PosePair, points: np.ndarray):
     return length, axis
 
 
-def _frames(axes: np.ndarray):
-    """Vectorized right-handed frames (e1, e2) orthogonal to each axis row."""
-    helper = np.where(np.abs(axes[:, :1]) > 0.9,
-                      np.array([[0.0, 1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
-    e1 = np.cross(axes, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axes, e1)
-    return e1, e2
-
-
 def _grid_cosines(axis, e1, e2, target, mu, sin_t, cphi, sphi):
     """n(mu, phi) . target for per-node frames, shape (chunk, n_mu, n_phi)."""
     c0 = np.einsum("ia,ia->i", axis, target)
@@ -171,53 +161,41 @@ def _level_terms(a, b, step, n_azimuth, static, weights):
     return re, np.einsum("im,im->i", g2, weights.imag)
 
 
-def _fixed_direction_terms(pair: PosePair, model: SingleSite, m_atom):
+def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
     """(re, im) of a fixed-direction site: rate (1 - chi) along the
     emission direction, or the full rate when the directions differ."""
-    law = model.direction
-    na = pair.rotation @ law.direction
-    nb = pair.rotation_prime @ law.direction
+    rate = float(em.weights[0])
+    na = pair.rotation @ em.axes[0]
+    nb = pair.rotation_prime @ em.axes[0]
     if not np.allclose(na, nb, rtol=0.0, atol=1e-12):
-        return float(model.rate), 0.0   # disjoint directions
-    v = pair.delta_x + (pair.rotation - pair.rotation_prime) @ model.site
+        return rate, 0.0   # disjoint directions
+    v = pair.delta_x + (pair.rotation - pair.rotation_prime) @ em.points[0]
     # the zeroth panel moment at zero width is 2 chi(t)
-    chi = model.spectrum.panel_moments(m_atom, float(na @ v) / HBAR, 0.0)[0] / 2
-    return model.rate * (1.0 - chi.real), model.rate * chi.imag
+    chi = em.spectrum.panel_moments(m_atom, float(na @ v) / HBAR, 0.0)[0] / 2
+    return rate * (1.0 - chi.real), rate * chi.imag
 
 
-def _pair_terms(pair: PosePair, model, q, m_atom, levels):
+def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     """[(re, im)] per quadrature level, coarse to fine.
 
     The levels nest (each doubles the last), so the angular grid and the
     profiles are evaluated once, on the finest level.
     """
+    table = em.table
+    if table is None and em.law.delta:
+        return [_fixed_direction_terms(pair, em, m_atom)] * len(levels)
     rotated_alike = np.array_equal(pair.rotation, pair.rotation_prime)
-    table = isinstance(model, TabulatedFlux)
-    if isinstance(model, SingleSite):
-        law = model.direction
-        if isinstance(law, FixedDirection):
-            return [_fixed_direction_terms(pair, model, m_atom)] * len(levels)
-        points = model.site[None]
-        node_weights = np.array([float(model.rate)])
-        if isinstance(law, CosineDirection):
-            axes = law.axis[None]
-        else:  # isotropic: the profile ignores the orientation
-            axes, rotated_alike = np.array([[0.0, 0.0, 1.0]]), True
-        profile = law.density
-    else:
-        points, axes, node_weights = q.points, q.normals, q.weights
-        if not table:
-            node_weights = node_weights * _rates_at(model.rate_per_area, points)
-            profile = model.axial_factor
+    points, axes = em.points, em.axes
+    node_weights = em.weights if table is None else em.areas
     fine = levels[-1]
     length, axis = _pair_geometry(pair, points)
     kappa = length / HBAR   # phase per unit momentum and unit mu
-    if table:
-        rules = [_segment_rule(model.energy_grid, lv.energy_nodes)
+    if table is not None:
+        rules = [_segment_rule(table.energy_grid, lv.energy_nodes)
                  for lv in levels]
         kernel = phase_moments
     else:
-        kernel = partial(model.spectrum.panel_moments, m_atom)
+        kernel = partial(em.spectrum.panel_moments, m_atom)
         # nodes at equal distance (every node, for a translation) share
         # their weights
         kappas, node_kappa = np.unique(kappa, return_inverse=True)
@@ -225,7 +203,7 @@ def _pair_terms(pair: PosePair, model, q, m_atom, levels):
                    for lv in levels]
     static = [filon_moments(lv.n_mu_panels, 0.0, kernel) for lv in levels]
 
-    e1, e2 = _frames(axis)
+    e1, e2 = frames(axis)
     mu = filon_grid(fine.n_mu_panels)
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
     phi = 2.0 * np.pi * np.arange(fine.n_azimuth) / fine.n_azimuth
@@ -241,11 +219,12 @@ def _pair_terms(pair: PosePair, model, q, m_atom, levels):
         cb = None if rotated_alike else _grid_cosines(
             *grid, nu_rp[idx], mu, sin_t, cphi, sphi)
         w_nodes = node_weights[idx]
-        if not table:
-            a, b = profile(ca), None if cb is None else profile(cb)
+        if table is None:
+            a = em.law.density(ca)
+            b = None if cb is None else em.law.density(cb)
         for j, lv in enumerate(levels):
             step = fine.n_mu_panels // lv.n_mu_panels
-            if not table:
+            if table is None:
                 re, im = _level_terms(a, b, step, lv.n_azimuth, static[j],
                                       weights[j][idx])
                 out[j] += w_nodes @ re, w_nodes @ im
@@ -258,8 +237,8 @@ def _pair_terms(pair: PosePair, model, q, m_atom, levels):
                                     kappa[idx] * np.sqrt(2.0 * m_atom * ek),
                                     kernel)
                 re, im = _level_terms(
-                    model.interp(sa, ek, node),
-                    None if sb is None else model.interp(sb, ek, node),
+                    table.interp(sa, ek, node),
+                    None if sb is None else table.interp(sb, ek, node),
                     1, lv.n_azimuth, static[j], w_e)
                 out[j] += wk * (w_nodes @ re), wk * (w_nodes @ im)
     return [tuple(row) for row in out]
@@ -275,10 +254,10 @@ def localization_rate(pair: PosePair, model: FluxModel, q: SurfaceQuadrature,
     of Re F or Im F above convergence_tol times the emission rate raises
     QuadratureNotConverged.
     """
-    check_node_count(model, q)
-    gamma = total_rate(model, q)
+    em = split(model, q)
+    gamma = float(np.sum(em.node_rates))
     levels = [quad, quad.refined()] if quad.check_convergence else [quad]
-    terms = _pair_terms(pair, model, q, m_atom, levels)
+    terms = _pair_terms(pair, em, m_atom, levels)
     re, im = terms[-1]
     change = max(abs(terms[0][0] - re), abs(terms[0][1] - im))
     if change > quad.convergence_tol * gamma:

@@ -5,11 +5,22 @@ surface element, per energy interval. It is the sole physical input of
 the desorption master equation; every observable in this package is a
 functional of it.
 
-Surface models (CosineLaw, Isotropic, TabulatedFlux) emit from the
-surface-quadrature nodes with an angular profile that is axially
-symmetric about the local outward normal. SingleSite emits from one
-explicit point with its own direction law; its flux carries a surface
-delta, so pointwise evaluation is only defined at the registered site.
+Every consumer reads a model through one protocol: `split(model, q)`
+turns it into Emitters, a set of points s_i, each with an axis a_i, an
+area weight A_i and a rate prefactor r_i, an axial law f(mu) in
+mu = n . a_i, and a spectrum sigma(E):
+
+    point i emits  A_i r_i f(n . a_i) sigma(E)  atoms per s, sr and J.
+
+CosineLaw and Isotropic emit from the surface nodes about the outward
+normals, with the node areas and r_i = rate_per_area(s_i). SingleSite is
+one point of unit area at its site, with its own axis and rate. The
+laws are COSINE (cos/pi on mu > 0), HEMISPHERE (1/4pi on mu > 0) and
+SPHERE (1/4pi on all of [-1, 1]); FixedDirection is the one delta, all
+atoms along the axis. TabulatedFlux is the one model that does not
+separate: its per-node table over (mu, E) stands in for law and
+spectrum. A site carries a surface delta, so pointwise evaluation is
+only defined at its point.
 """
 
 from __future__ import annotations
@@ -22,6 +33,7 @@ import numpy as np
 from .constants import KB
 from .errors import ConfigError, NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
+from .quadrules import frames, gauss_legendre
 from .spectra import Spectrum
 
 RateField = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -51,45 +63,149 @@ def _rates_at(rate_per_area: RateField, points: np.ndarray) -> np.ndarray:
     return r
 
 
+# ---------------------------------------------------------------------------
+# Axial laws
+# ---------------------------------------------------------------------------
+
+class AxialLaw:
+    """Emission density f(mu) per steradian about an emitter's axis,
+    mu = n . axis, zero below mu_min.
+
+    `integral` is the solid-angle integral 2 pi int f dmu, the share of
+    the rate prefactor that is emitted; `mu_of` maps uniform variates on
+    [0, 1) to draws of mu.
+    """
+
+    delta = False
+
+    def __init__(self, mu_min: float, integral: float, density, mu_of):
+        self.mu_min = mu_min
+        self.integral = integral
+        self._density = density
+        self._mu_of = mu_of
+
+    def density(self, mu):
+        return self._density(np.asarray(mu, dtype=float))
+
+    def moments(self, n_polar: int):
+        """(t0, t1, t2) = int f(mu) mu^k dmu over [mu_min, 1], k = 0, 1, 2,
+        each of shape (1,), by Gauss-Legendre: exact for a polynomial law."""
+        mu, w = gauss_legendre(n_polar, self.mu_min, 1.0)
+        f = self.density(mu)[None, :]
+        return f @ w, f @ (w * mu), f @ (w * mu * mu)
+
+    def directions(self, axes: np.ndarray, rng: np.random.Generator):
+        """One direction per row of axes: mu from the law, then phi."""
+        return _directions_about(axes, self._mu_of(rng.random(len(axes))), rng)
+
+
+class _Delta(AxialLaw):
+    """Every atom leaves along the axis: f = delta(1 - mu) / (2 pi)."""
+
+    delta = True
+
+    def __init__(self):
+        super().__init__(1.0, 1.0, None, None)
+
+    def density(self, mu):
+        raise ValueError("fixed-direction site has no pointwise angular density")
+
+    def moments(self, n_polar: int):
+        t = np.full(1, 0.5 / np.pi)
+        return t, t, t
+
+    def directions(self, axes: np.ndarray, rng: np.random.Generator):
+        return axes
+
+
+COSINE = AxialLaw(0.0, 1.0, lambda mu: np.maximum(mu, 0.0) / np.pi, np.sqrt)
+HEMISPHERE = AxialLaw(0.0, 0.5,
+                      lambda mu: np.where(mu > 0.0, 1.0 / (4.0 * np.pi), 0.0),
+                      lambda u: u)
+SPHERE = AxialLaw(-1.0, 1.0, lambda mu: np.full_like(mu, 1.0 / (4.0 * np.pi)),
+                  lambda u: 2.0 * u - 1.0)
+DELTA = _Delta()
+
+
 @dataclass(frozen=True)
-class CosineLaw:
+class Emitters:
+    """A flux model split into emitting points (see the module docstring).
+
+    A table has no law or spectrum; its rates are the nodes' emission
+    per area, and `table` holds the density over (mu, E).
+    """
+
+    points: np.ndarray      # (n, 3) [m]
+    axes: np.ndarray        # (n, 3) unit
+    areas: np.ndarray       # (n,) [m^2]; 1 for a site
+    rates: np.ndarray       # (n,) prefactor of law x spectrum per area
+    law: Optional[AxialLaw] = None
+    spectrum: Optional[Spectrum] = None
+    table: Optional[TabulatedFlux] = None
+
+    @property
+    def weights(self) -> np.ndarray:
+        """areas x rates [1/s]."""
+        return self.areas * self.rates
+
+    @property
+    def node_rates(self) -> np.ndarray:
+        """Emission rate of each point [1/s]: weight x law integral."""
+        return self.weights * (1.0 if self.law is None else self.law.integral)
+
+    @property
+    def radius(self) -> float:
+        """Largest distance of a point from the centre of mass [m]."""
+        return float(np.max(np.linalg.norm(self.points, axis=1)))
+
+
+# ---------------------------------------------------------------------------
+# Models
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _SurfaceFlux:
+    """Emission from every surface node about its outward normal, with the
+    subclass's law and the rate prefactor rate_per_area(s)."""
+
+    spectrum: Spectrum
+    rate_per_area: RateField
+
+    def emitters(self, points, normals, areas) -> Emitters:
+        return Emitters(points, normals, areas,
+                        _rates_at(self.rate_per_area, points), self.law,
+                        self.spectrum)
+
+
+@dataclass(frozen=True)
+class CosineLaw(_SurfaceFlux):
     """Knudsen cosine emission: Phi = r(s) (n.n_s) Theta(n.n_s) sigma(E) / pi.
 
     The 1/pi makes the hemisphere integral of the angular factor unity,
     so rate_per_area is literally outgoing atoms per area per second.
     """
 
-    spectrum: Spectrum
-    rate_per_area: RateField
-
-    hemisphere_fraction = 1.0  # angular profile integrates to 1 over solid angle
-
-    def axial_factor(self, mu):
-        return np.maximum(np.asarray(mu, dtype=float), 0.0) / np.pi
+    law = COSINE
 
 
 @dataclass(frozen=True)
-class Isotropic:
+class Isotropic(_SurfaceFlux):
     """Direction-independent emission restricted to the outward hemisphere:
     Phi = r(s) Theta(n.n_s) sigma(E) / (4 pi). Half the 4pi-normalized
     rate escapes, so the per-node emission rate is r(s) * area / 2."""
 
-    spectrum: Spectrum
-    rate_per_area: RateField
-
-    hemisphere_fraction = 0.5
-
-    def axial_factor(self, mu):
-        mu = np.asarray(mu, dtype=float)
-        return np.where(mu > 0.0, 1.0 / (4.0 * np.pi), 0.0)
+    law = HEMISPHERE
 
 
 @dataclass(frozen=True)
 class IsotropicDirection:
     """Uniform emission over the full sphere (for point sites)."""
 
-    def density(self, n_dot_axis):
-        return np.full_like(np.asarray(n_dot_axis, dtype=float), 1.0 / (4.0 * np.pi))
+    law = SPHERE
+
+    @property
+    def axis(self) -> np.ndarray:
+        return np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -98,9 +214,15 @@ class FixedDirection:
 
     direction: np.ndarray
 
+    law = DELTA
+
     def __post_init__(self):
         d = _check_unit(self.direction)
         object.__setattr__(self, "direction", d / np.linalg.norm(d))
+
+    @property
+    def axis(self) -> np.ndarray:
+        return self.direction
 
 
 @dataclass(frozen=True)
@@ -109,12 +231,11 @@ class CosineDirection:
 
     axis: np.ndarray
 
+    law = COSINE
+
     def __post_init__(self):
         a = _check_unit(self.axis)
         object.__setattr__(self, "axis", a / np.linalg.norm(a))
-
-    def density(self, n_dot_axis):
-        return np.maximum(np.asarray(n_dot_axis, dtype=float), 0.0) / np.pi
 
 
 DirectionLaw = Union[IsotropicDirection, FixedDirection, CosineDirection]
@@ -139,7 +260,10 @@ class SingleSite:
         if self.rate <= 0:
             raise ValueError("site emission rate must be positive")
 
-
+    def emitters(self, points, normals, areas) -> Emitters:
+        return Emitters(self.site[None], self.direction.axis[None], np.ones(1),
+                        np.array([float(self.rate)]), self.direction.law,
+                        self.spectrum)
 @dataclass(frozen=True)
 class TabulatedFlux:
     """Per-node tables of Phi over (cos_theta, E) with bilinear interpolation.
@@ -204,6 +328,10 @@ class TabulatedFlux:
         we = _trapezoid_weights(self.energy_grid)
         return 2.0 * np.pi * np.einsum("...jk,j,k->...", v, wc, we)
 
+    def emitters(self, points, normals, areas) -> Emitters:
+        return Emitters(points, normals, areas, self.node_spectral_rate(),
+                        table=self)
+
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w = np.zeros_like(x)
@@ -216,20 +344,21 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
 FluxModel = Union[CosineLaw, Isotropic, SingleSite, TabulatedFlux]
 
 
-def check_node_count(model: FluxModel, q: SurfaceQuadrature) -> None:
-    """Raise ConfigError when a tabulated flux has other nodes than q."""
-    if isinstance(model, TabulatedFlux) and len(model.values) != q.n_nodes:
-        raise ConfigError(f"tabulated flux has {len(model.values)} nodes, "
+def split(model: FluxModel, q: SurfaceQuadrature) -> Emitters:
+    """The emitters of a model on the surface q: the one protocol that
+    moments, decoherence and EventSampler read."""
+    em = model.emitters(q.points, q.normals, q.weights)
+    if em.table is not None and len(em.table.values) != q.n_nodes:
+        raise ConfigError(f"tabulated flux has {len(em.table.values)} nodes, "
                           f"the surface quadrature {q.n_nodes}")
+    return em
 
-
-# ---------------------------------------------------------------------------
-# Evaluation
-# ---------------------------------------------------------------------------
 
 def flux_eval(model: FluxModel, n: np.ndarray, s: np.ndarray,
               n_s: np.ndarray, energy: float) -> float:
-    """Pointwise spectral flux density Phi(n, s, E) [1/(sr m^2 s J)].
+    """Pointwise spectral flux density Phi(n, s, E) [1/(sr m^2 s J)]:
+    weight x law density x spectral density at the surface point s with
+    outward normal n_s.
 
     For SingleSite models the value is the angular-spectral density at
     the registered site (the surface delta is not included); anywhere
@@ -238,43 +367,26 @@ def flux_eval(model: FluxModel, n: np.ndarray, s: np.ndarray,
     n = _check_unit(n)
     if energy < 0:
         raise ValueError("energy must be >= 0")
-    if isinstance(model, (CosineLaw, Isotropic)):
-        mu = float(np.dot(n, n_s))
-        rate = float(_rates_at(model.rate_per_area, np.atleast_2d(s))[0])
-        return rate * float(model.axial_factor(mu)) * float(model.spectrum.density(energy))
-    if isinstance(model, TabulatedFlux):
+    s = np.asarray(s, dtype=float)
+    em = model.emitters(s[None], np.asarray(n_s, dtype=float)[None], np.ones(1))
+    if em.table is not None:
         raise ValueError("tabulated flux is evaluated per node; use "
                          "TabulatedFlux.interp")
-    if isinstance(model, SingleSite):
-        if not np.allclose(np.asarray(s, dtype=float), model.site,
-                           rtol=0.0, atol=1e-12 + 1e-9 * np.linalg.norm(model.site)):
-            return 0.0
-        law = model.direction
-        if isinstance(law, FixedDirection):
-            raise ValueError("fixed-direction site has no pointwise angular density")
-        if isinstance(law, IsotropicDirection):
-            ang = 1.0 / (4.0 * np.pi)
-        else:
-            ang = float(law.density(np.dot(n, law.axis)))
-        return model.rate * ang * float(model.spectrum.density(energy))
-    raise TypeError(f"unknown flux model {type(model).__name__}")
+    at = em.points[0]
+    if not np.allclose(s, at, rtol=0.0,
+                       atol=1e-12 + 1e-9 * np.linalg.norm(at)):
+        return 0.0
+    return float(em.weights[0] * em.law.density(n @ em.axes[0])
+                 * em.spectrum.density(energy))
 
 
 def node_emission_rates(model: FluxModel, q: SurfaceQuadrature) -> np.ndarray:
-    """Total emission rate per surface node [1/s] (area weight included)."""
-    if isinstance(model, (CosineLaw, Isotropic)):
-        r = _rates_at(model.rate_per_area, q.points)
-        return q.weights * r * model.hemisphere_fraction
-    if isinstance(model, TabulatedFlux):
-        check_node_count(model, q)
-        return q.weights * model.node_spectral_rate()
-    raise TypeError("node rates are only defined for surface flux models")
+    """Total emission rate per emitting point [1/s] (area weight included)."""
+    return split(model, q).node_rates
 
 
 def total_rate(model: FluxModel, q: SurfaceQuadrature) -> float:
     """Total atom emission rate [1/s], integrated over E, surface, and angle."""
-    if isinstance(model, SingleSite):
-        return float(model.rate)
     return float(np.sum(node_emission_rates(model, q)))
 
 
@@ -298,27 +410,11 @@ def outgas_rate(specific_rate: float, area: float, gas_temperature: float,
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _cosine_direction(axis: np.ndarray, rng: np.random.Generator, size: int):
-    """Cosine-weighted hemisphere directions about per-row axes (n, 3)."""
-    mu = np.sqrt(rng.random(size))
-    return _directions_about(axis, mu, rng)
-
-
-def _uniform_hemisphere(axis: np.ndarray, rng: np.random.Generator, size: int):
-    mu = rng.random(size)
-    return _directions_about(axis, mu, rng)
-
-
 def _directions_about(axis: np.ndarray, mu: np.ndarray, rng: np.random.Generator):
-    axis = np.atleast_2d(axis)
-    size = len(mu)
-    phi = 2.0 * np.pi * rng.random(size)
-    # per-row orthonormal frames
-    helper = np.where(np.abs(axis[:, :1]) > 0.9,
-                      np.array([[0.0, 1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
-    e1 = np.cross(axis, helper)
-    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    e2 = np.cross(axis, e1)
+    """Directions at polar cosines mu about per-row axes (n, 3), with a
+    uniform azimuth drawn per row."""
+    phi = 2.0 * np.pi * rng.random(len(mu))
+    e1, e2 = frames(axis)
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
     return (mu[:, None] * axis
             + sin_t[:, None] * (np.cos(phi)[:, None] * e1
@@ -332,65 +428,42 @@ class EmissionSample:
     directions: np.ndarray  # (n, 3) body frame
     sites: np.ndarray       # (n, 3) [m]
     energies: np.ndarray    # (n,) [J]
-    node_index: np.ndarray  # (n,) int; -1 for single-site models
+    node_index: np.ndarray  # (n,) int; index of the emitting point, 0 for a site
 
 
 class EventSampler:
-    """Reusable sampler with the per-node emission CDF precomputed."""
+    """Reusable sampler of a model's emitters, with the per-point emission
+    CDF precomputed."""
 
     def __init__(self, model: FluxModel, q: SurfaceQuadrature):
-        check_node_count(model, q)
-        self.model = model
-        self.q = q
-        if isinstance(model, SingleSite):
-            self.total = model.rate
-            self._cdf = None
-        else:
-            lam = node_emission_rates(model, q)
-            self.total = float(lam.sum())
-            if self.total <= 0:
-                raise ValueError("flux model has zero total rate on this surface")
-            self._cdf = np.cumsum(lam) / self.total
-        if isinstance(model, TabulatedFlux):
-            self._cells = _TableCells(model)
+        self.emitters = em = split(model, q)
+        lam = em.node_rates
+        self.total = float(lam.sum())
+        if self.total <= 0:
+            raise ValueError("flux model has zero total rate on this surface")
+        self._cdf = np.cumsum(lam) / self.total
+        if em.table is not None:
+            self._cells = _TableCells(em.table)
 
     def draw(self, rng: np.random.Generator, size: Optional[int] = None) -> EmissionSample:
+        """Draw `size` events. The stream is read for the point indices
+        (not for a single point), then mu and phi, then the energies; a
+        table draws its (mu, E) before phi."""
         count = 1 if size is None else int(size)
-        model, q = self.model, self.q
-        if isinstance(model, SingleSite):
-            sites = np.broadcast_to(model.site, (count, 3)).copy()
-            law = model.direction
-            if isinstance(law, FixedDirection):
-                dirs = np.broadcast_to(law.direction, (count, 3)).copy()
-            elif isinstance(law, IsotropicDirection):
-                mu = 2.0 * rng.random(count) - 1.0
-                dirs = _directions_about(np.broadcast_to([0.0, 0.0, 1.0],
-                                                         (count, 3)), mu, rng)
-            else:
-                dirs = _cosine_direction(np.broadcast_to(law.axis, (count, 3)),
-                                         rng, count)
-            energies = np.atleast_1d(model.spectrum.sample(rng, count))
-            return EmissionSample(dirs, sites, energies, np.full(count, -1))
-
-        idx = np.searchsorted(self._cdf, rng.random(count), side="right")
-        idx = np.clip(idx, 0, q.n_nodes - 1)
-        axes = q.normals[idx]
-        if isinstance(model, CosineLaw):
-            dirs = _cosine_direction(axes, rng, count)
-            energies = np.atleast_1d(model.spectrum.sample(rng, count))
-        elif isinstance(model, Isotropic):
-            dirs = _uniform_hemisphere(axes, rng, count)
-            energies = np.atleast_1d(model.spectrum.sample(rng, count))
+        em = self.emitters
+        if len(self._cdf) == 1:
+            idx = np.zeros(count, dtype=np.intp)
         else:
-            mu, energies = _sample_table(model, self._cells, idx, rng)
+            idx = np.searchsorted(self._cdf, rng.random(count), side="right")
+            idx = np.clip(idx, 0, len(self._cdf) - 1)
+        axes = em.axes[idx]
+        if em.table is None:
+            dirs = em.law.directions(axes, rng)
+            energies = np.atleast_1d(em.spectrum.sample(rng, count))
+        else:
+            mu, energies = _sample_table(em.table, self._cells, idx, rng)
             dirs = _directions_about(axes, mu, rng)
-        return EmissionSample(dirs, q.points[idx], energies, idx)
-
-
-def sample_event(model: FluxModel, q: SurfaceQuadrature,
-                 rng: np.random.Generator, size: Optional[int] = None) -> EmissionSample:
-    """Draw emission events (n, s, E) consistent with flux_eval marginals."""
-    return EventSampler(model, q).draw(rng, size)
+        return EmissionSample(dirs, em.points[idx], energies, idx)
 
 
 class _TableCells:

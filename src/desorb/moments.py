@@ -9,11 +9,11 @@ and the generalized force is
 
     F = - int dE int d2s int d2n  Phi p(E) (n; s x n),
 
-both in the body frame at reference orientation. The angular integrals
-run per surface node over product rules aligned with the local normal
-(the emission cutoff would break Lebedev's polynomial exactness), or
-over a full-sphere Lebedev rule with the cutoff folded into the
-integrand when explicitly requested.
+both in the body frame at reference orientation. Each emitter of the
+flux model (flux.split) contributes through the moments t_k of its axial
+law in mu = n . axis, taken by Gauss-Legendre on [mu_min, 1]: exact for
+every polynomial law, and for the fixed-direction delta in closed form.
+The azimuthal integral is carried out analytically.
 
 A tabulated flux is not separable, but its bilinear interpolant is
 linear in the table values and, segment by segment, in cos(theta) and E.
@@ -25,38 +25,26 @@ never interpolated point by point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .errors import NonFinite, QuadratureNotConverged
-from .flux import (CosineLaw, FluxModel, Isotropic, SingleSite, TabulatedFlux,
-                   FixedDirection, IsotropicDirection, _rates_at,
-                   check_node_count)
+from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .lebedev import lebedev_rule
-from .quadrules import gauss_legendre, sphere_product_rule
 from .spectra import DEFAULT_ENERGY_NODES
 
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Solid-angle rule selection. kind 'auto' picks an exact product rule
-    matched to the model; 'lebedev' forces the full-sphere rule with the
-    hemisphere cutoff applied through the integrand."""
+    """Gauss-Legendre order in mu about each emitter's axis (per segment
+    of the cos grid for a tabulated flux)."""
 
-    kind: str = "auto"          # auto | lebedev
     n_polar: int = 32
-    n_azimuth: int = 64
-    lebedev_points: int = 434   # algebraic degree 35
 
     def refined(self) -> "AngularQuadrature":
-        from .lebedev import AVAILABLE
-        finer = [n for n in AVAILABLE if n > self.lebedev_points]
-        return replace(self, n_polar=2 * self.n_polar,
-                       n_azimuth=2 * self.n_azimuth,
-                       lebedev_points=finer[0] if finer else self.lebedev_points)
+        return AngularQuadrature(2 * self.n_polar)
 
 
 @dataclass(frozen=True)
@@ -138,14 +126,6 @@ def spectral_momentum_moments(spectrum, m_atom: float,
 # Per-node angular moments (A0, A1, A2) of the angular flux factor
 # ---------------------------------------------------------------------------
 
-def _axial_moment_integrals(profile_values, mu, wmu):
-    """(t0, t1, t2) = int t(mu) mu^k w(mu) dmu for k = 0, 1, 2, batched."""
-    t0 = profile_values @ wmu
-    t1 = profile_values @ (wmu * mu)
-    t2 = profile_values @ (wmu * mu * mu)
-    return t0, t1, t2
-
-
 def _axial_moments_to_tensors(normals, t0, t1, t2):
     """Assemble A0, A1, A2 in the body frame for axially symmetric profiles
     (t0, t1, t2 per node, with any leading batch axes).
@@ -163,112 +143,51 @@ def _axial_moments_to_tensors(normals, t0, t1, t2):
     return a0, a1, a2
 
 
-def _surface_angular_moments(model, q, angular: AngularQuadrature):
-    """A0 (n,), A1 (n,3), A2 (n,3,3) per node of a separable surface model,
-    including the rate factor, per unit spectral density."""
-    if not isinstance(model, (CosineLaw, Isotropic)):
-        raise TypeError("surface moments undefined for this model")
-    rates = _rates_at(model.rate_per_area, q.points)
-    if angular.kind == "lebedev":
-        nodes, w = lebedev_rule(angular.lebedev_points)
-        vals = rates[:, None] * model.axial_factor(q.normals @ nodes.T)
-        return _rule_moments(vals, nodes, w)
-    mu, wmu = gauss_legendre(angular.n_polar, 0.0, 1.0)
-    prof = model.axial_factor(mu)[None, :]
-    t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
-    a0, a1, a2 = _axial_moments_to_tensors(q.normals,
-                                           np.full(q.n_nodes, t0[0]),
-                                           np.full(q.n_nodes, t1[0]),
-                                           np.full(q.n_nodes, t2[0]))
-    return rates * a0, rates[:, None] * a1, rates[:, None, None] * a2
-
-
-def _rule_moments(vals, nodes, w):
-    """A0, A1, A2 of values (..., n_k) on a solid-angle rule (nodes, w)."""
-    a0 = vals @ w
-    a1 = np.einsum("...k,k,ka->...a", vals, w, nodes)
-    a2 = np.einsum("...k,k,ka,kb->...ab", vals, w, nodes, nodes)
-    return a0, a1, a2
-
-
-def _hats(grid: np.ndarray, x: np.ndarray):
-    """Lower grid neighbour j of each x, and the weights of grid points j
-    and j + 1 in the piecewise-linear interpolant at x (zero outside)."""
+def _hat_matrix(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(len(x), len(grid)) values of the grid's hat functions at x, the
+    weights of the piecewise-linear interpolant (zero outside the grid)."""
     j = np.clip(np.searchsorted(grid, x) - 1, 0, len(grid) - 2)
     t = np.clip((x - grid[j]) / (grid[j + 1] - grid[j]), 0.0, 1.0)
     inside = (x >= grid[0]) & (x <= grid[-1])
-    return j, np.where(inside, 1.0 - t, 0.0), np.where(inside, t, 0.0)
-
-
-def _hat_matrix(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(len(x), len(grid)) values of the grid's hat functions at x."""
-    j, lo, hi = _hats(grid, x)
     eye = np.eye(len(grid))
-    return lo[:, None] * eye[j] + hi[:, None] * eye[j + 1]
+    return (np.where(inside, 1.0 - t, 0.0)[:, None] * eye[j]
+            + np.where(inside, t, 0.0)[:, None] * eye[j + 1])
 
 
-def _table_surface_moments(model: TabulatedFlux, q, m_atom, angular, energy):
+def _table_surface_moments(em: Emitters, m_atom, angular, energy):
     """A0 (3,n), A1 (3,n,3), A2 (3,n,3,3) of a tabulated flux, integrated
     over energy with the weights p^0, p and p^2/2 (leading axis). The
     energy and mu rules fold through the grids' hat functions into weights
     per grid point, so the table is contracted once."""
-    e, w = _segment_rule(model.energy_grid, energy.n_nodes)
+    table = em.table
+    e, w = _segment_rule(table.energy_grid, energy.n_nodes)
     powers = np.stack([w, w * np.sqrt(2.0 * m_atom * e), w * m_atom * e])
-    v_p = np.einsum("ijk,rk->rij", model.values,
-                    powers @ _hat_matrix(model.energy_grid, e))
-    if angular.kind == "lebedev":
-        nodes, wl = lebedev_rule(angular.lebedev_points)
-        j, lo, hi = _hats(model.cos_grid, q.normals @ nodes.T)  # (n, n_leb)
-        vals = (lo * np.take_along_axis(v_p, j[None], axis=2)
-                + hi * np.take_along_axis(v_p, j[None] + 1, axis=2))
-        return _rule_moments(vals, nodes, wl)
-    mu, wmu = _segment_rule(model.cos_grid, angular.n_polar)
+    v_p = np.einsum("ijk,rk->rij", table.values,
+                    powers @ _hat_matrix(table.energy_grid, e))
+    mu, wmu = _segment_rule(table.cos_grid, angular.n_polar)
     mu_moments = np.stack([wmu, wmu * mu, wmu * mu * mu]) \
-        @ _hat_matrix(model.cos_grid, mu)                     # (3, n_cos)
+        @ _hat_matrix(table.cos_grid, mu)                     # (3, n_cos)
     t = np.einsum("rij,aj->ari", v_p, mu_moments)
-    return _axial_moments_to_tensors(q.normals, *t)
-
-
-def _site_angular_moments(model: SingleSite, angular: AngularQuadrature):
-    """A0, A1, A2 of the direction law (integrates to 1 over solid angle)."""
-    law = model.direction
-    if isinstance(law, FixedDirection):
-        n0 = law.direction
-        return 1.0, n0.copy(), np.outer(n0, n0)
-    if isinstance(law, IsotropicDirection):
-        nodes, w = lebedev_rule(angular.lebedev_points)
-        vals = np.full(len(w), 1.0 / (4.0 * np.pi))
-    else:
-        nodes, w = sphere_product_rule(angular.n_polar, angular.n_azimuth,
-                                       axis=law.axis, mu_min=0.0)
-        vals = law.density(nodes @ law.axis)
-    a0, a1, a2 = _rule_moments(vals, nodes, w)
-    return float(a0), a1, a2
+    return _axial_moments_to_tensors(em.axes, *t)
 
 
 # ---------------------------------------------------------------------------
 # Diffusion tensor and force
 # ---------------------------------------------------------------------------
 
-def _moment_blocks(model, q, m_atom, angular, energy):
+def _moment_blocks(em: Emitters, m_atom, angular, energy):
     """Raw (d_tt, d_tr, d_rt, d_rr, f_t, f_r) before symmetrization."""
-    if isinstance(model, SingleSite):
-        a0, a1, a2 = _site_angular_moments(model, angular)
-        j1, j2 = spectral_momentum_moments(model.spectrum, m_atom, energy.n_nodes)
-        g = model.rate
-        site = model.site[None, :]
-        d_blocks = _diffusion_from_a2(site, (0.5 * j2 * g) * a2[None])
-        f_t, f_r = _force_from_a1(site, (j1 * g) * a1[None])
-        return (*d_blocks, -f_t, -f_r)
-    if isinstance(model, TabulatedFlux):
-        _, a1, a2 = _table_surface_moments(model, q, m_atom, angular, energy)
-        a1, a2, w1, w2 = a1[1], a2[2], q.weights, q.weights
-    else:  # separable surface models
-        _, a1, a2 = _surface_angular_moments(model, q, angular)
-        j1, j2 = spectral_momentum_moments(model.spectrum, m_atom, energy.n_nodes)
-        w1, w2 = j1 * q.weights, (0.5 * j2) * q.weights
-    d_blocks = _diffusion_from_a2(q.points, w2[:, None, None] * a2)
-    f_t, f_r = _force_from_a1(q.points, w1[:, None] * a1)
+    if em.table is not None:
+        _, a1, a2 = _table_surface_moments(em, m_atom, angular, energy)
+        a1, a2, w1, w2 = a1[1], a2[2], em.areas, em.areas
+    else:
+        _, a1, a2 = _axial_moments_to_tensors(
+            em.axes, *em.law.moments(angular.n_polar))
+        a1, a2 = em.rates[:, None] * a1, em.rates[:, None, None] * a2
+        j1, j2 = spectral_momentum_moments(em.spectrum, m_atom, energy.n_nodes)
+        w1, w2 = j1 * em.areas, (0.5 * j2) * em.areas
+    d_blocks = _diffusion_from_a2(em.points, w2[:, None, None] * a2)
+    f_t, f_r = _force_from_a1(em.points, w1[:, None] * a1)
     return (*d_blocks, -f_t, -f_r)
 
 
@@ -334,13 +253,11 @@ def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     refined by 2x and the refined result is returned; a relative change
     above convergence_tol raises QuadratureNotConverged.
     """
-    check_node_count(model, q)
-    blocks = _moment_blocks(model, q, m_atom, angular, energy)[:4]
-    d = _symmetrized_diffusion(blocks)
+    em = split(model, q)
+    d = _symmetrized_diffusion(_moment_blocks(em, m_atom, angular, energy)[:4])
     if check_convergence:
-        fine = _moment_blocks(model, q, m_atom, angular.refined(),
-                              energy.refined())[:4]
-        d_fine = _symmetrized_diffusion(fine)
+        fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
+        d_fine = _symmetrized_diffusion(fine[:4])
         change = _diffusion_change(d, d_fine)
         if change > convergence_tol:
             raise QuadratureNotConverged(
@@ -361,39 +278,44 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  energy: EnergyQuadrature = _DEF_EN,
                  check_convergence: bool = True,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
-    """Thermophoresis-like force and torque F (body frame)."""
-    check_node_count(model, q)
-    raw = _moment_blocks(model, q, m_atom, angular, energy)
+    """Thermophoresis-like force and torque F (body frame).
+
+    The refinement check compares the force against convergence_tol
+    Gamma pbar, the momentum flux, and the torque against convergence_tol
+    Gamma pbar R, with R the largest emitter radius.
+    """
+    em = split(model, q)
+    raw = _moment_blocks(em, m_atom, angular, energy)
     ft = ForceTorque6(raw[4], raw[5])
     if check_convergence:
-        fine = _moment_blocks(model, q, m_atom, angular.refined(), energy.refined())
+        fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
         ft_fine = ForceTorque6(fine[4], fine[5])
         # scale against the momentum flux, not the (possibly zero) force
-        scale = _force_scale(model, q, m_atom)
-        change = float(np.max(np.abs(ft.vector - ft_fine.vector)))
-        if change > convergence_tol * max(scale, 1e-300):
+        f_scale, t_scale = _force_scale(em, m_atom)
+        df = float(np.max(np.abs(ft.force - ft_fine.force)))
+        dt = float(np.max(np.abs(ft.torque - ft_fine.torque)))
+        if (df > convergence_tol * max(f_scale, 1e-300)
+                or dt > convergence_tol * max(t_scale, 1e-300)):
             raise QuadratureNotConverged(
-                f"force/torque changed by {change:.3g} (scale {scale:.3g})")
+                f"force changed by {df:.3g} (scale {f_scale:.3g}), torque by "
+                f"{dt:.3g} (scale {t_scale:.3g}) under refinement")
         return ft_fine
     return ft
 
 
-def _force_scale(model, q, m_atom) -> float:
-    from .flux import total_rate
-    if isinstance(model, SingleSite):
-        gamma = model.rate
-    else:
-        gamma = total_rate(model, q)
-    if isinstance(model, TabulatedFlux):
+def _force_scale(em: Emitters, m_atom):
+    """(Gamma pbar, Gamma pbar R): the momentum flux, and its moment arm
+    at the largest emitter radius R."""
+    gamma = float(np.sum(em.node_rates))
+    if em.table is not None:
         # mean momentum over the table's spectral weight
-        a0 = _table_surface_moments(model, q, m_atom, _DEF_ANG, _DEF_EN)[0]
-        tot, pbar = a0[:2] @ q.weights
+        a0 = _table_surface_moments(em, m_atom, _DEF_ANG, _DEF_EN)[0]
+        tot, pbar = a0[:2] @ em.areas
         pbar /= max(tot, 1e-300)
     else:
-        j1, _ = spectral_momentum_moments(model.spectrum, m_atom)
-        pbar = j1
-    arm = max(1.0, q.max_radius())
-    return gamma * pbar * arm
+        pbar, _ = spectral_momentum_moments(em.spectrum, m_atom)
+    scale = gamma * pbar
+    return scale, scale * em.radius
 
 
 def analytic_cosine_tensor(q: SurfaceQuadrature, j2_paper: float) -> Diffusion6:

@@ -4,8 +4,7 @@ Each trajectory accumulates Poissonian emission events; every event
 removes the atom's linear momentum p(E) n and orbital angular momentum
 s x p(E) n from the particle (kicks -p n and -s x p n). Orientation is
 held at the reference during a run, matching the regime in which the
-drift/diffusion predictions are derived; an optional free-rotation mode
-propagates rigid-body precession between kicks for exploratory runs.
+drift/diffusion predictions are derived.
 
 Ensembles run in fixed blocks of trajectories. Each block draws its
 events from one counter-based stream keyed by the block index and turns
@@ -25,7 +24,7 @@ import numpy as np
 from scipy import stats
 
 from .flux import EmissionSample, EventSampler, FluxModel
-from .geometry import BodySpec, SurfaceQuadrature
+from .geometry import SurfaceQuadrature
 from .moments import Diffusion6, ForceTorque6
 from .rng import stream
 from .rotations import momentum_from_energy
@@ -66,77 +65,19 @@ def _kicks(ev: EmissionSample, m_atom: float) -> np.ndarray:
 
 
 def simulate_trajectory(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
-                        duration: float, rng: np.random.Generator,
-                        free_rotation: bool = False,
-                        body: Optional[BodySpec] = None) -> Trajectory:
+                        duration: float, rng: np.random.Generator) -> Trajectory:
     """One trajectory with full event log (for inspection and tests).
 
-    By default the orientation is held at the reference during the run,
-    the regime in which the drift/diffusion predictions hold. With
-    free_rotation the body precesses between kicks (Euler propagation
-    with body's inertia tensor) and kicks act at the rotated sites; this
-    exploratory mode is excluded from all acceptance comparisons.
+    The orientation is held at the reference during the run, the regime
+    in which the drift/diffusion predictions hold.
     """
     sampler = EventSampler(model, q)
     n_events = rng.poisson(sampler.total * duration)
     times = np.sort(rng.uniform(0.0, duration, n_events))
     ev = sampler.draw(rng, size=n_events)
-    if free_rotation:
-        if body is None:
-            raise ValueError("free rotation needs the body's inertia tensor")
-        p = momentum_from_energy(ev.energies, m_atom)
-        return _free_rotation_trajectory(body, times, ev, p, duration)
     path = np.vstack([np.zeros(6), np.cumsum(_kicks(ev, m_atom), axis=0)])
     return Trajectory(times, path[:, :3], path[:, 3:], ev.directions,
                       ev.sites, ev.energies)
-
-
-def _free_rotation_trajectory(body, times, ev, p, duration):
-    """Kick bookkeeping with rigid-body precession between the events."""
-    rot = np.eye(3)
-    j_lab = np.zeros(3)
-    momenta = [np.zeros(3)]
-    angular = [np.zeros(3)]
-    t_prev = 0.0
-    for k, t_k in enumerate(times):
-        rot = _propagate_orientation(body, rot, j_lab, t_k - t_prev)
-        n_lab = rot @ ev.directions[k]
-        s_lab = rot @ ev.sites[k]
-        momenta.append(momenta[-1] - p[k] * n_lab)
-        j_lab = j_lab - np.cross(s_lab, p[k] * n_lab)
-        angular.append(j_lab.copy())
-        t_prev = t_k
-    return Trajectory(times, np.array(momenta), np.array(angular),
-                      ev.directions, ev.sites, ev.energies)
-
-
-def _propagate_orientation(body, rot, j_lab, dt, n_steps=None):
-    if dt <= 0.0:
-        return rot
-    inertia_inv = np.linalg.inv(body.inertia_body)
-    if n_steps is None:
-        # ~100 RK4 steps per revolution, capped for pathological spins
-        omega = float(np.linalg.norm(inertia_inv @ (rot.T @ j_lab)))
-        n_steps = max(1, int(np.ceil(100.0 * omega * dt / (2.0 * np.pi))))
-        n_steps = min(n_steps, 100000)
-    h = dt / n_steps
-
-    def deriv(r):
-        w_b = inertia_inv @ (r.T @ j_lab)
-        wx = np.array([[0.0, -w_b[2], w_b[1]],
-                       [w_b[2], 0.0, -w_b[0]],
-                       [-w_b[1], w_b[0], 0.0]])
-        return r @ wx
-
-    for _ in range(n_steps):
-        k1 = deriv(rot)
-        k2 = deriv(rot + 0.5 * h * k1)
-        k3 = deriv(rot + 0.5 * h * k2)
-        k4 = deriv(rot + h * k3)
-        rot = rot + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        u, _, vt = np.linalg.svd(rot)
-        rot = u @ vt
-    return rot
 
 
 def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
@@ -277,14 +218,3 @@ def _z_scores(diff: np.ndarray, stderr: np.ndarray) -> np.ndarray:
     safe = np.where(degenerate, 1.0, stderr)
     return np.where(degenerate, np.where(diff == 0.0, 0.0, np.inf), diff / safe)
 
-
-def simulate_free_rotation(body: BodySpec, j_initial: np.ndarray,
-                           duration: float, n_steps: int = 1000) -> np.ndarray:
-    """Exploratory rigid-body precession: orientation after free evolution.
-
-    RK4 on R' = R [I0^-1 R^T J]_x with lab-frame J conserved; excluded
-    from any acceptance path (kick analysis holds the orientation fixed).
-    """
-    j_lab = np.asarray(j_initial, dtype=float)
-    return _propagate_orientation(body, np.eye(3), j_lab, duration,
-                                  n_steps=n_steps)

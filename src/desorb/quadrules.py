@@ -1,11 +1,13 @@
-"""Quadrature building blocks: product rules on the sphere, 1D Gauss
-rules, and Filon-type weights for int f(mu) chi(a mu) dmu with an
-oscillatory kernel chi known through its panel moments.
+"""Quadrature building blocks: 1D Gauss rules, per-axis frames, a
+product rule on the sphere, and Filon-type weights for
+int f(mu) chi(a mu) dmu with an oscillatory kernel chi known through its
+panel moments.
 
-The spherical product rules pair Gauss-Legendre nodes in cos(theta)
-with a uniform periodic grid in phi. They are the workhorse for
-hemisphere integrals with the emission cutoff factored in analytically
-(the cutoff kink would otherwise spoil Lebedev's polynomial exactness).
+Angular integrals of the emission laws run in mu = n . axis about each
+emitter's axis, where the hemisphere cutoff is an end point of the rule
+rather than a kink inside it. The product rule (Gauss-Legendre in mu
+times a uniform periodic grid in phi) integrates such a law over the
+sphere to machine accuracy.
 """
 
 from __future__ import annotations
@@ -20,16 +22,14 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0):
     return a + half * (x + 1.0), half * w
 
 
-def orthonormal_frame(axis: np.ndarray):
-    """Two unit vectors completing `axis` to a right-handed orthonormal frame."""
-    axis = np.asarray(axis, dtype=float)
-    a = axis / np.linalg.norm(axis)
-    helper = np.array([1.0, 0.0, 0.0])
-    if abs(a[0]) > 0.9:
-        helper = np.array([0.0, 1.0, 0.0])
-    e1 = np.cross(a, helper)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(a, e1)
+def frames(axes: np.ndarray):
+    """Unit vectors (e1, e2) completing each row of axes (n, 3) to a
+    right-handed orthonormal frame."""
+    helper = np.where(np.abs(axes[:, :1]) > 0.9,
+                      np.array([[0.0, 1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]]))
+    e1 = np.cross(axes, helper)
+    e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
+    e2 = np.cross(axes, e1)
     return e1, e2
 
 
@@ -48,7 +48,7 @@ def sphere_product_rule(n_polar: int, n_azimuth: int, axis=None,
         axis = np.array([0.0, 0.0, 1.0])
     axis = np.asarray(axis, dtype=float)
     axis = axis / np.linalg.norm(axis)
-    e1, e2 = orthonormal_frame(axis)
+    e1, e2 = (e[0] for e in frames(axis[None]))
     s = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
     nodes = (mu[:, None, None] * axis
              + s[:, None, None] * (np.cos(phi)[None, :, None] * e1

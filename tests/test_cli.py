@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from desorb.cli import main
-from desorb.constants import HBAR
+from desorb.constants import HBAR, KB
+from desorb.geometry import BodySpec, Sphere, build_quadrature
 
 N2 = 4.65e-26
 
@@ -70,12 +71,21 @@ def test_tensors_unknown_key_exit2(tmp_path, capsys):
 
 
 def test_tensors_not_converged_exit3(tmp_path, capsys):
-    # full-sphere Lebedev on the cutoff kink cannot reach the default
-    # 1e-6 refinement tolerance at low order
+    # a flux table on one energy segment with 4 energy nodes: p = sqrt(2 m E)
+    # is not polynomial there, and the 2x-refined energy rule moves the
+    # force by 1.5e-4 of the momentum flux, above the default 1e-6
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 12)
+    e_max = 12.0 * KB * 300.0
+    rows = ["node_index,cos_theta,E_joule,value"]
+    for node in np.flatnonzero(q.points[:, 2] < 0.0):   # the lower half emits
+        rows += [f"{node},{c},{e},{1e3 * c / (np.pi * e_max)}"
+                 for c in (0.0, 1.0) for e in (0.0, e_max)]
+    csv_path = tmp_path / "flux.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
     cfg = write_config(tmp_path, {
         "tensors": {},
-        "quadrature": {"surface_resolution": 12, "angular_kind": "lebedev",
-                       "lebedev_points": 110}})
+        "flux": {"model": "tabulated", "csv_path": str(csv_path)},
+        "quadrature": {"surface_resolution": 12, "energy_nodes": 4}})
     assert run(["tensors", "--config", cfg, "--out", "-"]) == 3
     assert "not converged" in capsys.readouterr().err
 

@@ -8,7 +8,7 @@ from desorb.errors import ConfigError, DesorbError, NonFinite, NotUnit
 from desorb.flux import (CosineLaw, EventSampler, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
                          flux_eval, node_emission_rates, outgas_rate,
-                         sample_event, total_rate)
+                         total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor, force_torque
 from desorb.quadrules import sphere_product_rule
@@ -119,7 +119,7 @@ def test_single_site_sampling(sphere_quad_coarse):
     site = SingleSite(np.array([1e-8, 0.0, 0.0]), FixedDirection([0, 0, 1.0]),
                       MaxwellBoltzmannFlux(T_ROOM), 2.0)
     rng = stream(77, "test-site-sample")
-    ev = sample_event(site, sphere_quad_coarse, rng, size=64)
+    ev = EventSampler(site, sphere_quad_coarse).draw(rng, size=64)
     assert np.all(ev.sites == np.array([1e-8, 0.0, 0.0]))
     assert np.all(ev.directions == np.array([0.0, 0.0, 1.0]))
 
@@ -127,7 +127,8 @@ def test_single_site_sampling(sphere_quad_coarse):
 def test_cosine_sampler_mean_polar(sphere_quad_coarse, cosine_model):
     # hemisphere cosine law: <n . n_s> = 2/3
     rng = stream(101, "test-cos-sample")
-    ev = sample_event(cosine_model, sphere_quad_coarse, rng, size=1_000_000)
+    sampler = EventSampler(cosine_model, sphere_quad_coarse)
+    ev = sampler.draw(rng, size=1_000_000)
     mu = np.einsum("ia,ia->i", ev.directions,
                    sphere_quad_coarse.normals[ev.node_index])
     stderr = mu.std(ddof=1) / np.sqrt(len(mu))
@@ -137,7 +138,8 @@ def test_cosine_sampler_mean_polar(sphere_quad_coarse, cosine_model):
 def test_cosine_sampler_chi2_polar(sphere_quad_coarse, cosine_model):
     # cos(theta) density 2 mu on [0,1] -> CDF mu^2
     rng = stream(102, "test-cos-chi2")
-    ev = sample_event(cosine_model, sphere_quad_coarse, rng, size=1_000_000)
+    sampler = EventSampler(cosine_model, sphere_quad_coarse)
+    ev = sampler.draw(rng, size=1_000_000)
     mu = np.einsum("ia,ia->i", ev.directions,
                    sphere_quad_coarse.normals[ev.node_index])
     edges = np.linspace(0.0, 1.0, 21)
@@ -154,7 +156,7 @@ def test_sampler_node_weights_chi2(sphere_quad_coarse):
     model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), rate_field)
     rng = stream(103, "test-node-chi2")
     n_samples = 500_000
-    ev = sample_event(model, sphere_quad_coarse, rng, size=n_samples)
+    ev = EventSampler(model, sphere_quad_coarse).draw(rng, size=n_samples)
     lam = node_emission_rates(model, sphere_quad_coarse)
     probs = lam / lam.sum()
     counts = np.bincount(ev.node_index, minlength=len(probs))
@@ -167,7 +169,7 @@ def test_sampler_node_weights_chi2(sphere_quad_coarse):
 def test_isotropic_sampler_uniform_mu(sphere_quad_coarse):
     model = Isotropic(MaxwellBoltzmannFlux(T_ROOM), 1e3)
     rng = stream(104, "test-iso-sample")
-    ev = sample_event(model, sphere_quad_coarse, rng, size=200_000)
+    ev = EventSampler(model, sphere_quad_coarse).draw(rng, size=200_000)
     mu = np.einsum("ia,ia->i", ev.directions,
                    sphere_quad_coarse.normals[ev.node_index])
     assert mu.min() > 0.0
@@ -205,7 +207,7 @@ def test_tabulated_flux_roundtrip(sphere_quad_coarse):
     assert gamma > 0
     # sampler consistency in mu: chi-squared against the exact marginal
     # (area-weighted sum of the per-node piecewise-linear profiles)
-    ev = sample_event(model, q, stream(106, "t"), size=200_000)
+    ev = EventSampler(model, q).draw(stream(106, "t"), size=200_000)
     mu = np.einsum("ia,ia->i", ev.directions, q.normals[ev.node_index])
     edges = cos_grid
     prof = np.einsum("i,ijk->jk", q.weights, values)

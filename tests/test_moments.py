@@ -5,13 +5,12 @@ from conftest import N2_MASS, SPHERE_RADIUS, rel_err
 from desorb.constants import KB
 from desorb.errors import NonFinite, QuadratureNotConverged
 from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
-                         SingleSite, TabulatedFlux, total_rate)
-from desorb.geometry import (BodySpec, Cylinder, Mesh, Sphere,
+                         SingleSite, TabulatedFlux, split, total_rate)
+from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh)
-from desorb.lebedev import lebedev_rule
 from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
-                            ForceTorque6, _axial_moment_integrals,
-                            _axial_moments_to_tensors, _diffusion_from_a2,
+                            ForceTorque6, _axial_moments_to_tensors,
+                            _diffusion_from_a2,
                             _force_from_a1, _force_scale, _moment_blocks,
                             analytic_cosine_tensor, diffusion_tensor,
                             force_torque, predict_moments,
@@ -180,33 +179,49 @@ def test_j2_quadrature_vs_closed_form(sphere_quad):
 def test_convergence_under_refinement(sphere_quad_coarse):
     model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE)
     coarse = diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                              AngularQuadrature(n_polar=16, n_azimuth=32),
+                              AngularQuadrature(n_polar=16),
                               EnergyQuadrature(20), check_convergence=False)
     fine = diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                            AngularQuadrature(n_polar=32, n_azimuth=64),
+                            AngularQuadrature(n_polar=32),
                             EnergyQuadrature(40), check_convergence=False)
     assert rel_err(fine.matrix, coarse.matrix) < 1e-6
 
 
+def _one_segment_table(q, rates):
+    """Cosine law times a flat spectrum on one energy segment [0, 12 kT]."""
+    cos_grid = np.array([0.0, 1.0])
+    e_grid = np.array([0.0, 12.0 * KB * T_ROOM])
+    values = (rates[:, None, None] * (cos_grid / np.pi)[None, :, None]
+              * np.full((1, 1, 2), 1.0 / e_grid[-1]))
+    return TabulatedFlux(cos_grid, e_grid, values)
+
+
 def test_quadrature_not_converged_raises(sphere_quad_coarse):
-    # Lebedev on the cutoff kink converges slowly; a tight tolerance trips
-    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE)
+    # p = sqrt(2 m E) on one energy segment: 4 and 8 energy nodes give
+    # forces 1.5e-4 of the momentum flux apart, above the default 1e-6
+    q = sphere_quad_coarse
+    rates = np.where(q.points[:, 2] < 0.0, RATE, 0.0)
+    table = _one_segment_table(q, rates)
     with pytest.raises(QuadratureNotConverged):
-        diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                         AngularQuadrature(kind="lebedev", lebedev_points=110),
-                         convergence_tol=1e-9)
+        force_torque(table, q, N2_MASS, energy=EnergyQuadrature(4))
+    force_torque(table, q, N2_MASS, energy=EnergyQuadrature(4),
+                 convergence_tol=1e-3)
 
 
-def test_lebedev_kind_agrees_coarsely(sphere_quad_coarse):
-    # the full-sphere rule with the cutoff in the integrand lands within
-    # its slow-convergence envelope of the exact product-rule result
-    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE)
-    d_exact = diffusion_tensor(model, sphere_quad_coarse, N2_MASS)
-    d_leb = diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                             AngularQuadrature(kind="lebedev",
-                                               lebedev_points=974),
-                             check_convergence=False)
-    assert rel_err(d_leb.matrix, d_exact.matrix) < 5e-3
+def test_torque_check_against_its_own_scale():
+    # pinwheel: the two z faces of a cube emit more towards +x on top and
+    # towards -x below. The force cancels; the torque about y moves by
+    # 6e-5 of Gamma pbar R between 4 and 8 energy nodes, which a check
+    # against Gamma pbar (R = 79 nm) would accept
+    q = build_quadrature(BodySpec(Box([50e-9] * 3)), 8)
+    side = np.round(q.normals[:, 2])
+    table = _one_segment_table(q, RATE * np.abs(side)
+                               * (1.0 + side * q.points[:, 0] / 50e-9))
+    with pytest.raises(QuadratureNotConverged):
+        force_torque(table, q, N2_MASS, energy=EnergyQuadrature(4))
+    ft = force_torque(table, q, N2_MASS, energy=EnergyQuadrature(4),
+                      convergence_tol=1e-3)
+    assert np.max(np.abs(ft.force)) < 1e-12 * abs(ft.torque[1]) / q.max_radius()
 
 
 def test_diffusion_validates_blocks():
@@ -266,24 +281,14 @@ def _reference_table_blocks(model, q, m_atom, angular, energy):
     raw (d_tt, d_tr, d_rt, d_rr, f_t, f_r), and the spectral weight and
     mean-momentum numerator sum_k w_k p_k^(0, 1) sum_i w_i A0_i(E_k)."""
     idx = np.arange(q.n_nodes)[:, None]
-    if angular.kind == "lebedev":
-        nodes, w_leb = lebedev_rule(angular.lebedev_points)
-        mu_leb = q.normals @ nodes.T
-    else:
-        mu, wmu = _segment_gl(model.cos_grid, angular.n_polar)
+    mu, wmu = _segment_gl(model.cos_grid, angular.n_polar)
     d = [np.zeros((3, 3)) for _ in range(4)]
     f = [np.zeros(3), np.zeros(3)]
     weight = np.zeros(2)
     for ek, wk in zip(*_segment_gl(model.energy_grid, energy.n_nodes)):
-        if angular.kind == "lebedev":
-            vals = model.interp(mu_leb, ek, idx)
-            a0 = vals @ w_leb
-            a1 = np.einsum("ik,k,ka->ia", vals, w_leb, nodes)
-            a2 = np.einsum("ik,k,ka,kb->iab", vals, w_leb, nodes, nodes)
-        else:
-            prof = model.interp(mu[None, :], ek, idx)
-            t0, t1, t2 = _axial_moment_integrals(prof, mu, wmu)
-            a0, a1, a2 = _axial_moments_to_tensors(q.normals, t0, t1, t2)
+        prof = model.interp(mu[None, :], ek, idx)
+        t = prof @ wmu, prof @ (wmu * mu), prof @ (wmu * mu * mu)
+        a0, a1, a2 = _axial_moments_to_tensors(q.normals, *t)
         p2 = 2.0 * m_atom * ek
         wa2 = (0.5 * wk * p2) * q.weights[:, None, None] * a2
         for acc, block in zip(d, _diffusion_from_a2(q.points, wa2)):
@@ -311,14 +316,13 @@ def random_table():
     return q, TabulatedFlux(cos_grid, e_grid, values)
 
 
-@pytest.mark.parametrize("kind", ["auto", "lebedev"])
 @pytest.mark.parametrize("refine", [False, True])
-def test_table_contraction_matches_energy_loop(random_table, kind, refine):
+def test_table_contraction_matches_energy_loop(random_table, refine):
     q, table = random_table
-    angular, energy = AngularQuadrature(kind=kind), EnergyQuadrature()
+    angular, energy = AngularQuadrature(), EnergyQuadrature()
     if refine:
         angular, energy = angular.refined(), energy.refined()
-    got = _moment_blocks(table, q, N2_MASS, angular, energy)
+    got = _moment_blocks(split(table, q), N2_MASS, angular, energy)
     ref, _ = _reference_table_blocks(table, q, N2_MASS, angular, energy)
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
@@ -329,8 +333,10 @@ def test_table_force_scale_matches_energy_loop(random_table):
     _, (tot, p_sum) = _reference_table_blocks(table, q, N2_MASS,
                                               AngularQuadrature(),
                                               EnergyQuadrature())
-    ref = total_rate(table, q) * (p_sum / tot) * max(1.0, q.max_radius())
-    assert abs(_force_scale(table, q, N2_MASS) / ref - 1.0) <= 1e-12
+    ref = total_rate(table, q) * (p_sum / tot)
+    f_scale, t_scale = _force_scale(split(table, q), N2_MASS)
+    assert abs(f_scale / ref - 1.0) <= 1e-12
+    assert abs(t_scale / (ref * q.max_radius()) - 1.0) <= 1e-12
 
 
 def test_table_force_check_is_live():

@@ -5,11 +5,11 @@ from scipy import stats
 from conftest import N2_MASS, SPHERE_RADIUS
 from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
                          SingleSite, total_rate)
-from desorb.geometry import BodySpec, Cylinder, Sphere, build_quadrature
+from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
 from desorb.montecarlo import (_BLOCK, _jackknife_moments,
                                compare_to_prediction, simulate_ensemble,
-                               simulate_free_rotation, simulate_trajectory)
+                               simulate_trajectory)
 from desorb.rng import stream
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
 
@@ -197,33 +197,6 @@ def test_cylinder_biased_rate_cross_block(sphere_quad_coarse):
     em = simulate_ensemble(model, q, N2_MASS, 1.0, 100_000, seed=23)
     report = compare_to_prediction(em, d, f)
     assert report.passed, report.summary()
-
-
-def test_free_rotation_smoke():
-    body = BodySpec(Sphere(SPHERE_RADIUS), mass=1e-18)
-    r = simulate_free_rotation(body, [0.0, 0.0, 1e-26], 1e-3, n_steps=200)
-    # sphere: J along z precesses the body about z; stays a rotation
-    assert np.max(np.abs(r.T @ r - np.eye(3))) < 1e-12
-    assert abs(np.linalg.det(r) - 1.0) < 1e-12
-
-
-def test_free_rotation_trajectory_flag(sphere_quad_coarse):
-    from desorb.montecarlo import simulate_trajectory
-    body = BodySpec(Sphere(SPHERE_RADIUS), mass=1e-18)
-    model = SingleSite(np.array([0.0, 0.0, SPHERE_RADIUS]),
-                       FixedDirection([1.0, 0.0, 0.0]), Monoenergetic(E0),
-                       2e3)
-    rng = stream(71, "test-free-rot")
-    traj = simulate_trajectory(model, sphere_quad_coarse, N2_MASS, 1e-2, rng,
-                               free_rotation=True, body=body)
-    assert traj.momenta.shape == (len(traj.times) + 1, 3)
-    # kicks still remove one atom momentum magnitude per event
-    steps = np.linalg.norm(np.diff(traj.momenta, axis=0), axis=1)
-    np.testing.assert_allclose(steps, P0, rtol=1e-12)
-    rng2 = stream(71, "test-free-rot")
-    with pytest.raises(ValueError):
-        simulate_trajectory(model, sphere_quad_coarse, N2_MASS, 1e-2, rng2,
-                            free_rotation=True)
 
 
 def test_ensemble_covariance_psd(sphere_quad_coarse):
