@@ -62,6 +62,17 @@ def _positive(value, path: str) -> float:
     return v
 
 
+def _integer(value, path: str, minimum: int) -> int:
+    """An integral JSON number >= minimum (8.0 passes, 8.9 and "8" fail)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"'{path}' must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"'{path}' must be >= {minimum}, got {value}")
+    return value
+
+
 def _vector3(value, path: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
     if arr.shape != (3,) or not np.all(np.isfinite(arr)):
@@ -116,10 +127,12 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
                  seed_override: Optional[int] = None,
                  threads_override: Optional[int] = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "")
-    seed = int(_get(raw, "seed", "", required=False, default=0))
+    seed = _integer(_get(raw, "seed", "", required=False, default=0),
+                    "seed", 0)
     if seed_override is not None:
         seed = seed_override
-    threads = int(_get(raw, "threads", "", required=False, default=1))
+    threads = _integer(_get(raw, "threads", "", required=False, default=1),
+                       "threads", 1)
     if threads_override is not None:
         threads = threads_override
     if threads < 1:
@@ -135,17 +148,14 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     quad_block = _get(raw, "quadrature", "", required=False, default={})
     _check_keys(quad_block, {"surface_resolution", "angular_polar",
                              "energy_nodes"}, "quadrature")
-    resolution = int(_get(quad_block, "surface_resolution", "quadrature",
-                          required=False, default=64))
-    resolution = max(1, int(round(resolution * resolution_scale)))
-    angular = AngularQuadrature(
-        n_polar=max(2, int(round(int(_get(quad_block, "angular_polar",
-                                          "quadrature", required=False,
-                                          default=32)) * resolution_scale))))
-    energy = EnergyQuadrature(
-        n_nodes=max(4, int(round(int(_get(quad_block, "energy_nodes",
-                                          "quadrature", required=False,
-                                          default=40)) * resolution_scale))))
+    def order(key, default, minimum):
+        n = _integer(_get(quad_block, key, "quadrature", required=False,
+                          default=default), f"quadrature.{key}", minimum)
+        return max(minimum, int(round(n * resolution_scale)))
+
+    resolution = order("surface_resolution", 64, 1)
+    angular = AngularQuadrature(n_polar=order("angular_polar", 32, 2))
+    energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
 
     quadrature = build_quadrature(body, resolution)
 
@@ -153,6 +163,10 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     if "flux" in raw:
         flux = _parse_flux(raw["flux"], quadrature)
 
+    tensors = raw.get("tensors", {})
+    if not isinstance(tensors, dict):
+        raise ConfigError("'tensors' must be an object")
+    _check_keys(tensors, set(), "tensors")
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
                                            "outgas") if name in raw}
     return RunConfig(raw=raw, seed=seed, threads=threads, atom_mass=atom_mass,
@@ -325,7 +339,8 @@ def parse_locmap_block(cfg: RunConfig):
         rnd = block["random"]
         _check_keys(rnd, {"count", "delta_x_scale_m", "max_angle_rad"},
                     "locmap.random")
-        count = int(_get(rnd, "count", "locmap.random"))
+        count = _integer(_get(rnd, "count", "locmap.random"),
+                         "locmap.random.count", 0)
         scale = float(_get(rnd, "delta_x_scale_m", "locmap.random"))
         max_angle = float(_get(rnd, "max_angle_rad", "locmap.random",
                                required=False, default=3.0))
@@ -337,11 +352,13 @@ def parse_locmap_block(cfg: RunConfig):
     if not pairs:
         raise ConfigError("locmap block defines no pose pairs")
     quad = DecoherenceQuadrature(
-        n_mu_panels=int(block.get("n_mu_panels", 96)),
-        n_azimuth=int(block.get("n_azimuth", 64)),
+        n_mu_panels=_integer(block.get("n_mu_panels", 96),
+                             "locmap.n_mu_panels", 1),
+        n_azimuth=_integer(block.get("n_azimuth", 64), "locmap.n_azimuth", 1),
         energy_nodes=cfg.energy.n_nodes,
         check_convergence=bool(block.get("check_convergence", True)),
-        convergence_tol=float(block.get("convergence_tol", 1e-3)))
+        convergence_tol=_positive(block.get("convergence_tol", 1e-3),
+                                  "locmap.convergence_tol"))
     times = [float(t) for t in block.get("visibility_times_s", [])]
     return pairs, quad, times
 
@@ -362,12 +379,10 @@ def parse_simulate_block(cfg: RunConfig):
                 "simulate")
     duration = _positive(_get(block, "duration_s", "simulate"),
                          "simulate.duration_s")
-    n_traj = int(_get(block, "n_trajectories", "simulate"))
-    if n_traj < 4:
-        raise ConfigError("'simulate.n_trajectories' must be >= 4")
-    n_times = int(_get(block, "n_times", "simulate", required=False, default=16))
-    if n_times < 1:
-        raise ConfigError("'simulate.n_times' must be >= 1")
+    n_traj = _integer(_get(block, "n_trajectories", "simulate"),
+                      "simulate.n_trajectories", 4)
+    n_times = _integer(_get(block, "n_times", "simulate", required=False,
+                            default=16), "simulate.n_times", 1)
     compare = bool(_get(block, "compare", "simulate", required=False,
                         default=True))
     return duration, n_traj, n_times, compare

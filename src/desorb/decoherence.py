@@ -43,8 +43,8 @@ from .constants import HBAR
 from .errors import DesorbError, NonFinite, QuadratureNotConverged
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .moments import _segment_rule
-from .quadrules import filon_grid, filon_moments, frames, phase_moments
+from .quadrules import (filon_grid, filon_moments, frames, phase_moments,
+                        segment_rule)
 from .rotations import check_rotation, w_from_rotations
 
 
@@ -191,7 +191,7 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     length, axis = _pair_geometry(pair, points)
     kappa = length / HBAR   # phase per unit momentum and unit mu
     if table is not None:
-        rules = [_segment_rule(table.energy_grid, lv.energy_nodes)
+        rules = [segment_rule(table.energy_grid, lv.energy_nodes)
                  for lv in levels]
         kernel = phase_moments
     else:

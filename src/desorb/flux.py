@@ -19,8 +19,10 @@ laws are COSINE (cos/pi on mu > 0), HEMISPHERE (1/4pi on mu > 0) and
 SPHERE (1/4pi on all of [-1, 1]); FixedDirection is the one delta, all
 atoms along the axis. TabulatedFlux is the one model that does not
 separate: its per-node table over (mu, E) stands in for law and
-spectrum. A site carries a surface delta, so pointwise evaluation is
-only defined at its point.
+spectrum; it is sampled exactly, without rejection: a cell by its
+mass, then mu from the cell's marginal and E given mu, each by inverting
+a density that is linear on the cell. A site carries a surface delta,
+so pointwise evaluation is only defined at its point.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .constants import KB
 from .errors import ConfigError, NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
-from .quadrules import frames, gauss_legendre
+from .quadrules import frames, gauss_legendre, linear_draw
 from .spectra import Spectrum
 
 RateField = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -501,30 +503,20 @@ def _sample_table(model: TabulatedFlux, cells: _TableCells,
                   node_idx: np.ndarray, rng: np.random.Generator):
     """Sample (mu, E) from the bilinear table of each event's node.
 
-    Cell selection by exact cell masses, then rejection against the cell
-    maximum; exact for the interpolant.
+    The cell is drawn by its exact mass. Within it, mu is drawn from the
+    cell's marginal, which is linear in mu, and then E from the density
+    at that mu, which is linear in E: two inversions, exact for the
+    interpolant and without rejection.
     """
     c, eg, v = model.cos_grid, model.energy_grid, model.values
-    dc = np.diff(c)
-    de = np.diff(eg)
-    cell = cells.draw(node_idx, rng.random(len(node_idx)))
-    ic, ie = np.unravel_index(cell, cells.shape)
-    vmax = np.maximum.reduce([v[node_idx, ic, ie], v[node_idx, ic + 1, ie],
-                              v[node_idx, ic, ie + 1], v[node_idx, ic + 1, ie + 1]])
-    mu = np.empty(len(node_idx))
-    en = np.empty(len(node_idx))
-    todo = np.arange(len(node_idx))
-    while len(todo):
-        t_mu = rng.random(len(todo))
-        t_e = rng.random(len(todo))
-        cand_mu = c[ic[todo]] + t_mu * dc[ic[todo]]
-        cand_e = eg[ie[todo]] + t_e * de[ie[todo]]
-        val = model.interp(cand_mu, cand_e, node_idx[todo])
-        accept = rng.random(len(todo)) * vmax[todo] <= val
-        mu[todo[accept]] = cand_mu[accept]
-        en[todo[accept]] = cand_e[accept]
-        todo = todo[~accept]
-    return mu, en
+    n = len(node_idx)
+    ic, ie = np.unravel_index(cells.draw(node_idx, rng.random(n)), cells.shape)
+    f00, f01 = v[node_idx, ic, ie], v[node_idx, ic, ie + 1]
+    f10, f11 = v[node_idx, ic + 1, ie], v[node_idx, ic + 1, ie + 1]
+    t = linear_draw(f00 + f01, f10 + f11, rng.random(n))
+    s = linear_draw((1.0 - t) * f00 + t * f10, (1.0 - t) * f01 + t * f11,
+                    rng.random(n))
+    return c[ic] + t * np.diff(c)[ic], eg[ie] + s * np.diff(eg)[ie]
 
 
 def read_flux_csv(path, q: SurfaceQuadrature) -> TabulatedFlux:

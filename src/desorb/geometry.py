@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DegenerateMesh
 from .quadrules import gauss_legendre
 
-_CLOSURE_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SurfaceQuadrature:
@@ -58,11 +56,6 @@ class SurfaceQuadrature:
     def closure_defect(self) -> float:
         """|sum w n| / area; ~0 for a closed surface (divergence theorem)."""
         return float(np.linalg.norm(self.weights @ self.normals)) / self.total_area
-
-    def check_closed(self, tol: float = _CLOSURE_TOL) -> None:
-        defect = self.closure_defect()
-        if defect > tol:
-            raise ValueError(f"surface not closed: |sum w n| = {defect:.3g} * area")
 
     def rotated(self, rotation: np.ndarray) -> "SurfaceQuadrature":
         """The same surface rigidly rotated (s -> Q s, n -> Q n)."""

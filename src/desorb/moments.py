@@ -33,6 +33,7 @@ import numpy as np
 from .errors import NonFinite, QuadratureNotConverged
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
+from .quadrules import segment_rule
 from .spectra import DEFAULT_ENERGY_NODES
 
 
@@ -160,11 +161,11 @@ def _table_surface_moments(em: Emitters, m_atom, angular, energy):
     energy and mu rules fold through the grids' hat functions into weights
     per grid point, so the table is contracted once."""
     table = em.table
-    e, w = _segment_rule(table.energy_grid, energy.n_nodes)
+    e, w = segment_rule(table.energy_grid, energy.n_nodes)
     powers = np.stack([w, w * np.sqrt(2.0 * m_atom * e), w * m_atom * e])
     v_p = np.einsum("ijk,rk->rij", table.values,
                     powers @ _hat_matrix(table.energy_grid, e))
-    mu, wmu = _segment_rule(table.cos_grid, angular.n_polar)
+    mu, wmu = segment_rule(table.cos_grid, angular.n_polar)
     mu_moments = np.stack([wmu, wmu * mu, wmu * mu * mu]) \
         @ _hat_matrix(table.cos_grid, mu)                     # (3, n_cos)
     t = np.einsum("rij,aj->ari", v_p, mu_moments)
@@ -211,15 +212,6 @@ def _diffusion_from_a2(s: np.ndarray, wa2: np.ndarray):
 def _force_from_a1(s: np.ndarray, wa1: np.ndarray):
     sx = _skews(np.atleast_2d(s))
     return wa1.sum(axis=0), np.einsum("iab,ib->a", sx, wa1)
-
-
-def _segment_rule(grid: np.ndarray, n_nodes: int):
-    """Per-segment GL nodes and weights on a table grid, at least 3 per
-    segment: exact for the piecewise-linear interpolant times quadratics."""
-    pts = max(3, n_nodes // max(len(grid) - 1, 1) + 2)
-    x, w = np.polynomial.legendre.leggauss(pts)
-    half = 0.5 * np.diff(grid)[:, None]
-    return (grid[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
 
 
 def _diffusion_change(a: Diffusion6, b: Diffusion6) -> float:

@@ -12,25 +12,28 @@ them into kicks as arrays, so a result is fixed by the inputs and the
 seed alone.
 Ensemble moments come with closed-form delete-one jackknife standard
 errors so the quadrature predictions can be tested at a stated
-significance.
+significance. The pass thresholds are fixed: every |z| below
+Z_LIMIT = 4 and a chi-square p-value above P_FLOOR = 1e-3.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc
 
 from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import SurfaceQuadrature
-from .moments import Diffusion6, ForceTorque6
+from .moments import Diffusion6, ForceTorque6, predict_moments
 from .rng import stream
 from .rotations import momentum_from_energy
 
 _TRAJ_TAG = "trajectory"
 _BLOCK = 2048  # trajectories per random stream; part of every result
+
+Z_LIMIT = 4.0
+P_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -106,14 +109,13 @@ def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
 
 def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                       duration: float, n_trajectories: int, seed: int,
-                      n_times: int = 16, threads: int = 1) -> EnsembleMoments:
+                      n_times: int = 16) -> EnsembleMoments:
     """Ensemble moments of (P, J) under the emission kick process.
 
     Bitwise reproducible for fixed (seed, n_trajectories, n_times):
     trajectories are cut into fixed blocks of _BLOCK, each block draws
     from its own counter-based stream keyed by the block index, and the
-    blocks run in order. `threads` is accepted for compatibility and
-    ignored; one thread runs every block.
+    blocks run in order on one thread.
     """
     if n_trajectories < 4:
         raise ValueError("need at least four trajectories for jackknife errors")
@@ -180,22 +182,15 @@ _TRIU = np.triu_indices(6)
 
 
 def compare_to_prediction(moments: EnsembleMoments, d: Diffusion6,
-                          f: ForceTorque6,
-                          mean0: Optional[np.ndarray] = None,
-                          cov0: Optional[np.ndarray] = None,
-                          z_limit: float = 4.0,
-                          p_floor: float = 1e-3) -> ComparisonReport:
-    """z-scores of measured minus predicted moments at the final time.
+                          f: ForceTorque6) -> ComparisonReport:
+    """z-scores of measured minus predicted moments at the final time,
+    from rest.
 
-    Passes when every |z| stays below z_limit and the global chi-square
-    p-value exceeds p_floor. An ensemble without a single emission event
+    Passes when every |z| stays below Z_LIMIT and the global chi-square
+    p-value exceeds P_FLOOR. An ensemble without a single emission event
     tests nothing and never passes.
     """
-    t = moments.times[-1]
-    mean0 = np.zeros(6) if mean0 is None else np.asarray(mean0, dtype=float)
-    cov0 = np.zeros((6, 6)) if cov0 is None else np.asarray(cov0, dtype=float)
-    mean_pred = mean0 + f.vector * t
-    cov_pred = cov0 + 2.0 * d.matrix * t
+    mean_pred, cov_pred = predict_moments(d, f, moments.times[-1])
 
     z_mean = _z_scores(moments.mean[-1] - mean_pred, moments.stderr_mean[-1])
     z_cov = _z_scores((moments.cov[-1] - cov_pred)[_TRIU],
@@ -204,10 +199,10 @@ def compare_to_prediction(moments: EnsembleMoments, d: Diffusion6,
     z_all = np.concatenate([z_mean, z_cov])
     chi2 = float(np.sum(z_all**2))
     dof = len(z_all)
-    p_value = float(stats.chi2.sf(chi2, dof))
+    p_value = float(chdtrc(dof, chi2))
     max_abs_z = float(np.max(np.abs(z_all)))
     n_events = int(moments.event_counts.sum())
-    passed = bool(n_events > 0 and max_abs_z < z_limit and p_value > p_floor)
+    passed = bool(n_events > 0 and max_abs_z < Z_LIMIT and p_value > P_FLOOR)
     return ComparisonReport(z_mean, z_cov, chi2, dof, p_value, passed,
                             max_abs_z, n_events, moments.n_trajectories)
 

@@ -1,7 +1,9 @@
 """Quadrature building blocks: 1D Gauss rules, per-axis frames, a
-product rule on the sphere, and Filon-type weights for
+product rule on the sphere, Filon-type weights for
 int f(mu) chi(a mu) dmu with an oscillatory kernel chi known through its
-panel moments.
+panel moments, and the shared tools for piecewise-linear data (tables
+and tabulated spectra): a per-segment Gauss rule and the exact inverse
+CDF of a density that is linear on a segment.
 
 Angular integrals of the emission laws run in mu = n . axis about each
 emitter's axis, where the hemisphere cutoff is an end point of the rule
@@ -20,6 +22,28 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0):
     x, w = np.polynomial.legendre.leggauss(int(n))
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def segment_rule(grid: np.ndarray, n_nodes: int):
+    """Per-segment GL nodes and weights on a table grid, at least 3 per
+    segment: exact for the piecewise-linear interpolant times quadratics."""
+    pts = max(3, n_nodes // max(len(grid) - 1, 1) + 2)
+    x, w = np.polynomial.legendre.leggauss(pts)
+    half = 0.5 * np.diff(grid)[:, None]
+    return (grid[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()
+
+
+def linear_draw(v0, v1, u):
+    """Inverse CDF of the density proportional to (1 - t) v0 + t v1 on
+    [0, 1], at the uniform variates u (v0, v1 >= 0; uniform if equal)."""
+    slope = v1 - v0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(
+            np.abs(slope) > 1e-300,
+            (np.sqrt(v0**2 + u * slope * (v0 + v1)) - v0) / slope,
+            u,
+        )
+    return np.clip(t, 0.0, 1.0)
 
 
 def frames(axes: np.ndarray):

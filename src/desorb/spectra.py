@@ -16,7 +16,8 @@ from scipy.special import wofz
 from .constants import KB
 from .errors import NegativeEnergy, NonFinite
 from .quadrules import (SERIES_TAU, SERIES_TERMS, gauss_legendre,
-                        phase_moments, series_moments)
+                        linear_draw, phase_moments, segment_rule,
+                        series_moments)
 
 #: thermal spectra are integrated on [0, ENERGY_CUTOFF_KT * kB T]
 ENERGY_CUTOFF_KT = 30.0
@@ -156,14 +157,8 @@ class TabulatedSpectrum:
 
     def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
         """Per-segment 3-point GL (exact for the interpolant times quadratics)."""
-        nodes, weights = [], []
-        x, w = np.polynomial.legendre.leggauss(3)
-        for a, b in zip(self.energies[:-1], self.energies[1:]):
-            half = 0.5 * (b - a)
-            e = a + half * (x + 1.0)
-            nodes.append(e)
-            weights.append(half * w * self.density(e))
-        return np.concatenate(nodes), np.concatenate(weights)
+        e, w = segment_rule(self.energies, 0)
+        return e, w * self.density(e)
 
     def sample(self, rng: np.random.Generator, size=None):
         scalar = size is None
@@ -175,18 +170,8 @@ class TabulatedSpectrum:
         cdf /= cdf[-1]
         u = rng.random(n)
         seg = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(seg_mass) - 1)
-        # invert the linear-density CDF within the segment
         u_loc = (u - cdf[seg]) / (cdf[seg + 1] - cdf[seg])
-        v0, v1 = v[seg], v[seg + 1]
-        de = np.diff(e)[seg]
-        slope = v1 - v0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t = np.where(
-                np.abs(slope) > 1e-300,
-                (np.sqrt(v0**2 + u_loc * slope * (v0 + v1)) - v0) / slope,
-                u_loc,
-            )
-        out = e[seg] + np.clip(t, 0.0, 1.0) * de
+        out = e[seg] + linear_draw(v[seg], v[seg + 1], u_loc) * np.diff(e)[seg]
         if scalar:
             return float(out[0])
         return out.reshape(size)

@@ -97,10 +97,11 @@ def _check_divergence_force():
         ft = force_torque(model, q, _N2_MASS)
         gamma = total_rate(model, q)
         j1, _ = spectral_momentum_moments(MaxwellBoltzmannFlux(300.0), _N2_MASS)
-        scale = gamma * j1 * max(1.0, q.max_radius())
-        worst = max(worst, float(np.max(np.abs(ft.vector))) / scale)
+        scale = gamma * j1
+        worst = max(worst, float(np.max(np.abs(ft.force))) / scale,
+                    float(np.max(np.abs(ft.torque))) / (scale * q.max_radius()))
     return ("closed-surface force cancellation", worst < 1e-6,
-            f"|F|/(Gamma p max(1,|s|)) = {worst:.2e} (tol 1e-6)")
+            f"|F|/(Gamma p), |T|/(Gamma p R) <= {worst:.2e} (tol 1e-6)")
 
 
 def _check_jump_normalization():

@@ -104,12 +104,13 @@ def test_criterion_3_divergence_theorem_force():
         gamma = total_rate(model, q)
         pbar, _ = spectral_momentum_moments(MaxwellBoltzmannFlux(T_ROOM),
                                             N2_MASS)
-        scale = gamma * pbar * max(1.0, q.max_radius())
-        defect = float(np.max(np.abs(ft.vector))) / scale
+        scale = gamma * pbar
+        defect = max(float(np.max(np.abs(ft.force))) / scale,
+                     float(np.max(np.abs(ft.torque))) / (scale * q.max_radius()))
         assert defect <= 1e-6, label
         worst = max(worst, defect)
-    _report(3, f"uniform cosine force/torque <= {worst:.2e} of "
-               f"Gamma p max(1,|s|) on sphere, cube mesh, capped cylinder "
+    _report(3, f"uniform cosine force/(Gamma p) and torque/(Gamma p R) "
+               f"<= {worst:.2e} on sphere, cube mesh, capped cylinder "
                f"(tol 1e-6)")
 
 
@@ -256,12 +257,14 @@ def test_criterion_8_symmetry_suite():
     cross_scale = np.sqrt(np.max(np.abs(d_s.d_tt)) * np.max(np.abs(d_s.d_rr)))
     off = max(np.max(np.abs(d_s.d_tr)), np.max(np.abs(d_s.d_rt))) / cross_scale
     pbar, _ = spectral_momentum_moments(MaxwellBoltzmannFlux(T_ROOM), N2_MASS)
-    force_rel = np.max(np.abs(ft_s.vector)) / (
-        total_rate(model_s, q_s) * pbar * max(1.0, q_s.max_radius()))
+    scale = total_rate(model_s, q_s) * pbar
+    force_rel = max(np.max(np.abs(ft_s.force)) / scale,
+                    np.max(np.abs(ft_s.torque)) / (scale * q_s.max_radius()))
     assert off <= 1e-8 and force_rel <= 1e-8
     _report(8, f"frame covariance defect {worst:.2e} over 50 rotations "
                f"(tol 1e-8); inversion-symmetric off-diagonal {off:.2e}, "
-               f"force {force_rel:.2e} (tol 1e-8)")
+               f"force/(Gamma p) and torque/(Gamma p R) {force_rel:.2e} "
+               f"(tol 1e-8)")
 
 
 def test_criterion_9_simulate_reproducibility(tmp_path):

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -170,6 +174,25 @@ def test_simulate_zero_trajectories_exit2(tmp_path):
     cfg = write_config(tmp_path, {
         "simulate": {"duration_s": 1.0, "n_trajectories": 0}})
     assert run(["simulate", "--config", cfg, "--out", "-"]) == 2
+
+
+def test_locmap_zero_azimuth_exit2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"locmap": {
+        "pairs": [{"delta_x_m": [1e-9, 0.0, 0.0]}], "n_azimuth": 0}})
+    assert run(["locmap", "--config", cfg,
+                "--out", str(tmp_path / "map.csv")]) == 2
+    assert "locmap.n_azimuth" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of the import time of every command
+    code = "import sys, desorb.cli; print('scipy.stats' in sys.modules)"
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_outgas_presets(tmp_path):

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from desorb.config import parse_config, parse_locmap_block, parse_outgas_block
+from desorb.config import (parse_config, parse_locmap_block,
+                           parse_outgas_block, parse_simulate_block)
 from desorb.errors import ConfigError
 from desorb.flux import TabulatedFlux, read_flux_csv, total_rate
 from desorb.geometry import BodySpec, Sphere, build_quadrature
@@ -45,6 +46,42 @@ def test_unknown_keys_rejected_with_path(mutate, key):
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert key in str(err.value)
+
+
+@pytest.mark.parametrize("path,value", [
+    ("seed", "x"),
+    ("seed", -1),
+    ("threads", "abc"),
+    ("quadrature.surface_resolution", "abc"),
+    ("quadrature.surface_resolution", 2.7),
+    ("quadrature.angular_polar", "abc"),
+    ("quadrature.angular_polar", -5),
+    ("quadrature.energy_nodes", None),
+    ("tensors", 5),
+    ("tensors.typo_key", 1),
+    ("locmap.n_mu_panels", 0),
+    ("locmap.n_mu_panels", "abc"),
+    ("locmap.n_azimuth", 0),
+    ("locmap.convergence_tol", -1),
+    ("locmap.random.count", "x"),
+    ("simulate.n_trajectories", "abc"),
+    ("simulate.n_trajectories", 8.9),
+    ("simulate.n_times", 2.5),
+])
+def test_malformed_numbers_rejected_with_key(path, value):
+    raw = base_raw()
+    raw["locmap"] = {"random": {"count": 1, "delta_x_scale_m": 1e-9}}
+    raw["simulate"] = {"duration_s": 1.0, "n_trajectories": 8}
+    *parents, key = path.split(".")
+    block = raw
+    for name in parents:
+        block = block.setdefault(name, {})
+    block[key] = value
+    with pytest.raises(ConfigError) as err:
+        cfg = parse_config(raw)
+        parse_locmap_block(cfg)
+        parse_simulate_block(cfg)
+    assert path in str(err.value)
 
 
 def test_rate_gradient_field():

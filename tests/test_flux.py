@@ -237,6 +237,39 @@ def test_table_node_count_mismatch_is_config_error(sphere_quad_coarse, entry):
         entry(model, q)
 
 
+def test_tabulated_flux_joint_law(sphere_quad_coarse):
+    # chi-squared of the sampled (mu, E) pairs, in bins that halve every
+    # table cell, against the area-weighted bilinear interpolant. The
+    # random table, with mu < 0, is scaled by a checkerboard, so within a
+    # cell mu and E are strongly correlated and a sampler that draws them
+    # independently from their cell marginals fails.
+    q = sphere_quad_coarse
+    cos_grid = np.array([-1.0, -0.4, 0.1, 0.45, 1.0])
+    e_grid = KB * T_ROOM * np.array([0.0, 1.5, 3.0, 6.0])
+    checker = np.where(np.add.outer(np.arange(5), np.arange(4)) % 2, 1.0, 0.05)
+    values = checker * stream(9301, "test-tab-joint").uniform(
+        0.5, 1.5, (q.n_nodes, len(cos_grid), len(e_grid)))
+    model = TabulatedFlux(cos_grid, e_grid, values)
+    ev = EventSampler(model, q).draw(stream(9302, "test-tab-joint"),
+                                     size=200_000)
+    mu = np.clip(np.einsum("ia,ia->i", ev.directions,
+                           q.normals[ev.node_index]), -1.0, 1.0)
+    mu_bins = np.union1d(cos_grid, 0.5 * (cos_grid[1:] + cos_grid[:-1]))
+    e_bins = np.union1d(e_grid, 0.5 * (e_grid[1:] + e_grid[:-1]))
+    counts, _, _ = np.histogram2d(mu, ev.energies, bins=(mu_bins, e_bins))
+    # the interpolant is bilinear on every bin, so the midpoint rule
+    # integrates it exactly
+    prof = TabulatedFlux(cos_grid, e_grid,
+                         np.einsum("i,ijk->jk", q.weights, values)[None])
+    mid_mu = 0.5 * (mu_bins[1:] + mu_bins[:-1])
+    mid_e = 0.5 * (e_bins[1:] + e_bins[:-1])
+    probs = (prof.interp(mid_mu[:, None], mid_e[None, :], 0)
+             * np.diff(mu_bins)[:, None] * np.diff(e_bins)[None, :])
+    expected = probs / probs.sum() * len(mu)
+    chi2 = np.sum((counts - expected) ** 2 / expected)
+    assert stats.chi2.sf(chi2, expected.size - 1) > 1e-3
+
+
 def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):
     # reference: one searchsorted per event on its node's normalized CDF
     q = sphere_quad_coarse
