@@ -284,8 +284,7 @@ def main(argv=None) -> int:
             cfg = None
         else:
             cfg = load_config(args.config, resolution_scale=args.resolution_scale,
-                              seed_override=args.seed,
-                              threads_override=args.threads)
+                              seed_override=args.seed)
         return _COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")

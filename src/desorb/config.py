@@ -62,13 +62,14 @@ def _positive(value, path: str) -> float:
     return v
 
 
-def _integer(value, path: str, minimum: int) -> int:
-    """An integral JSON number >= minimum (8.0 passes, 8.9 and "8" fail)."""
+def _integer(value, path: str, minimum: Optional[int] = None) -> int:
+    """An integral JSON number >= minimum, if one is given (8.0 passes,
+    8.9 and "8" fail)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{path}' must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ConfigError(f"'{path}' must be >= {minimum}, got {value}")
     return value
 
@@ -86,7 +87,6 @@ class RunConfig:
 
     raw: dict
     seed: int
-    threads: int
     atom_mass: float
     species: Optional[str]
     body: BodySpec
@@ -104,13 +104,13 @@ class RunConfig:
         ).hexdigest()
 
 
+# "threads" is accepted and ignored: every command runs on one thread
 _TOP_KEYS = {"seed", "threads", "atom", "body", "flux", "quadrature",
              "tensors", "locmap", "simulate", "outgas"}
 
 
 def load_config(path, resolution_scale: float = 1.0,
-                seed_override: Optional[int] = None,
-                threads_override: Optional[int] = None) -> RunConfig:
+                seed_override: Optional[int] = None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -120,23 +120,15 @@ def load_config(path, resolution_scale: float = 1.0,
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    return parse_config(raw, resolution_scale, seed_override, threads_override)
+    return parse_config(raw, resolution_scale, seed_override)
 
 
 def parse_config(raw: dict, resolution_scale: float = 1.0,
-                 seed_override: Optional[int] = None,
-                 threads_override: Optional[int] = None) -> RunConfig:
+                 seed_override: Optional[int] = None) -> RunConfig:
     _check_keys(raw, _TOP_KEYS, "")
-    seed = _integer(_get(raw, "seed", "", required=False, default=0),
-                    "seed", 0)
+    seed = _integer(_get(raw, "seed", "", required=False, default=0), "seed")
     if seed_override is not None:
         seed = seed_override
-    threads = _integer(_get(raw, "threads", "", required=False, default=1),
-                       "threads", 1)
-    if threads_override is not None:
-        threads = threads_override
-    if threads < 1:
-        raise ConfigError("'threads' must be >= 1")
 
     atom = _get(raw, "atom", "")
     _check_keys(atom, {"mass_kg", "species"}, "atom")
@@ -169,7 +161,7 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     _check_keys(tensors, set(), "tensors")
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
                                            "outgas") if name in raw}
-    return RunConfig(raw=raw, seed=seed, threads=threads, atom_mass=atom_mass,
+    return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass,
                      species=species, body=body, quadrature=quadrature,
                      flux=flux, angular=angular, energy=energy,
                      surface_resolution=resolution, command_blocks=blocks)

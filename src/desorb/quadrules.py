@@ -35,15 +35,16 @@ def segment_rule(grid: np.ndarray, n_nodes: int):
 
 def linear_draw(v0, v1, u):
     """Inverse CDF of the density proportional to (1 - t) v0 + t v1 on
-    [0, 1], at the uniform variates u (v0, v1 >= 0; uniform if equal)."""
-    slope = v1 - v0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(
-            np.abs(slope) > 1e-300,
-            (np.sqrt(v0**2 + u * slope * (v0 + v1)) - v0) / slope,
-            u,
-        )
-    return np.clip(t, 0.0, 1.0)
+    [0, 1], at the uniform variates u (v0, v1 >= 0; uniform if both are 0).
+
+    The root u (v0 + v1) / (v0 + sqrt((1 - u) v0^2 + u v1^2)) of the
+    quadratic CDF adds only non-negative terms, so it keeps full precision
+    however small v1 - v0 is.
+    """
+    den = v0 + np.sqrt((1.0 - u) * v0**2 + u * v1**2)
+    t = np.divide(u * (v0 + v1), den, out=np.array(u, dtype=float),
+                  where=den > 0)
+    return np.minimum(t, 1.0)
 
 
 def frames(axes: np.ndarray):

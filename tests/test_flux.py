@@ -270,6 +270,23 @@ def test_tabulated_flux_joint_law(sphere_quad_coarse):
     assert stats.chi2.sf(chi2, expected.size - 1) > 1e-3
 
 
+def test_table_flat_marginal_cell_spreads_mu(sphere_quad_coarse):
+    # f00 + f01 and f10 + f11 differ only by roundoff, so the mu marginal
+    # of the cell is flat: mu must fill the cell, not sit on its edges
+    q = sphere_quad_coarse
+    values = np.broadcast_to([[0.1, 0.7], [0.3, 0.5]], (q.n_nodes, 2, 2))
+    model = TabulatedFlux(np.array([0.0, 1.0]),
+                          KB * T_ROOM * np.array([1.0, 2.0]), values)
+    ev = EventSampler(model, q).draw(stream(9303, "test-tab-flat"),
+                                     size=50_000)
+    mu = np.einsum("ia,ia->i", ev.directions, q.normals[ev.node_index])
+    assert np.mean((mu < 1e-9) | (mu > 1.0 - 1e-9)) == 0.0
+    counts, _ = np.histogram(mu, bins=np.linspace(0.0, 1.0, 21))
+    expected = len(mu) / 20
+    chi2 = np.sum((counts - expected) ** 2 / expected)
+    assert stats.chi2.sf(chi2, 19) > 1e-3
+
+
 def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):
     # reference: one searchsorted per event on its node's normalized CDF
     q = sphere_quad_coarse

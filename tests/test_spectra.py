@@ -101,6 +101,15 @@ def test_tabulated_sampler_chi2():
     assert stats.chi2.sf(chi2, len(probs) - 1) > 1e-3
 
 
+def test_tabulated_sampler_near_flat_segment():
+    # a slope at roundoff level must still give a uniform law on the
+    # segment, not draws piled on its end points
+    spec = TabulatedSpectrum([0.0, 1.0], [1.0, 1.0 + 2.2e-16])
+    samples = spec.sample(stream(19, "test-tab-flat"), 100_000)
+    assert len(np.unique(samples)) > 99_000
+    assert abs(samples.mean() - 0.5) < 5.0 / np.sqrt(12 * len(samples))
+
+
 def test_tabulated_rejects_bad_grids():
     with pytest.raises(ValueError):
         TabulatedSpectrum([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
