@@ -32,8 +32,7 @@ from .rotations import (Pose, momentum_from_energy, polar_project,
                         random_rotation, rotation_from_w, skew,
                         w_from_rotations)
 from .rng import stream
-from .spectra import (MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum,
-                      spectral_moment)
+from .spectra import MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum
 from .amplitudes import (DesorptionJump, SourceSpec, TabulatedAmplitude,
                          amplitude_norms, desorption_jump_from_flux,
                          free_green, jump_magnitude_squared,

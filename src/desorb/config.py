@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -37,6 +38,9 @@ OUTGAS_PRESETS = {
 
 
 def _check_keys(block: dict, allowed: set, path: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"'{path}' must be an object" if path
+                          else "config root must be a JSON object")
     for key in block:
         if key not in allowed:
             raise ConfigError(f"unknown key '{path}.{key}'" if path
@@ -47,18 +51,30 @@ def _get(block: dict, key: str, path: str, required: bool = True,
          default: Any = None) -> Any:
     if key not in block:
         if required:
-            raise ConfigError(f"missing key '{path}.{key}'")
+            raise ConfigError(f"missing key '{path}.{key}'" if path
+                              else f"missing key '{key}'")
         return default
     return block[key]
 
 
+def _number(value, path: str) -> float:
+    """A finite JSON number (booleans, strings and huge integers fail)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"'{path}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _numbers(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"'{path}' must be a list")
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+
+
 def _positive(value, path: str) -> float:
-    try:
-        v = float(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"'{path}' must be a number") from None
-    if not np.isfinite(v) or v <= 0:
-        raise ConfigError(f"'{path}' must be positive and finite, got {value}")
+    v = _number(value, path)
+    if v <= 0:
+        raise ConfigError(f"'{path}' must be positive, got {value}")
     return v
 
 
@@ -118,8 +134,6 @@ def load_config(path, resolution_scale: float = 1.0,
         raise ConfigError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(raw, resolution_scale, seed_override)
 
 
@@ -155,10 +169,7 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     if "flux" in raw:
         flux = _parse_flux(raw["flux"], quadrature)
 
-    tensors = raw.get("tensors", {})
-    if not isinstance(tensors, dict):
-        raise ConfigError("'tensors' must be an object")
-    _check_keys(tensors, set(), "tensors")
+    _check_keys(raw.get("tensors", {}), set(), "tensors")
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
                                            "outgas") if name in raw}
     return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass,
@@ -325,17 +336,20 @@ def parse_locmap_block(cfg: RunConfig):
         if norm == 0:
             raise ConfigError("'locmap.ray.direction' must be nonzero")
         direction = direction / norm
-        for length in _get(ray, "lengths_m", "locmap.ray"):
-            pairs.append(PosePair(float(length) * direction))
+        for length in _numbers(_get(ray, "lengths_m", "locmap.ray"),
+                               "locmap.ray.lengths_m"):
+            pairs.append(PosePair(length * direction))
     if "random" in block:
         rnd = block["random"]
         _check_keys(rnd, {"count", "delta_x_scale_m", "max_angle_rad"},
                     "locmap.random")
         count = _integer(_get(rnd, "count", "locmap.random"),
                          "locmap.random.count", 0)
-        scale = float(_get(rnd, "delta_x_scale_m", "locmap.random"))
-        max_angle = float(_get(rnd, "max_angle_rad", "locmap.random",
-                               required=False, default=3.0))
+        scale = _number(_get(rnd, "delta_x_scale_m", "locmap.random"),
+                        "locmap.random.delta_x_scale_m")
+        max_angle = _number(_get(rnd, "max_angle_rad", "locmap.random",
+                                 required=False, default=3.0),
+                            "locmap.random.max_angle_rad")
         rng = stream(cfg.seed, "locmap-pairs")
         for _ in range(count):
             dx = scale * rng.standard_normal(3)
@@ -351,7 +365,8 @@ def parse_locmap_block(cfg: RunConfig):
         check_convergence=bool(block.get("check_convergence", True)),
         convergence_tol=_positive(block.get("convergence_tol", 1e-3),
                                   "locmap.convergence_tol"))
-    times = [float(t) for t in block.get("visibility_times_s", [])]
+    times = _numbers(block.get("visibility_times_s", []),
+                     "locmap.visibility_times_s")
     return pairs, quad, times
 
 

@@ -17,7 +17,8 @@ normals, with the node areas and r_i = rate_per_area(s_i). SingleSite is
 one point of unit area at its site, with its own axis and rate. The
 laws are COSINE (cos/pi on mu > 0), HEMISPHERE (1/4pi on mu > 0) and
 SPHERE (1/4pi on all of [-1, 1]); FixedDirection is the one delta, all
-atoms along the axis. TabulatedFlux is the one model that does not
+atoms along the axis. Each law carries its moments int f mu^k dmu
+(k = 0, 1, 2) in closed form. TabulatedFlux is the one model that does not
 separate: its per-node table over (mu, E) stands in for law and
 spectrum; it is sampled exactly, without rejection: a cell by its
 mass, then mu from the cell's marginal and E given mu, each by inverting
@@ -35,7 +36,7 @@ import numpy as np
 from .constants import KB
 from .errors import ConfigError, NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
-from .quadrules import frames, gauss_legendre, linear_draw
+from .quadrules import frames, linear_draw
 from .spectra import Spectrum
 
 RateField = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -71,30 +72,24 @@ def _rates_at(rate_per_area: RateField, points: np.ndarray) -> np.ndarray:
 
 class AxialLaw:
     """Emission density f(mu) per steradian about an emitter's axis,
-    mu = n . axis, zero below mu_min.
+    mu = n . axis.
 
     `integral` is the solid-angle integral 2 pi int f dmu, the share of
-    the rate prefactor that is emitted; `mu_of` maps uniform variates on
-    [0, 1) to draws of mu.
+    the rate prefactor that is emitted; `moments` holds the exact
+    t_k = int f(mu) mu^k dmu over [-1, 1], k = 0, 1, 2 (shape (3, 1));
+    `mu_of` maps uniform variates on [0, 1) to draws of mu.
     """
 
     delta = False
 
-    def __init__(self, mu_min: float, integral: float, density, mu_of):
-        self.mu_min = mu_min
+    def __init__(self, integral: float, moments, density, mu_of):
         self.integral = integral
+        self.moments = np.array(moments, dtype=float)[:, None]
         self._density = density
         self._mu_of = mu_of
 
     def density(self, mu):
         return self._density(np.asarray(mu, dtype=float))
-
-    def moments(self, n_polar: int):
-        """(t0, t1, t2) = int f(mu) mu^k dmu over [mu_min, 1], k = 0, 1, 2,
-        each of shape (1,), by Gauss-Legendre: exact for a polynomial law."""
-        mu, w = gauss_legendre(n_polar, self.mu_min, 1.0)
-        f = self.density(mu)[None, :]
-        return f @ w, f @ (w * mu), f @ (w * mu * mu)
 
     def directions(self, axes: np.ndarray, rng: np.random.Generator):
         """One direction per row of axes: mu from the law, then phi."""
@@ -107,24 +102,22 @@ class _Delta(AxialLaw):
     delta = True
 
     def __init__(self):
-        super().__init__(1.0, 1.0, None, None)
+        super().__init__(1.0, np.full(3, 0.5 / np.pi), None, None)
 
     def density(self, mu):
         raise ValueError("fixed-direction site has no pointwise angular density")
-
-    def moments(self, n_polar: int):
-        t = np.full(1, 0.5 / np.pi)
-        return t, t, t
 
     def directions(self, axes: np.ndarray, rng: np.random.Generator):
         return axes
 
 
-COSINE = AxialLaw(0.0, 1.0, lambda mu: np.maximum(mu, 0.0) / np.pi, np.sqrt)
-HEMISPHERE = AxialLaw(0.0, 0.5,
+COSINE = AxialLaw(1.0, np.array([1 / 2, 1 / 3, 1 / 4]) / np.pi,
+                  lambda mu: np.maximum(mu, 0.0) / np.pi, np.sqrt)
+HEMISPHERE = AxialLaw(0.5, np.array([1 / 4, 1 / 8, 1 / 12]) / np.pi,
                       lambda mu: np.where(mu > 0.0, 1.0 / (4.0 * np.pi), 0.0),
                       lambda u: u)
-SPHERE = AxialLaw(-1.0, 1.0, lambda mu: np.full_like(mu, 1.0 / (4.0 * np.pi)),
+SPHERE = AxialLaw(1.0, np.array([1 / 2, 0.0, 1 / 6]) / np.pi,
+                  lambda mu: np.full_like(mu, 1.0 / (4.0 * np.pi)),
                   lambda u: 2.0 * u - 1.0)
 DELTA = _Delta()
 

@@ -9,18 +9,18 @@ and the generalized force is
 
     F = - int dE int d2s int d2n  Phi p(E) (n; s x n),
 
-both in the body frame at reference orientation. Each emitter of the
-flux model (flux.split) contributes through the moments t_k of its axial
-law in mu = n . axis, taken by Gauss-Legendre on [mu_min, 1]: exact for
-every polynomial law, and for the fixed-direction delta in closed form.
-The azimuthal integral is carried out analytically.
+both in the body frame at reference orientation. Each emitter of a
+separable model (flux.split) contributes through the exact moments t_k
+of its axial law in mu = n . axis and (j1, j2) of its spectrum; with the
+azimuth done analytically, its D and F are closed-form and evaluated once.
 
 A tabulated flux is not separable, but its bilinear interpolant is
 linear in the table values and, segment by segment, in cos(theta) and E.
-Its tensors are therefore one exact contraction of the table with
+Its tensors are therefore one contraction of the table with
 per-grid-point weights (the angular and energy rules folded through the
 grid's hat functions), at cost O(nodes x n_cos x n_E); the table is
-never interpolated point by point.
+never interpolated point by point. Its energy rule carries error (p is
+not polynomial in E): the quadrature orders and 2x check serve it only.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from .errors import NonFinite, QuadratureNotConverged
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
 from .quadrules import segment_rule
-from .spectra import DEFAULT_ENERGY_NODES
 
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Gauss-Legendre order in mu about each emitter's axis (per segment
-    of the cos grid for a tabulated flux)."""
+    """Gauss-Legendre order in mu over a tabulated flux's cos grid."""
 
     n_polar: int = 32
 
@@ -50,7 +48,9 @@ class AngularQuadrature:
 
 @dataclass(frozen=True)
 class EnergyQuadrature:
-    n_nodes: int = DEFAULT_ENERGY_NODES
+    """Gauss-Legendre order in E over a tabulated flux's energy grid."""
+
+    n_nodes: int = 40
 
     def refined(self) -> "EnergyQuadrature":
         return EnergyQuadrature(2 * self.n_nodes)
@@ -115,12 +115,9 @@ class ForceTorque6:
         return np.concatenate([self.force, self.torque])
 
 
-def spectral_momentum_moments(spectrum, m_atom: float,
-                              n_nodes: int = DEFAULT_ENERGY_NODES):
+def spectral_momentum_moments(spectrum, m_atom: float):
     """(j1, j2) = (int sigma p dE, int sigma p^2 dE) for one emitted atom."""
-    e, w = spectrum.energy_rule(n_nodes)
-    p = np.sqrt(2.0 * m_atom * e)
-    return float(np.sum(w * p)), float(np.sum(w * p * p))
+    return spectrum.momentum_moments(m_atom)
 
 
 # ---------------------------------------------------------------------------
@@ -182,10 +179,9 @@ def _moment_blocks(em: Emitters, m_atom, angular, energy):
         _, a1, a2 = _table_surface_moments(em, m_atom, angular, energy)
         a1, a2, w1, w2 = a1[1], a2[2], em.areas, em.areas
     else:
-        _, a1, a2 = _axial_moments_to_tensors(
-            em.axes, *em.law.moments(angular.n_polar))
+        _, a1, a2 = _axial_moments_to_tensors(em.axes, *em.law.moments)
         a1, a2 = em.rates[:, None] * a1, em.rates[:, None, None] * a2
-        j1, j2 = spectral_momentum_moments(em.spectrum, m_atom, energy.n_nodes)
+        j1, j2 = spectral_momentum_moments(em.spectrum, m_atom)
         w1, w2 = j1 * em.areas, (0.5 * j2) * em.areas
     d_blocks = _diffusion_from_a2(em.points, w2[:, None, None] * a2)
     f_t, f_r = _force_from_a1(em.points, w1[:, None] * a1)
@@ -239,15 +235,15 @@ def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                      energy: EnergyQuadrature = _DEF_EN,
                      check_convergence: bool = True,
                      convergence_tol: float = 1e-6) -> Diffusion6:
-    """Momentum diffusion tensor D (body frame) by three-level quadrature.
+    """Momentum diffusion tensor D (body frame), exact for a separable model.
 
-    When check_convergence is set, all three quadrature levels are
-    refined by 2x and the refined result is returned; a relative change
-    above convergence_tol raises QuadratureNotConverged.
+    For a tabulated flux with check_convergence set, the angular and
+    energy rules are refined by 2x and the refined result is returned; a
+    relative change above convergence_tol raises QuadratureNotConverged.
     """
     em = split(model, q)
     d = _symmetrized_diffusion(_moment_blocks(em, m_atom, angular, energy)[:4])
-    if check_convergence:
+    if check_convergence and em.table is not None:
         fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
         d_fine = _symmetrized_diffusion(fine[:4])
         change = _diffusion_change(d, d_fine)
@@ -272,14 +268,14 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
     """Thermophoresis-like force and torque F (body frame).
 
-    The refinement check compares the force against convergence_tol
+    Checked as diffusion_tensor; the force against convergence_tol
     Gamma pbar, the momentum flux, and the torque against convergence_tol
     Gamma pbar R, with R the largest emitter radius.
     """
     em = split(model, q)
     raw = _moment_blocks(em, m_atom, angular, energy)
     ft = ForceTorque6(raw[4], raw[5])
-    if check_convergence:
+    if check_convergence and em.table is not None:
         fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
         ft_fine = ForceTorque6(fine[4], fine[5])
         # scale against the momentum flux, not the (possibly zero) force
@@ -296,16 +292,13 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
 
 
 def _force_scale(em: Emitters, m_atom):
-    """(Gamma pbar, Gamma pbar R): the momentum flux, and its moment arm
-    at the largest emitter radius R."""
+    """(Gamma pbar, Gamma pbar R) of a tabulated flux: the momentum flux,
+    and its moment arm at the largest emitter radius R."""
     gamma = float(np.sum(em.node_rates))
-    if em.table is not None:
-        # mean momentum over the table's spectral weight
-        a0 = _table_surface_moments(em, m_atom, _DEF_ANG, _DEF_EN)[0]
-        tot, pbar = a0[:2] @ em.areas
-        pbar /= max(tot, 1e-300)
-    else:
-        pbar, _ = spectral_momentum_moments(em.spectrum, m_atom)
+    # mean momentum over the table's spectral weight
+    a0 = _table_surface_moments(em, m_atom, _DEF_ANG, _DEF_EN)[0]
+    tot, pbar = a0[:2] @ em.areas
+    pbar /= max(tot, 1e-300)
     scale = gamma * pbar
     return scale, scale * em.radius
 

@@ -1,15 +1,9 @@
-"""Quadrature building blocks: 1D Gauss rules, per-axis frames, a
-product rule on the sphere, Filon-type weights for
-int f(mu) chi(a mu) dmu with an oscillatory kernel chi known through its
-panel moments, and the shared tools for piecewise-linear data (tables
-and tabulated spectra): a per-segment Gauss rule and the exact inverse
-CDF of a density that is linear on a segment.
-
-Angular integrals of the emission laws run in mu = n . axis about each
-emitter's axis, where the hemisphere cutoff is an end point of the rule
-rather than a kink inside it. The product rule (Gauss-Legendre in mu
-times a uniform periodic grid in phi) integrates such a law over the
-sphere to machine accuracy.
+"""Quadrature building blocks: 1D Gauss rules, per-axis frames,
+Filon-type weights for int f(mu) chi(a mu) dmu with an oscillatory
+kernel chi known through its panel moments, and the shared tools for
+piecewise-linear data (tables and tabulated spectra): a per-segment
+Gauss rule and the exact inverse CDF of a density that is linear on a
+segment.
 """
 
 from __future__ import annotations
@@ -56,30 +50,6 @@ def frames(axes: np.ndarray):
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(axes, e1)
     return e1, e2
-
-
-def sphere_product_rule(n_polar: int, n_azimuth: int, axis=None,
-                        mu_min: float = -1.0, mu_max: float = 1.0):
-    """Product rule on the sphere: GL in mu = n.axis times uniform phi.
-
-    Returns nodes (n,3) and solid-angle weights (n,) summing to
-    2*pi*(mu_max - mu_min). With the default full mu range this is a
-    full-sphere rule; with mu_min = 0 a hemisphere rule about `axis`.
-    """
-    mu, wmu = gauss_legendre(n_polar, mu_min, mu_max)
-    phi = 2.0 * np.pi * np.arange(n_azimuth) / n_azimuth
-    wphi = 2.0 * np.pi / n_azimuth
-    if axis is None:
-        axis = np.array([0.0, 0.0, 1.0])
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    e1, e2 = (e[0] for e in frames(axis[None]))
-    s = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    nodes = (mu[:, None, None] * axis
-             + s[:, None, None] * (np.cos(phi)[None, :, None] * e1
-                                   + np.sin(phi)[None, :, None] * e2))
-    weights = np.broadcast_to((wmu * wphi)[:, None], (len(mu), n_azimuth))
-    return nodes.reshape(-1, 3), weights.reshape(-1).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Emission energy spectra: normalized densities, quadrature rules, samplers.
+"""Emission energy spectra: normalized densities, exact momentum moments
+(j1, j2) = (<p>, <p^2>), characteristic-function panel moments, samplers.
 
 The default thermal model is the effusive Maxwell-Boltzmann flux
 spectrum, density proportional to E * exp(-E / kB T), the standard
@@ -15,13 +16,8 @@ from scipy.special import wofz
 
 from .constants import KB
 from .errors import NegativeEnergy, NonFinite
-from .quadrules import (SERIES_TAU, SERIES_TERMS, gauss_legendre,
-                        linear_draw, phase_moments, segment_rule,
-                        series_moments)
-
-#: thermal spectra are integrated on [0, ENERGY_CUTOFF_KT * kB T]
-ENERGY_CUTOFF_KT = 30.0
-DEFAULT_ENERGY_NODES = 40
+from .quadrules import (SERIES_TAU, SERIES_TERMS, linear_draw,
+                        phase_moments, segment_rule, series_moments)
 
 # J_n(t) switches from the Faddeeva recurrence to its asymptotic series
 # at |t| = _ASYMPTOTIC_T: the recurrence loses about t^(n-1) eps there,
@@ -45,20 +41,19 @@ class Monoenergetic:
 
     def density(self, e):
         raise ValueError("monoenergetic spectrum has no pointwise density; "
-                         "use its energy_rule")
+                         "use its momentum_moments or panel_moments")
 
-    def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
-        """Degenerate rule realizing the delta line: one node, weight 1."""
-        return np.array([self.energy]), np.array([1.0])
+    def momentum_moments(self, m_atom: float):
+        """(j1, j2) = (int sigma p dE, int sigma p^2 dE) = (p, p^2)."""
+        p = np.sqrt(2.0 * m_atom * self.energy)
+        return float(p), float(p * p)
 
     def panel_moments(self, m_atom: float, t, tau):
         """int_{-1}^{1} s^l <exp(i p (t + tau s))> ds, l = 0, 1, 2, averaged
         over the spectrum, p = sqrt(2 m E); t and tau per unit momentum.
-        Summed over the nodes of energy_rule (one node here)."""
-        e, w = self.energy_rule()
-        t, tau = np.asarray(t), np.asarray(tau)
-        return sum(wk * phase_moments(pk * t, pk * tau)
-                   for pk, wk in zip(np.sqrt(2.0 * m_atom * e), w))
+        The pure phase at the line's momentum here."""
+        p = np.sqrt(2.0 * m_atom * self.energy)
+        return phase_moments(p * np.asarray(t), p * np.asarray(tau))
 
     def sample(self, rng: np.random.Generator, size=None):
         if size is None:
@@ -84,13 +79,10 @@ class MaxwellBoltzmannFlux:
         e = np.asarray(e, dtype=float)
         return np.where(e >= 0.0, e * np.exp(-e / self.kt) / self.kt**2, 0.0)
 
-    def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
-        """Gauss-Legendre rule on E in [0, cutoff] with the density folded
-        into the weights, taken in the variable x = sqrt(E / kB T) so that
-        momentum moments p(E)^k = (2 m kB T)^(k/2) x^k stay polynomial
-        (sigma dE = 2 x^3 exp(-x^2) dx)."""
-        x, w = gauss_legendre(n_nodes, 0.0, np.sqrt(ENERGY_CUTOFF_KT))
-        return self.kt * x * x, w * 2.0 * x**3 * np.exp(-x * x)
+    def momentum_moments(self, m_atom: float):
+        """(j1, j2) = (sqrt(2 m kB T) Gamma(5/2), 4 m kB T)."""
+        return (np.sqrt(2.0 * m_atom * self.kt) * 0.75 * np.sqrt(np.pi),
+                4.0 * m_atom * self.kt)
 
     def panel_moments(self, m_atom: float, t, tau):
         """Panel moments (see Monoenergetic.panel_moments), exact in energy.
@@ -153,12 +145,22 @@ class TabulatedSpectrum:
     def density(self, e):
         return np.interp(e, self.energies, self.values, left=0.0, right=0.0)
 
-    panel_moments = Monoenergetic.panel_moments   # over the per-segment rule
+    def momentum_moments(self, m_atom: float):
+        """(j1, j2) by 3-point Gauss-Legendre per segment in x = sqrt(E):
+        exact, as p^k sigma dE = (2m)^(k/2) x^k (a + b x^2) 2x dx."""
+        x, w = segment_rule(np.sqrt(self.energies), 0)
+        w = 2.0 * x * w * self.density(x * x)
+        p = np.sqrt(2.0 * m_atom) * x
+        return float(w @ p), float(w @ (p * p))
 
-    def energy_rule(self, n_nodes: int = DEFAULT_ENERGY_NODES):
-        """Per-segment 3-point GL (exact for the interpolant times quadratics)."""
+    def panel_moments(self, m_atom: float, t, tau):
+        """Panel moments (see Monoenergetic.panel_moments), summed over a
+        3-point Gauss rule per segment in E."""
         e, w = segment_rule(self.energies, 0)
-        return e, w * self.density(e)
+        w = w * self.density(e)
+        t, tau = np.asarray(t), np.asarray(tau)
+        return sum(wk * phase_moments(pk * t, pk * tau)
+                   for pk, wk in zip(np.sqrt(2.0 * m_atom * e), w))
 
     def sample(self, rng: np.random.Generator, size=None):
         scalar = size is None
@@ -209,8 +211,3 @@ def _gauss_fourier(t, n_max: int):
             z_n = z_n * z
     return out
 
-
-def spectral_moment(spectrum, fn, n_nodes: int = DEFAULT_ENERGY_NODES) -> float:
-    """Integral of density(E) * fn(E) over the spectrum's energy rule."""
-    e, w = spectrum.energy_rule(n_nodes)
-    return float(np.sum(w * fn(e)))

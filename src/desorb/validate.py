@@ -8,6 +8,7 @@ pass/fail with the observed defect.
 from __future__ import annotations
 
 import numpy as np
+from scipy.integrate import quad
 
 from .constants import HBAR, KB
 from .decoherence import PosePair, localization_rate
@@ -69,10 +70,12 @@ def _check_sphere_surface():
 def _check_j2_closed_form():
     spec = MaxwellBoltzmannFlux(300.0)
     _, j2 = spectral_momentum_moments(spec, _N2_MASS)
-    exact = 4.0 * _N2_MASS * KB * 300.0
-    err = abs(j2 / exact - 1.0)
+    kt = spec.kt    # integrate in x = E / kB T
+    ref = quad(lambda x: spec.density(x * kt) * kt * x, 0.0, np.inf,
+               epsabs=0.0, epsrel=1e-12)[0] * 2.0 * _N2_MASS * kt
+    err = abs(j2 / ref - 1.0)
     return ("thermal momentum-square moment", err < 1e-8,
-            f"relative error {err:.2e} vs 4 m kB T (tol 1e-8)")
+            f"relative error {err:.2e} vs quad of sigma 2 m E (tol 1e-8)")
 
 
 def _check_analytic_vs_quadrature():

@@ -108,6 +108,13 @@ def test_tensors_resolution_scale_converged(tmp_path):
         assert np.max(np.abs(ga - gb)) <= 1e-6 * np.max(np.abs(gb))
 
 
+def test_tensors_coarse_separable_runs(tmp_path):
+    # a separable model is exact in angle and energy: no order is too coarse
+    cfg = write_config(tmp_path, {"tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", str(tmp_path / "t.json"),
+                "--resolution-scale", "0.25"]) == 0
+
+
 def test_locmap_rows(tmp_path):
     e0 = 5e-28
     p0 = np.sqrt(2 * N2 * e0)
@@ -182,6 +189,13 @@ def test_locmap_zero_azimuth_exit2(tmp_path, capsys):
     assert run(["locmap", "--config", cfg,
                 "--out", str(tmp_path / "map.csv")]) == 2
     assert "locmap.n_azimuth" in capsys.readouterr().err
+
+
+def test_locmap_block_not_an_object_exit2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"locmap": 5})
+    assert run(["locmap", "--config", cfg,
+                "--out", str(tmp_path / "map.csv")]) == 2
+    assert "'locmap' must be an object" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_out_scipy_stats():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ def test_unknown_keys_rejected_with_path(mutate, key):
 
 @pytest.mark.parametrize("path,value", [
     ("seed", "x"),
+    ("atom.mass_kg", "4.65e-26"),
+    pytest.param("atom.mass_kg", 10**400, id="atom.mass_kg-huge_int"),
     ("quadrature.surface_resolution", "abc"),
     ("quadrature.surface_resolution", 2.7),
     ("quadrature.angular_polar", "abc"),
@@ -80,6 +83,36 @@ def test_malformed_numbers_rejected_with_key(path, value):
         parse_locmap_block(cfg)
         parse_simulate_block(cfg)
     assert path in str(err.value)
+
+
+@pytest.mark.parametrize("mutate,message", [
+    (lambda r: r.update(atom=5), "'atom' must be an object"),
+    (lambda r: r.update(quadrature=5), "'quadrature' must be an object"),
+    (lambda r: r.update(locmap=5), "'locmap' must be an object"),
+    (lambda r: r.update(simulate=5), "'simulate' must be an object"),
+    (lambda r: r["locmap"].update(pairs=[5]),
+     "'locmap.pairs[0]' must be an object"),
+    (lambda r: r["locmap"].update(visibility_times_s=[1.0, "x"]),
+     "'locmap.visibility_times_s[1]' must be a finite number"),
+    (lambda r: r["locmap"].update(ray={"direction": [1, 0, 0],
+                                       "lengths_m": ["1e-9"]}),
+     "'locmap.ray.lengths_m[0]' must be a finite number"),
+    (lambda r: r["locmap"]["random"].update(delta_x_scale_m="x"),
+     "'locmap.random.delta_x_scale_m' must be a finite number"),
+    (lambda r: r["locmap"]["random"].update(max_angle_rad="x"),
+     "'locmap.random.max_angle_rad' must be a finite number"),
+    (lambda r: r.pop("atom"), "missing key 'atom'"),
+], ids=["atom", "quadrature", "locmap", "simulate", "pair", "times", "lengths",
+        "dx_scale", "max_angle", "missing_top_key"])
+def test_malformed_blocks_fail_at_the_boundary(mutate, message):
+    raw = base_raw()
+    raw["locmap"] = {"random": {"count": 1, "delta_x_scale_m": 1e-9}}
+    raw["simulate"] = {"duration_s": 1.0, "n_trajectories": 8}
+    mutate(raw)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        cfg = parse_config(raw)
+        parse_locmap_block(cfg)
+        parse_simulate_block(cfg)
 
 
 def test_negative_seed_accepted():

@@ -112,9 +112,11 @@ def test_single_site_isotropic_sinc_oracle(q_small):
     gamma = 11.0
     site = SingleSite(np.zeros(3), IsotropicDirection(),
                       MaxwellBoltzmannFlux(300.0), gamma)
-    spec = MaxwellBoltzmannFlux(300.0)
-    e_nodes, w_nodes = spec.energy_rule(200)
-    p_nodes = np.sqrt(2.0 * N2_MASS * e_nodes)
+    # 200-node Gauss-Legendre rule in x = sqrt(E / kB T) on [0, sqrt(30)],
+    # where sigma dE = 2 x^3 exp(-x^2) dx
+    x, wx = gauss_legendre(200, 0.0, np.sqrt(30.0))
+    w_nodes = wx * 2.0 * x**3 * np.exp(-x * x)
+    p_nodes = np.sqrt(2.0 * N2_MASS * KB * 300.0) * x
     lam_ref = HBAR / np.sqrt(2.0 * N2_MASS * 2.0 * KB * 300.0)
     prev = 0.0
     for scale in (0.05, 0.3, 1.0, 3.0, 30.0):
@@ -130,6 +132,33 @@ def test_single_site_isotropic_sinc_oracle(q_small):
     rate = localization_rate(PosePair([3e3 * lam_ref, 0.0, 0.0]), site,
                              q_small, N2_MASS)
     assert abs(rate.re / gamma - 1.0) < 0.01
+
+
+@pytest.mark.parametrize("scale", [
+    0.3, 3.0,
+    pytest.param(30.0, marks=pytest.mark.xfail(
+        strict=True, reason="the 3-point per-segment energy rule of a "
+        "tabulated spectrum is used at both check levels and does not "
+        "resolve the phase at large recoil (ROADMAP item 1)"))])
+def test_tabulated_spectrum_site_sinc_oracle(q_small, scale):
+    # Re F = Gamma int sigma (1 - sinc(p dx / hbar)) dE for an isotropic site,
+    # with sigma the thermal flux sampled on 13 points up to 12 kB T; the
+    # oracle integrates the interpolant segment by segment, in x = E / kB T
+    gamma = 11.0
+    kt = KB * 300.0
+    e = np.linspace(0.0, 12.0 * kt, 13)
+    spec = TabulatedSpectrum(e, MaxwellBoltzmannFlux(300.0).density(e))
+    site = SingleSite(np.zeros(3), IsotropicDirection(), spec, gamma)
+    dx = scale * HBAR / np.sqrt(4.0 * N2_MASS * kt)
+
+    def integrand(x):
+        arg = np.sqrt(2.0 * N2_MASS * x * kt) * dx / HBAR
+        return spec.density(x * kt) * kt * (1.0 - np.sinc(arg / np.pi))
+
+    oracle = gamma * sum(quad(integrand, a, b, epsabs=1e-15, limit=200)[0]
+                         for a, b in zip(e[:-1] / kt, e[1:] / kt))
+    rate = localization_rate(PosePair([dx, 0.0, 0.0]), site, q_small, N2_MASS)
+    assert abs(rate.re - oracle) / gamma < 1e-6
 
 
 def test_recoil_free_isotropic_site_no_decoherence(q_small):

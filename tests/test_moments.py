@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from conftest import N2_MASS, SPHERE_RADIUS, rel_err
 from desorb.constants import KB
 from desorb.errors import NonFinite, QuadratureNotConverged
-from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
-                         SingleSite, TabulatedFlux, split, total_rate)
+from desorb.flux import (COSINE, DELTA, HEMISPHERE, SPHERE, CosineDirection,
+                         CosineLaw, FixedDirection, Isotropic,
+                         IsotropicDirection, SingleSite, TabulatedFlux, split,
+                         total_rate)
 from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh)
 from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
@@ -18,7 +21,8 @@ from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
 from desorb.quadrules import gauss_legendre
 from desorb.rng import stream
 from desorb.rotations import random_rotation, skew
-from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
+from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
+                            TabulatedSpectrum)
 
 T_ROOM = 300.0
 RATE = 1e3  # atoms per m^2 per s
@@ -167,24 +171,73 @@ def test_frame_covariance_random_rotations():
 
 
 def test_j2_quadrature_vs_closed_form(sphere_quad):
-    # Gamma-function oracle: int sigma p^2 dE = 4 m kB T for the thermal flux
-    _, j2 = spectral_momentum_moments(MaxwellBoltzmannFlux(T_ROOM), N2_MASS)
-    gamma = total_rate(CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE),
-                       sphere_quad)
+    # adaptive-quadrature oracle for int sigma p^2 dE, in x = E / kB T
+    spec = MaxwellBoltzmannFlux(T_ROOM)
+    _, j2 = spectral_momentum_moments(spec, N2_MASS)
+    kt = KB * T_ROOM
+    j2_quad = quad(lambda x: spec.density(x * kt) * kt * 2.0 * N2_MASS * x * kt,
+                   0.0, np.inf, epsabs=0.0, epsrel=1e-12)[0]
+    gamma = total_rate(CosineLaw(spec, RATE), sphere_quad)
     area = sphere_quad.total_area
-    closed = 4.0 * N2_MASS * KB * T_ROOM * gamma / (np.pi * area)
+    closed = j2_quad * gamma / (np.pi * area)
     assert abs((RATE * j2 / np.pi) / closed - 1.0) < 1e-8
 
 
-def test_convergence_under_refinement(sphere_quad_coarse):
-    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE)
-    coarse = diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                              AngularQuadrature(n_polar=16),
-                              EnergyQuadrature(20), check_convergence=False)
-    fine = diffusion_tensor(model, sphere_quad_coarse, N2_MASS,
-                            AngularQuadrature(n_polar=32),
-                            EnergyQuadrature(40), check_convergence=False)
-    assert rel_err(fine.matrix, coarse.matrix) < 1e-6
+@pytest.mark.parametrize("law", [COSINE, HEMISPHERE, SPHERE],
+                         ids=["cosine", "hemisphere", "sphere"])
+def test_law_moments_match_quad(law):
+    for k, t in enumerate(law.moments[:, 0]):
+        ref = quad(lambda mu: law.density(mu) * mu**k, -1.0, 1.0, points=[0.0],
+                   epsabs=1e-15, epsrel=1e-13)[0]
+        assert abs(t - ref) <= 1e-13
+    assert 2.0 * np.pi * law.moments[0, 0] == pytest.approx(law.integral,
+                                                            rel=1e-15)
+
+
+def test_delta_law_moments():
+    # f = delta(1 - mu) / (2 pi): every moment is 1 / (2 pi)
+    assert np.array_equal(DELTA.moments[:, 0], np.full(3, 0.5 / np.pi))
+
+
+def _separable_models():
+    kt = KB * T_ROOM
+    e = np.linspace(0.0, 12.0 * kt, 13)
+    table = TabulatedSpectrum(e, MaxwellBoltzmannFlux(T_ROOM).density(e))
+    site = np.array([2e-8, -3e-8, 5e-8])
+    axis = np.array([0.6, 0.0, 0.8])
+    return [
+        CosineLaw(MaxwellBoltzmannFlux(T_ROOM),
+                  lambda pts: RATE * (1.0 + 0.8 * pts[:, 2] / SPHERE_RADIUS)),
+        Isotropic(table, RATE),
+        SingleSite(site, IsotropicDirection(), Monoenergetic(4e-21), 3.0),
+        SingleSite(site, FixedDirection(axis), MaxwellBoltzmannFlux(77.0), 3.0),
+        SingleSite(site, CosineDirection(axis), table, 3.0),
+    ]
+
+
+@pytest.mark.parametrize("model", _separable_models(),
+                         ids=["cosine_mb", "isotropic_table", "site_sphere_line",
+                              "site_fixed_mb", "site_cosine_table"])
+def test_separable_tensors_ignore_quadrature(model, monkeypatch):
+    # closed form in angle and energy: the orders and the 2x check have no
+    # effect, one call evaluates the moments once, and no Gauss rule is built
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
+    calls = []
+    monkeypatch.setattr("desorb.moments._moment_blocks",
+                        lambda *a: calls.append(1) or _moment_blocks(*a))
+    if not isinstance(model.spectrum, TabulatedSpectrum):
+        def no_rule(*a):
+            raise AssertionError("Gauss-Legendre rule built")
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", no_rule)
+    variants = [{}, {"check_convergence": False},
+                {"angular": AngularQuadrature(2)},
+                {"energy": EnergyQuadrature(4)}]
+    d = [diffusion_tensor(model, q, N2_MASS, **kw).matrix.tobytes()
+         for kw in variants]
+    f = [force_torque(model, q, N2_MASS, **kw).vector.tobytes()
+         for kw in variants]
+    assert len(set(d)) == 1 and len(set(f)) == 1
+    assert len(calls) == 2 * len(variants)
 
 
 def _one_segment_table(q, rates):

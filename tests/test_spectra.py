@@ -6,7 +6,9 @@ from desorb.constants import KB
 from desorb.errors import NegativeEnergy, NonFinite
 from desorb.rng import stream
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
-                            TabulatedSpectrum, spectral_moment)
+                            TabulatedSpectrum)
+
+N2_MASS = 4.65e-26
 
 
 def test_mb_density_normalized():
@@ -15,16 +17,45 @@ def test_mb_density_normalized():
     assert abs(val - 1.0) < 1e-9
 
 
-def test_mb_energy_rule_normalized():
-    spec = MaxwellBoltzmannFlux(300.0)
-    assert spectral_moment(spec, lambda e: np.ones_like(e)) == pytest.approx(
-        1.0, abs=1e-9)
+def _mb_table(n_points, e_max_kt, temperature=300.0):
+    """The thermal flux density sampled on n_points from 0 to e_max_kt kT."""
+    kt = KB * temperature
+    e = np.linspace(0.0, e_max_kt * kt, n_points)
+    return TabulatedSpectrum(e, MaxwellBoltzmannFlux(temperature).density(e))
 
 
-def test_mb_mean_energy_rule():
-    spec = MaxwellBoltzmannFlux(77.0)
-    mean = spectral_moment(spec, lambda e: e)
-    assert mean == pytest.approx(2.0 * KB * 77.0, rel=1e-9)
+def _quad_momentum_moments(spec, edges, m_atom):
+    """(j1, j2) by adaptive quadrature of density(E) (2 m E)^(k/2) on each
+    interval of edges, in units of the first positive edge."""
+    unit = edges[1]
+
+    def moment(k):
+        def f(x):
+            return (spec.density(x * unit) * unit
+                    * (2.0 * m_atom * x * unit) ** (0.5 * k))
+        return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13,
+                                  limit=200)[0]
+                   for a, b in zip(edges[:-1] / unit, edges[1:] / unit))
+
+    return moment(1), moment(2)
+
+
+@pytest.mark.parametrize("spec", [
+    MaxwellBoltzmannFlux(300.0),
+    MaxwellBoltzmannFlux(77.0),
+    _mb_table(13, 12.0),          # starts at E = 0; j1 off by 5.3e-5 at 3 pts/E
+    _mb_table(241, 12.0),
+    TabulatedSpectrum([1e-21, 2e-21, 5e-21, 6e-21], [0.5, 2.0, 1.0, 0.0]),
+], ids=["mb_300", "mb_77", "table_13", "table_241", "table_offset"])
+def test_momentum_moments_match_quad(spec):
+    if isinstance(spec, MaxwellBoltzmannFlux):
+        edges = spec.kt * np.array([0.0, 1.0, 3.0, 10.0, 30.0, 100.0, 400.0])
+    else:
+        edges = spec.energies
+    ref = _quad_momentum_moments(spec, edges, N2_MASS)
+    got = spec.momentum_moments(N2_MASS)
+    for g, r in zip(got, ref):
+        assert abs(g / r - 1.0) < 1e-12
 
 
 def test_mb_sampler_mean():
@@ -59,8 +90,9 @@ def test_mb_sampler_matches_density_chi2():
 
 def test_monoenergetic_rule_and_sampler():
     spec = Monoenergetic(3.2e-21)
-    e, w = spec.energy_rule()
-    assert e.tolist() == [3.2e-21] and w.tolist() == [1.0]
+    p = np.sqrt(2.0 * N2_MASS * 3.2e-21)
+    j1, j2 = spec.momentum_moments(N2_MASS)
+    assert abs(j1 / p - 1.0) < 1e-12 and abs(j2 / p**2 - 1.0) < 1e-12
     rng = stream(9, "test-mono")
     assert np.all(spec.sample(rng, 10) == 3.2e-21)
     with pytest.raises(ValueError):
@@ -76,13 +108,17 @@ def test_tabulated_normalization_and_rule():
     e_grid = np.linspace(0.0, 1.0e-20, 7)
     vals = np.array([0.0, 1.0, 3.0, 2.5, 1.0, 0.3, 0.0])
     spec = TabulatedSpectrum(e_grid, vals)
-    assert spectral_moment(spec, lambda e: np.ones_like(e)) == pytest.approx(
-        1.0, rel=1e-12)
-    # mean against direct trapezoid of the normalized interpolant
+    # the normalized interpolant has unit mass, and the momentum moments
+    # match a direct trapezoid of it (j2 = 2 m <E>)
+    mass = integrate.quad(spec.density, 0.0, 1.0e-20, points=e_grid[1:-1],
+                          epsabs=0.0, epsrel=1e-13)[0]
+    assert mass == pytest.approx(1.0, rel=1e-12)
     fine = np.linspace(0, 1.0e-20, 20001)
-    mean_ref = np.trapezoid(fine * spec.density(fine), fine)
-    assert spectral_moment(spec, lambda e: e) == pytest.approx(mean_ref,
-                                                               rel=1e-6)
+    dens = spec.density(fine)
+    j1, j2 = spec.momentum_moments(N2_MASS)
+    p = np.sqrt(2.0 * N2_MASS * fine)
+    assert j1 == pytest.approx(np.trapezoid(p * dens, fine), rel=1e-6)
+    assert j2 == pytest.approx(np.trapezoid(p * p * dens, fine), rel=1e-6)
 
 
 def test_tabulated_sampler_chi2():
