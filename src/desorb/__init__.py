@@ -24,7 +24,8 @@ from .geometry import (BodySpec, Box, Cylinder, Mesh, Sphere, SurfaceQuadrature,
                        build_quadrature, cube_mesh, read_obj, surface_moment)
 from .moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
                       ForceTorque6, analytic_cosine_tensor, diffusion_tensor,
-                      force_torque, predict_moments, spectral_momentum_moments)
+                      force_torque, predict_moments, spectral_momentum_moments,
+                      transport)
 from .montecarlo import (ComparisonReport, EnsembleMoments, Trajectory,
                          compare_to_prediction, simulate_ensemble,
                          simulate_trajectory)

@@ -20,7 +20,8 @@ from .config import (RunConfig, load_config, parse_locmap_block,
 from .decoherence import coherence_map
 from .errors import ConfigError, DesorbError, QuadratureNotConverged
 from .flux import outgas_rate, total_rate
-from .moments import diffusion_tensor, force_torque
+# perfbench/tracer.py patches diffusion_tensor and force_torque in this module
+from .moments import diffusion_tensor, force_torque, transport  # noqa: F401
 from .montecarlo import compare_to_prediction, simulate_ensemble
 
 EXIT_OK = 0
@@ -116,9 +117,7 @@ def _require_flux(cfg: RunConfig):
 
 def cmd_tensors(cfg: RunConfig, out_path) -> int:
     model = _require_flux(cfg)
-    d = diffusion_tensor(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
-                         cfg.energy)
-    ft = force_torque(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
+    d, ft = transport(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
                       cfg.energy)
     doc = {
         "metadata": _metadata(cfg, "tensors"),
@@ -190,9 +189,7 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
     _write_text(out_path, "".join(lines))
 
     if compare:
-        d = diffusion_tensor(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
-                             cfg.energy)
-        ft = force_torque(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
+        d, ft = transport(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
                           cfg.energy)
         report = compare_to_prediction(em, d, ft)
         doc = {
@@ -264,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and ignored; one thread runs "
                             "every command")
         p.add_argument("--resolution-scale", type=float, default=1.0,
-                       help="scale all quadrature resolutions")
+                       help="scale surface_resolution, angular_polar and "
+                            "energy_nodes (a finite number > 0)")
     return parser
 
 
@@ -280,6 +278,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not 0.0 < args.resolution_scale < np.inf:
+            raise ConfigError("--resolution-scale must be finite and > 0")
         if args.command == "validate" and args.config is None:
             cfg = None
         else:

@@ -191,8 +191,8 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     length, axis = _pair_geometry(pair, points)
     kappa = length / HBAR   # phase per unit momentum and unit mu
     if table is not None:
-        rules = [segment_rule(table.energy_grid, lv.energy_nodes)
-                 for lv in levels]
+        rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
+                 for j in range(len(levels))]
         kernel = phase_moments
     else:
         kernel = partial(em.spectrum.panel_moments, m_atom)

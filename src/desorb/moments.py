@@ -19,8 +19,12 @@ linear in the table values and, segment by segment, in cos(theta) and E.
 Its tensors are therefore one contraction of the table with
 per-grid-point weights (the angular and energy rules folded through the
 grid's hat functions), at cost O(nodes x n_cos x n_E); the table is
-never interpolated point by point. Its energy rule carries error (p is
-not polynomial in E): the quadrature orders and 2x check serve it only.
+never interpolated point by point. The cos rule is exact, and so is the
+energy rule of D (p^2 is linear in E). Only F's energy rule carries
+error, as p is not polynomial in E; the quadrature orders and the 2x
+check serve it. D and F come from one pass (transport): one contraction
+per level and one check, whose force scale Gamma pbar is taken from the
+coarse level's own contraction.
 """
 
 from __future__ import annotations
@@ -42,18 +46,12 @@ class AngularQuadrature:
 
     n_polar: int = 32
 
-    def refined(self) -> "AngularQuadrature":
-        return AngularQuadrature(2 * self.n_polar)
-
 
 @dataclass(frozen=True)
 class EnergyQuadrature:
     """Gauss-Legendre order in E over a tabulated flux's energy grid."""
 
     n_nodes: int = 40
-
-    def refined(self) -> "EnergyQuadrature":
-        return EnergyQuadrature(2 * self.n_nodes)
 
 
 _DEF_ANG = AngularQuadrature()
@@ -152,17 +150,18 @@ def _hat_matrix(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
             + np.where(inside, t, 0.0)[:, None] * eye[j + 1])
 
 
-def _table_surface_moments(em: Emitters, m_atom, angular, energy):
+def _table_surface_moments(em: Emitters, m_atom, angular, energy, refined):
     """A0 (3,n), A1 (3,n,3), A2 (3,n,3,3) of a tabulated flux, integrated
     over energy with the weights p^0, p and p^2/2 (leading axis). The
-    energy and mu rules fold through the grids' hat functions into weights
-    per grid point, so the table is contracted once."""
+    energy and mu rules (the finer ones of the 2x check if refined) fold
+    through the grids' hat functions into weights per grid point, so the
+    table is contracted once."""
     table = em.table
-    e, w = segment_rule(table.energy_grid, energy.n_nodes)
+    e, w = segment_rule(table.energy_grid, energy.n_nodes, refined)
     powers = np.stack([w, w * np.sqrt(2.0 * m_atom * e), w * m_atom * e])
     v_p = np.einsum("ijk,rk->rij", table.values,
                     powers @ _hat_matrix(table.energy_grid, e))
-    mu, wmu = segment_rule(table.cos_grid, angular.n_polar)
+    mu, wmu = segment_rule(table.cos_grid, angular.n_polar, refined)
     mu_moments = np.stack([wmu, wmu * mu, wmu * mu * mu]) \
         @ _hat_matrix(table.cos_grid, mu)                     # (3, n_cos)
     t = np.einsum("rij,aj->ari", v_p, mu_moments)
@@ -173,19 +172,27 @@ def _table_surface_moments(em: Emitters, m_atom, angular, energy):
 # Diffusion tensor and force
 # ---------------------------------------------------------------------------
 
-def _moment_blocks(em: Emitters, m_atom, angular, energy):
-    """Raw (d_tt, d_tr, d_rt, d_rr, f_t, f_r) before symmetrization."""
+def _moment_blocks(em: Emitters, m_atom, angular, energy, refined=False):
+    """(Diffusion6, ForceTorque6, pbar), with pbar the mean momentum over
+    a table's spectral weight (None for a separable model)."""
+    pbar = None
     if em.table is not None:
-        _, a1, a2 = _table_surface_moments(em, m_atom, angular, energy)
+        a0, a1, a2 = _table_surface_moments(em, m_atom, angular, energy,
+                                            refined)
+        tot, pbar = a0[:2] @ em.areas
+        pbar /= max(tot, 1e-300)
         a1, a2, w1, w2 = a1[1], a2[2], em.areas, em.areas
     else:
         _, a1, a2 = _axial_moments_to_tensors(em.axes, *em.law.moments)
         a1, a2 = em.rates[:, None] * a1, em.rates[:, None, None] * a2
         j1, j2 = spectral_momentum_moments(em.spectrum, m_atom)
         w1, w2 = j1 * em.areas, (0.5 * j2) * em.areas
-    d_blocks = _diffusion_from_a2(em.points, w2[:, None, None] * a2)
+    tt, tr, rt, rr = _diffusion_from_a2(em.points, w2[:, None, None] * a2)
+    m = np.block([[tt, tr], [rt, rr]])
+    m = 0.5 * (m + m.T)  # kill roundoff skew only
     f_t, f_r = _force_from_a1(em.points, w1[:, None] * a1)
-    return (*d_blocks, -f_t, -f_r)
+    return (Diffusion6(m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]),
+            ForceTorque6(-f_t, -f_r), pbar)
 
 
 def _skews(s: np.ndarray) -> np.ndarray:
@@ -230,35 +237,52 @@ def _diffusion_change(a: Diffusion6, b: Diffusion6) -> float:
     )
 
 
+def transport(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
+              angular: AngularQuadrature = _DEF_ANG,
+              energy: EnergyQuadrature = _DEF_EN,
+              check_convergence: bool = True,
+              convergence_tol: float = 1e-6
+              ) -> tuple[Diffusion6, ForceTorque6]:
+    """D and F in the body frame from one pass, exact for a separable model.
+
+    A tabulated flux with check_convergence set is also contracted with
+    the refined rules (the surface rule is not refined), and the refined
+    D and F are returned. QuadratureNotConverged is raised if a block of
+    D moves by more than convergence_tol of its magnitude, the force by
+    more than convergence_tol Gamma pbar (the momentum flux, pbar from the
+    coarse pass) or the torque by more than convergence_tol Gamma pbar R,
+    with R the largest emitter radius.
+    """
+    em = split(model, q)
+    d, ft, pbar = _moment_blocks(em, m_atom, angular, energy)
+    if not check_convergence or em.table is None:
+        return d, ft
+    d_fine, ft_fine, _ = _moment_blocks(em, m_atom, angular, energy, True)
+    # scale against the momentum flux, not the (possibly zero) force
+    f_scale = float(np.sum(em.node_rates)) * pbar
+    t_scale = f_scale * em.radius
+    dd = _diffusion_change(d, d_fine)
+    df = float(np.max(np.abs(ft.force - ft_fine.force)))
+    dt = float(np.max(np.abs(ft.torque - ft_fine.torque)))
+    if (dd > convergence_tol
+            or df > convergence_tol * max(f_scale, 1e-300)
+            or dt > convergence_tol * max(t_scale, 1e-300)):
+        raise QuadratureNotConverged(
+            f"diffusion tensor changed by {dd:.3g}, force by {df:.3g} "
+            f"(scale {f_scale:.3g}), torque by {dt:.3g} (scale {t_scale:.3g}) "
+            "under refinement")
+    return d_fine, ft_fine
+
+
 def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                      angular: AngularQuadrature = _DEF_ANG,
                      energy: EnergyQuadrature = _DEF_EN,
                      check_convergence: bool = True,
                      convergence_tol: float = 1e-6) -> Diffusion6:
-    """Momentum diffusion tensor D (body frame), exact for a separable model.
-
-    For a tabulated flux with check_convergence set, the angular and
-    energy rules are refined by 2x and the refined result is returned; a
-    relative change above convergence_tol raises QuadratureNotConverged.
-    """
-    em = split(model, q)
-    d = _symmetrized_diffusion(_moment_blocks(em, m_atom, angular, energy)[:4])
-    if check_convergence and em.table is not None:
-        fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
-        d_fine = _symmetrized_diffusion(fine[:4])
-        change = _diffusion_change(d, d_fine)
-        if change > convergence_tol:
-            raise QuadratureNotConverged(
-                f"diffusion tensor changed by {change:.3g} under refinement")
-        return d_fine
-    return d
-
-
-def _symmetrized_diffusion(blocks) -> Diffusion6:
-    d_tt, d_tr, d_rt, d_rr = blocks
-    m = np.block([[d_tt, d_tr], [d_rt, d_rr]])
-    m = 0.5 * (m + m.T)  # kill roundoff skew only
-    return Diffusion6(m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:])
+    """Momentum diffusion tensor D (body frame): transport(...)[0]. A
+    tabulated flux is checked as in transport, its F included."""
+    return transport(model, q, m_atom, angular, energy, check_convergence,
+                     convergence_tol)[0]
 
 
 def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
@@ -266,41 +290,11 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  energy: EnergyQuadrature = _DEF_EN,
                  check_convergence: bool = True,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
-    """Thermophoresis-like force and torque F (body frame).
-
-    Checked as diffusion_tensor; the force against convergence_tol
-    Gamma pbar, the momentum flux, and the torque against convergence_tol
-    Gamma pbar R, with R the largest emitter radius.
-    """
-    em = split(model, q)
-    raw = _moment_blocks(em, m_atom, angular, energy)
-    ft = ForceTorque6(raw[4], raw[5])
-    if check_convergence and em.table is not None:
-        fine = _moment_blocks(em, m_atom, angular.refined(), energy.refined())
-        ft_fine = ForceTorque6(fine[4], fine[5])
-        # scale against the momentum flux, not the (possibly zero) force
-        f_scale, t_scale = _force_scale(em, m_atom)
-        df = float(np.max(np.abs(ft.force - ft_fine.force)))
-        dt = float(np.max(np.abs(ft.torque - ft_fine.torque)))
-        if (df > convergence_tol * max(f_scale, 1e-300)
-                or dt > convergence_tol * max(t_scale, 1e-300)):
-            raise QuadratureNotConverged(
-                f"force changed by {df:.3g} (scale {f_scale:.3g}), torque by "
-                f"{dt:.3g} (scale {t_scale:.3g}) under refinement")
-        return ft_fine
-    return ft
-
-
-def _force_scale(em: Emitters, m_atom):
-    """(Gamma pbar, Gamma pbar R) of a tabulated flux: the momentum flux,
-    and its moment arm at the largest emitter radius R."""
-    gamma = float(np.sum(em.node_rates))
-    # mean momentum over the table's spectral weight
-    a0 = _table_surface_moments(em, m_atom, _DEF_ANG, _DEF_EN)[0]
-    tot, pbar = a0[:2] @ em.areas
-    pbar /= max(tot, 1e-300)
-    scale = gamma * pbar
-    return scale, scale * em.radius
+    """Thermophoresis-like force and torque F (body frame):
+    transport(...)[1]. A tabulated flux is checked as in transport, its D
+    included."""
+    return transport(model, q, m_atom, angular, energy, check_convergence,
+                     convergence_tol)[1]
 
 
 def analytic_cosine_tensor(q: SurfaceQuadrature, j2_paper: float) -> Diffusion6:

@@ -18,10 +18,13 @@ def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0):
     return a + half * (x + 1.0), half * w
 
 
-def segment_rule(grid: np.ndarray, n_nodes: int):
+def segment_rule(grid: np.ndarray, n_nodes: int, refined: bool = False):
     """Per-segment GL nodes and weights on a table grid, at least 3 per
-    segment: exact for the piecewise-linear interpolant times quadratics."""
-    pts = max(3, n_nodes // max(len(grid) - 1, 1) + 2)
+    segment: exact for the piecewise-linear interpolant times quadratics.
+    The refined rule of a 2x check is that of 2 n_nodes with at least 4
+    per segment, so it is finer than the rule of n_nodes on every grid."""
+    pts = max(3 + refined,
+              (1 + refined) * n_nodes // max(len(grid) - 1, 1) + 2)
     x, w = np.polynomial.legendre.leggauss(pts)
     half = 0.5 * np.diff(grid)[:, None]
     return (grid[:-1, None] + half * (x + 1.0)).ravel(), (half * w).ravel()

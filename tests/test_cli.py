@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import desorb.moments
 from desorb.cli import main
 from desorb.constants import HBAR, KB
 from desorb.geometry import BodySpec, Sphere, build_quadrature
@@ -113,6 +114,37 @@ def test_tensors_coarse_separable_runs(tmp_path):
     cfg = write_config(tmp_path, {"tensors": {}})
     assert run(["tensors", "--config", cfg, "--out", str(tmp_path / "t.json"),
                 "--resolution-scale", "0.25"]) == 0
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+def test_resolution_scale_rejected_exit2(tmp_path, capsys, scale):
+    cfg = write_config(tmp_path, {"tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", str(tmp_path / "t.json"),
+                f"--resolution-scale={scale}"]) == 2
+    assert "--resolution-scale" in capsys.readouterr().err
+
+
+def test_tensors_table_one_contraction_per_level(tmp_path, monkeypatch):
+    # D and F of a table come from one pass: the coarse and the refined
+    # contraction, each run once
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 4)
+    e_max = 12.0 * KB * 300.0
+    rows = ["node_index,cos_theta,E_joule,value"]
+    rows += [f"{node},{c},{e},{1e3 * c / (np.pi * e_max)}"
+             for node in range(q.n_nodes) for c in (0.0, 1.0)
+             for e in (0.0, e_max)]
+    csv_path = tmp_path / "flux.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, {
+        "flux": {"model": "tabulated", "csv_path": str(csv_path)},
+        "quadrature": {"surface_resolution": 4}})
+    calls = []
+    contract = desorb.moments._table_surface_moments
+    monkeypatch.setattr(desorb.moments, "_table_surface_moments",
+                        lambda *a: calls.append(1) or contract(*a))
+    assert run(["tensors", "--config", cfg, "--out",
+                str(tmp_path / "t.json")]) == 0
+    assert len(calls) == 2
 
 
 def test_locmap_rows(tmp_path):

@@ -3,6 +3,7 @@ import pytest
 from scipy.integrate import quad
 
 from conftest import N2_MASS, SPHERE_RADIUS, rel_err
+from desorb import moments
 from desorb.constants import KB
 from desorb.errors import NonFinite, QuadratureNotConverged
 from desorb.flux import (COSINE, DELTA, HEMISPHERE, SPHERE, CosineDirection,
@@ -14,11 +15,11 @@ from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
 from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
                             ForceTorque6, _axial_moments_to_tensors,
                             _diffusion_from_a2,
-                            _force_from_a1, _force_scale, _moment_blocks,
+                            _force_from_a1, _moment_blocks,
                             analytic_cosine_tensor, diffusion_tensor,
                             force_torque, predict_moments,
-                            spectral_momentum_moments)
-from desorb.quadrules import gauss_legendre
+                            spectral_momentum_moments, transport)
+from desorb.quadrules import gauss_legendre, segment_rule
 from desorb.rng import stream
 from desorb.rotations import random_rotation, skew
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
@@ -369,27 +370,42 @@ def random_table():
     return q, TabulatedFlux(cos_grid, e_grid, values)
 
 
-@pytest.mark.parametrize("refine", [False, True])
-def test_table_contraction_matches_energy_loop(random_table, refine):
+@pytest.mark.parametrize("refined", [False, True])
+def test_table_contraction_matches_energy_loop(random_table, refined):
     q, table = random_table
-    angular, energy = AngularQuadrature(), EnergyQuadrature()
-    if refine:
-        angular, energy = angular.refined(), energy.refined()
-    got = _moment_blocks(split(table, q), N2_MASS, angular, energy)
-    ref, _ = _reference_table_blocks(table, q, N2_MASS, angular, energy)
+    em = split(table, q)
+
+    def blocks(n_polar, n_nodes):
+        d, ft, pbar = _moment_blocks(em, N2_MASS, AngularQuadrature(n_polar),
+                                     EnergyQuadrature(n_nodes), refined)
+        return (d.d_tt, d.d_tr, d.d_rt, d.d_rr, ft.force, ft.torque), pbar
+
+    # every block, and the inputs of the force check's scale Gamma pbar,
+    # against the energy loop; on this grid the refined rules are those of
+    # twice the orders
+    got, pbar = blocks(32, 40)
+    k = 2 if refined else 1
+    ref, (tot, p_sum) = _reference_table_blocks(
+        table, q, N2_MASS, AngularQuadrature(32 * k), EnergyQuadrature(40 * k))
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+    assert abs(pbar / (p_sum / tot) - 1.0) <= 1e-12
+    assert abs(np.sum(em.node_rates) / total_rate(table, q) - 1.0) <= 1e-12
+    assert em.radius == q.max_radius()
 
+    # the cos level is exact, and so is D's energy level (p^2 is linear in
+    # E); only F's energy level carries error, as p is not polynomial in E
+    def change(a, b):
+        return max(np.max(np.abs(x - y)) / np.max(np.abs(y))
+                   for x, y in zip(a, b))
 
-def test_table_force_scale_matches_energy_loop(random_table):
-    q, table = random_table
-    _, (tot, p_sum) = _reference_table_blocks(table, q, N2_MASS,
-                                              AngularQuadrature(),
-                                              EnergyQuadrature())
-    ref = total_rate(table, q) * (p_sum / tot)
-    f_scale, t_scale = _force_scale(split(table, q), N2_MASS)
-    assert abs(f_scale / ref - 1.0) <= 1e-12
-    assert abs(t_scale / (ref * q.max_radius()) - 1.0) <= 1e-12
+    levels = {orders: blocks(*orders)[0]
+              for orders in [(32, 4), (32, 160), (2, 40), (128, 40)]}
+    for other in levels.values():
+        assert change(other[:4], got[:4]) <= 1e-13
+    assert change(levels[2, 40][4:], levels[128, 40][4:]) <= 1e-12
+    assert change(levels[32, 4][4:], got[4:]) > 1e-5
+    assert change(levels[32, 160][4:], got[4:]) > 1e-6
 
 
 def test_table_force_check_is_live():
@@ -403,6 +419,48 @@ def test_table_force_check_is_live():
     force_torque(table, q, N2_MASS)
     with pytest.raises(QuadratureNotConverged):
         force_torque(table, q, N2_MASS, convergence_tol=1e-9)
+
+
+@pytest.mark.parametrize("segments", [12, 60, 200])
+def test_refined_segment_rule_is_finer(segments):
+    # the 2x check compares two different rules on every grid; where
+    # doubling the order already adds points per segment, the refined rule
+    # is the rule of twice the order
+    grid = np.linspace(0.0, 1.0, segments + 1)
+    coarse, _ = segment_rule(grid, 40)
+    fine, w_fine = segment_rule(grid, 40, refined=True)
+    assert len(fine) >= len(coarse) + segments
+    if segments <= 40:
+        x, w = segment_rule(grid, 80)
+        assert np.array_equal(fine, x) and np.array_equal(w_fine, w)
+
+
+def test_table_force_check_is_live_on_fine_grid():
+    # above 40 energy segments both levels once used 3 points per segment,
+    # and the force moved by exactly 0.0 while it was 1.7e-6 Gamma pbar off
+    # a 4000-node rule; with 4 points in the refined rule it moves by
+    # 1.2e-6 Gamma pbar, above the default 1e-6
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
+    rates = RATE * (1.0 + 0.5 * q.points[:, 2] / SPHERE_RADIUS)
+    table = _mb_cosine_table(q, np.linspace(-1.0, 1.0, 201),
+                             np.linspace(0.0, 30.0 * KB * T_ROOM, 61), rates)
+    with pytest.raises(QuadratureNotConverged):
+        force_torque(table, q, N2_MASS)
+
+
+@pytest.mark.parametrize("check, contractions", [(True, 2), (False, 1)])
+def test_transport_is_one_pass(random_table, monkeypatch, check, contractions):
+    # one split, one table contraction per level, and D and F both returned
+    q, table = random_table
+    calls = []
+    for name in ("split", "_table_surface_moments"):
+        original = getattr(moments, name)
+        monkeypatch.setattr(moments, name, lambda *a, _f=original, _n=name:
+                            calls.append(_n) or _f(*a))
+    d, ft = transport(table, q, N2_MASS, check_convergence=check)
+    assert isinstance(d, Diffusion6) and isinstance(ft, ForceTorque6)
+    assert calls.count("split") == 1
+    assert calls.count("_table_surface_moments") == contractions
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
