@@ -117,8 +117,7 @@ def _require_flux(cfg: RunConfig):
 
 def cmd_tensors(cfg: RunConfig, out_path) -> int:
     model = _require_flux(cfg)
-    d, ft = transport(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
-                      cfg.energy)
+    d, ft = transport(model, cfg.quadrature, cfg.atom_mass, energy=cfg.energy)
     doc = {
         "metadata": _metadata(cfg, "tensors"),
         "units": {
@@ -189,8 +188,8 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
     _write_text(out_path, "".join(lines))
 
     if compare:
-        d, ft = transport(model, cfg.quadrature, cfg.atom_mass, cfg.angular,
-                          cfg.energy)
+        d, ft = transport(model, cfg.quadrature, cfg.atom_mass,
+                          energy=cfg.energy)
         report = compare_to_prediction(em, d, ft)
         doc = {
             "metadata": _metadata(cfg, "simulate"),
@@ -261,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accepted and ignored; one thread runs "
                             "every command")
         p.add_argument("--resolution-scale", type=float, default=1.0,
-                       help="scale surface_resolution, angular_polar and "
-                            "energy_nodes (a finite number > 0)")
+                       help="scale surface_resolution and energy_nodes "
+                            "(angular_polar too, which nothing reads); a "
+                            "finite number > 0, and an order scaled below "
+                            "its minimum is a config error")
     return parser
 
 

@@ -65,10 +65,14 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _numbers(value, path: str) -> list:
+def _list(value, path: str) -> list:
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(value)]
+    return value
+
+
+def _numbers(value, path: str) -> list:
+    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
 
 
 def _positive(value, path: str) -> float:
@@ -90,11 +94,31 @@ def _integer(value, path: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _boolean(value, path: str) -> bool:
+    """A JSON boolean (the string "false" fails rather than reading true)."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"'{path}' must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, path: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"'{path}' must be a string, got {value!r}")
+    return value
+
+
 def _vector3(value, path: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,) or not np.all(np.isfinite(arr)):
+    if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"'{path}' must be a finite 3-vector")
-    return arr
+    return np.array(_numbers(value, path))
+
+
+def _matrix3(value, path: str) -> np.ndarray:
+    """A 3x3 matrix of finite JSON numbers, given as three rows."""
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"'{path}' must be a finite 3x3 matrix")
+    return np.array([_vector3(row, f"{path}[{i}]")
+                     for i, row in enumerate(value)])
 
 
 @dataclass
@@ -155,11 +179,18 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     _check_keys(quad_block, {"surface_resolution", "angular_polar",
                              "energy_nodes"}, "quadrature")
     def order(key, default, minimum):
+        path = f"quadrature.{key}"
         n = _integer(_get(quad_block, key, "quadrature", required=False,
-                          default=default), f"quadrature.{key}", minimum)
-        return max(minimum, int(round(n * resolution_scale)))
+                          default=default), path, minimum)
+        scaled = int(round(n * resolution_scale))
+        if scaled < minimum:
+            raise ConfigError(f"'{path}' = {n} times --resolution-scale "
+                              f"{resolution_scale:g} is {scaled}, below "
+                              f"its minimum {minimum}")
+        return scaled
 
     resolution = order("surface_resolution", 64, 1)
+    # "angular_polar" is validated and ignored: a table's cos rule is exact
     angular = AngularQuadrature(n_polar=order("angular_polar", 32, 2))
     energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
 
@@ -190,7 +221,7 @@ def _parse_body(block) -> BodySpec:
         com = _vector3(com, "body.center_of_mass_m")
     inertia = block.get("inertia_body_kg_m2")
     if inertia is not None:
-        inertia = np.asarray(inertia, dtype=float)
+        inertia = _matrix3(inertia, "body.inertia_body_kg_m2")
     if shape_name == "sphere":
         _check_keys(block, common | {"radius_m"}, "body")
         shape = Sphere(_positive(_get(block, "radius_m", "body"), "body.radius_m"))
@@ -199,7 +230,8 @@ def _parse_body(block) -> BodySpec:
         shape = Cylinder(
             _positive(_get(block, "radius_m", "body"), "body.radius_m"),
             _positive(_get(block, "half_length_m", "body"), "body.half_length_m"),
-            bool(_get(block, "capped", "body", required=False, default=True)))
+            _boolean(_get(block, "capped", "body", required=False,
+                          default=True), "body.capped"))
     elif shape_name == "box":
         _check_keys(block, common | {"half_extents_m"}, "body")
         he = _vector3(_get(block, "half_extents_m", "body"), "body.half_extents_m")
@@ -208,7 +240,11 @@ def _parse_body(block) -> BodySpec:
         shape = Box(he)
     elif shape_name == "mesh":
         _check_keys(block, common | {"obj_path"}, "body")
-        shape = read_obj(_get(block, "obj_path", "body"))
+        path = _string(_get(block, "obj_path", "body"), "body.obj_path")
+        try:
+            shape = read_obj(path)
+        except OSError as exc:
+            raise ConfigError(f"body.obj_path: {exc}") from None
     else:
         raise ConfigError(f"'body.shape' unknown: {shape_name!r}")
     try:
@@ -282,7 +318,8 @@ def _parse_flux(block, q: SurfaceQuadrature) -> FluxModel:
     if model == "tabulated":
         _check_keys(block, {"model", "csv_path"}, "flux")
         try:
-            return read_flux_csv(_get(block, "csv_path", "flux"), q)
+            return read_flux_csv(_string(_get(block, "csv_path", "flux"),
+                                         "flux.csv_path"), q)
         except (ValueError, OSError) as exc:
             raise ConfigError(f"flux.csv_path: {exc}") from None
     raise ConfigError(f"'flux.model' unknown: {model!r}")
@@ -318,7 +355,7 @@ def parse_locmap_block(cfg: RunConfig):
                         "n_mu_panels", "n_azimuth", "check_convergence",
                         "convergence_tol"}, "locmap")
     pairs = []
-    for i, p in enumerate(block.get("pairs", [])):
+    for i, p in enumerate(_list(block.get("pairs", []), "locmap.pairs")):
         path = f"locmap.pairs[{i}]"
         _check_keys(p, {"delta_x_m", "w", "w_prime"}, path)
         dx = _vector3(_get(p, "delta_x_m", path), f"{path}.delta_x_m")
@@ -362,7 +399,8 @@ def parse_locmap_block(cfg: RunConfig):
                              "locmap.n_mu_panels", 1),
         n_azimuth=_integer(block.get("n_azimuth", 64), "locmap.n_azimuth", 1),
         energy_nodes=cfg.energy.n_nodes,
-        check_convergence=bool(block.get("check_convergence", True)),
+        check_convergence=_boolean(block.get("check_convergence", True),
+                                   "locmap.check_convergence"),
         convergence_tol=_positive(block.get("convergence_tol", 1e-3),
                                   "locmap.convergence_tol"))
     times = _numbers(block.get("visibility_times_s", []),
@@ -390,8 +428,8 @@ def parse_simulate_block(cfg: RunConfig):
                       "simulate.n_trajectories", 4)
     n_times = _integer(_get(block, "n_times", "simulate", required=False,
                             default=16), "simulate.n_times", 1)
-    compare = bool(_get(block, "compare", "simulate", required=False,
-                        default=True))
+    compare = _boolean(_get(block, "compare", "simulate", required=False,
+                            default=True), "simulate.compare")
     return duration, n_traj, n_times, compare
 
 
@@ -406,7 +444,7 @@ def parse_outgas_block(cfg: RunConfig):
     from .constants import TORR_L_PER_CM2_S
     note = None
     if "preset" in block:
-        preset = block["preset"]
+        preset = _string(block["preset"], "outgas.preset")
         if preset not in OUTGAS_PRESETS:
             raise ConfigError(f"'outgas.preset' unknown: {preset!r}")
         p = OUTGAS_PRESETS[preset]

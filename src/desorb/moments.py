@@ -17,14 +17,15 @@ azimuth done analytically, its D and F are closed-form and evaluated once.
 A tabulated flux is not separable, but its bilinear interpolant is
 linear in the table values and, segment by segment, in cos(theta) and E.
 Its tensors are therefore one contraction of the table with
-per-grid-point weights (the angular and energy rules folded through the
+per-grid-point weights (the cos and energy rules folded through the
 grid's hat functions), at cost O(nodes x n_cos x n_E); the table is
-never interpolated point by point. The cos rule is exact, and so is the
-energy rule of D (p^2 is linear in E). Only F's energy rule carries
-error, as p is not polynomial in E; the quadrature orders and the 2x
-check serve it. D and F come from one pass (transport): one contraction
-per level and one check, whose force scale Gamma pbar is taken from the
-coarse level's own contraction.
+never interpolated point by point. The cos rule (3 Gauss points per
+segment) is exact, and so is the energy rule of D (p^2 is linear in E).
+Only F's energy rule carries error, as p is not polynomial in E; the
+energy order and the 2x check serve it alone. D and F come from one pass
+(transport): one contraction, which also carries F's refined energy
+weights, and one check of F, whose scale Gamma pbar is taken from the
+coarse p weights of that contraction.
 """
 
 from __future__ import annotations
@@ -42,7 +43,8 @@ from .quadrules import segment_rule
 
 @dataclass(frozen=True)
 class AngularQuadrature:
-    """Gauss-Legendre order in mu over a tabulated flux's cos grid."""
+    """Accepted and ignored: a tabulated flux's cos rule is exact at a
+    fixed order, and separable models need none."""
 
     n_polar: int = 32
 
@@ -150,18 +152,25 @@ def _hat_matrix(grid: np.ndarray, x: np.ndarray) -> np.ndarray:
             + np.where(inside, t, 0.0)[:, None] * eye[j + 1])
 
 
-def _table_surface_moments(em: Emitters, m_atom, angular, energy, refined):
-    """A0 (3,n), A1 (3,n,3), A2 (3,n,3,3) of a tabulated flux, integrated
-    over energy with the weights p^0, p and p^2/2 (leading axis). The
-    energy and mu rules (the finer ones of the 2x check if refined) fold
-    through the grids' hat functions into weights per grid point, so the
-    table is contracted once."""
+def _table_surface_moments(em: Emitters, m_atom, energy):
+    """A0 (4,n), A1 (4,n,3), A2 (4,n,3,3) of a tabulated flux, integrated
+    over energy with the weights p^0, p and p^2/2 under the rule of
+    energy.n_nodes and p under its refined rule (leading axis). Both
+    energy rules and the exact cos rule fold through the grids' hat
+    functions into one stack of weights per grid point, so the table is
+    contracted once."""
     table = em.table
-    e, w = segment_rule(table.energy_grid, energy.n_nodes, refined)
-    powers = np.stack([w, w * np.sqrt(2.0 * m_atom * e), w * m_atom * e])
+    e, w = segment_rule(table.energy_grid, energy.n_nodes)
+    e_fine, w_fine = segment_rule(table.energy_grid, energy.n_nodes,
+                                  refined=True)
+    x = np.concatenate([e, e_fine])
+    p = np.sqrt(2.0 * m_atom * x)
+    coarse = np.concatenate([w, np.zeros_like(w_fine)])
+    fine = np.concatenate([np.zeros_like(w), w_fine])
+    powers = np.stack([coarse, coarse * p, coarse * m_atom * x, fine * p])
     v_p = np.einsum("ijk,rk->rij", table.values,
-                    powers @ _hat_matrix(table.energy_grid, e))
-    mu, wmu = segment_rule(table.cos_grid, angular.n_polar, refined)
+                    powers @ _hat_matrix(table.energy_grid, x))
+    mu, wmu = segment_rule(table.cos_grid, 0)   # exact for hat x mu^2
     mu_moments = np.stack([wmu, wmu * mu, wmu * mu * mu]) \
         @ _hat_matrix(table.cos_grid, mu)                     # (3, n_cos)
     t = np.einsum("rij,aj->ari", v_p, mu_moments)
@@ -172,15 +181,17 @@ def _table_surface_moments(em: Emitters, m_atom, angular, energy, refined):
 # Diffusion tensor and force
 # ---------------------------------------------------------------------------
 
-def _moment_blocks(em: Emitters, m_atom, angular, energy, refined=False):
-    """(Diffusion6, ForceTorque6, pbar), with pbar the mean momentum over
-    a table's spectral weight (None for a separable model)."""
-    pbar = None
+def _moment_blocks(em: Emitters, m_atom, energy):
+    """(Diffusion6, ForceTorque6, check). check is None for a separable
+    model; for a table it is (F under the refined energy rule, Gamma
+    pbar), with pbar the mean momentum over the spectral weight."""
+    check = None
     if em.table is not None:
-        a0, a1, a2 = _table_surface_moments(em, m_atom, angular, energy,
-                                            refined)
+        a0, a1, a2 = _table_surface_moments(em, m_atom, energy)
         tot, pbar = a0[:2] @ em.areas
         pbar /= max(tot, 1e-300)
+        f_t, f_r = _force_from_a1(em.points, em.areas[:, None] * a1[3])
+        check = (ForceTorque6(-f_t, -f_r), float(np.sum(em.node_rates)) * pbar)
         a1, a2, w1, w2 = a1[1], a2[2], em.areas, em.areas
     else:
         _, a1, a2 = _axial_moments_to_tensors(em.axes, *em.law.moments)
@@ -192,7 +203,7 @@ def _moment_blocks(em: Emitters, m_atom, angular, energy, refined=False):
     m = 0.5 * (m + m.T)  # kill roundoff skew only
     f_t, f_r = _force_from_a1(em.points, w1[:, None] * a1)
     return (Diffusion6(m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]),
-            ForceTorque6(-f_t, -f_r), pbar)
+            ForceTorque6(-f_t, -f_r), check)
 
 
 def _skews(s: np.ndarray) -> np.ndarray:
@@ -217,26 +228,6 @@ def _force_from_a1(s: np.ndarray, wa1: np.ndarray):
     return wa1.sum(axis=0), np.einsum("iab,ib->a", sx, wa1)
 
 
-def _diffusion_change(a: Diffusion6, b: Diffusion6) -> float:
-    """Largest per-block relative change between two diffusion tensors.
-
-    The blocks carry different units, so each is scaled by its own
-    magnitude; the cross blocks are floored by the geometric mean of the
-    diagonal-block scales so that pure-roundoff cross blocks cannot trip
-    the check.
-    """
-    s_tt = max(np.max(np.abs(a.d_tt)), np.max(np.abs(b.d_tt)), 1e-300)
-    s_rr = max(np.max(np.abs(a.d_rr)), np.max(np.abs(b.d_rr)), 1e-300)
-    s_cross = max(np.max(np.abs(a.d_tr)), np.max(np.abs(b.d_tr)),
-                  np.sqrt(s_tt) * np.sqrt(s_rr), 1e-300)
-    return max(
-        float(np.max(np.abs(a.d_tt - b.d_tt))) / s_tt,
-        float(np.max(np.abs(a.d_rr - b.d_rr))) / s_rr,
-        float(np.max(np.abs(a.d_tr - b.d_tr))) / s_cross,
-        float(np.max(np.abs(a.d_rt - b.d_rt))) / s_cross,
-    )
-
-
 def transport(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
               angular: AngularQuadrature = _DEF_ANG,
               energy: EnergyQuadrature = _DEF_EN,
@@ -245,33 +236,29 @@ def transport(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
               ) -> tuple[Diffusion6, ForceTorque6]:
     """D and F in the body frame from one pass, exact for a separable model.
 
-    A tabulated flux with check_convergence set is also contracted with
-    the refined rules (the surface rule is not refined), and the refined
-    D and F are returned. QuadratureNotConverged is raised if a block of
-    D moves by more than convergence_tol of its magnitude, the force by
-    more than convergence_tol Gamma pbar (the momentum flux, pbar from the
-    coarse pass) or the torque by more than convergence_tol Gamma pbar R,
-    with R the largest emitter radius.
+    angular is accepted and ignored. A tabulated flux is contracted once;
+    D and the cos level are exact, and F is also taken under the refined
+    energy rule (the surface rule is not refined). With check_convergence
+    set, the refined F is returned, and QuadratureNotConverged is raised if
+    the force moves by more than convergence_tol Gamma pbar (the momentum
+    flux) or the torque by more than convergence_tol Gamma pbar R, with R
+    the largest emitter radius.
     """
     em = split(model, q)
-    d, ft, pbar = _moment_blocks(em, m_atom, angular, energy)
-    if not check_convergence or em.table is None:
+    d, ft, check = _moment_blocks(em, m_atom, energy)
+    if not check_convergence or check is None:
         return d, ft
-    d_fine, ft_fine, _ = _moment_blocks(em, m_atom, angular, energy, True)
     # scale against the momentum flux, not the (possibly zero) force
-    f_scale = float(np.sum(em.node_rates)) * pbar
+    ft_fine, f_scale = check
     t_scale = f_scale * em.radius
-    dd = _diffusion_change(d, d_fine)
     df = float(np.max(np.abs(ft.force - ft_fine.force)))
     dt = float(np.max(np.abs(ft.torque - ft_fine.torque)))
-    if (dd > convergence_tol
-            or df > convergence_tol * max(f_scale, 1e-300)
+    if (df > convergence_tol * max(f_scale, 1e-300)
             or dt > convergence_tol * max(t_scale, 1e-300)):
         raise QuadratureNotConverged(
-            f"diffusion tensor changed by {dd:.3g}, force by {df:.3g} "
-            f"(scale {f_scale:.3g}), torque by {dt:.3g} (scale {t_scale:.3g}) "
-            "under refinement")
-    return d_fine, ft_fine
+            f"force changed by {df:.3g} (scale {f_scale:.3g}), torque by "
+            f"{dt:.3g} (scale {t_scale:.3g}) under refinement")
+    return d, ft_fine
 
 
 def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
@@ -280,7 +267,7 @@ def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                      check_convergence: bool = True,
                      convergence_tol: float = 1e-6) -> Diffusion6:
     """Momentum diffusion tensor D (body frame): transport(...)[0]. A
-    tabulated flux is checked as in transport, its F included."""
+    tabulated flux is checked as in transport, which checks F."""
     return transport(model, q, m_atom, angular, energy, check_convergence,
                      convergence_tol)[0]
 
@@ -291,8 +278,7 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  check_convergence: bool = True,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
     """Thermophoresis-like force and torque F (body frame):
-    transport(...)[1]. A tabulated flux is checked as in transport, its D
-    included."""
+    transport(...)[1]. A tabulated flux is checked as in transport."""
     return transport(model, q, m_atom, angular, energy, check_convergence,
                      convergence_tol)[1]
 

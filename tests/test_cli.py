@@ -61,7 +61,7 @@ def test_tensors_matches_golden(tmp_path):
 
 def test_tensors_negative_radius_exit2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"tensors": {}})
-    bad = json.loads(open(cfg).read())
+    bad = json.loads(pathlib.Path(cfg).read_text())
     bad["body"]["radius_m"] = -1.0
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(bad))
@@ -124,9 +124,17 @@ def test_resolution_scale_rejected_exit2(tmp_path, capsys, scale):
     assert "--resolution-scale" in capsys.readouterr().err
 
 
+def test_resolution_scale_below_minimum_exit2(tmp_path, capsys):
+    # 48 x 1e-6 rounds to 0 surface rings: refused, not clamped to 1
+    cfg = write_config(tmp_path, {"tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", str(tmp_path / "t.json"),
+                "--resolution-scale", "1e-6"]) == 2
+    assert "quadrature.surface_resolution" in capsys.readouterr().err
+
+
 def test_tensors_table_one_contraction_per_level(tmp_path, monkeypatch):
-    # D and F of a table come from one pass: the coarse and the refined
-    # contraction, each run once
+    # D and F of a table come from one pass and one contraction, which
+    # also carries the refined energy weights of the check
     q = build_quadrature(BodySpec(Sphere(7.5e-8)), 4)
     e_max = 12.0 * KB * 300.0
     rows = ["node_index,cos_theta,E_joule,value"]
@@ -144,7 +152,7 @@ def test_tensors_table_one_contraction_per_level(tmp_path, monkeypatch):
                         lambda *a: calls.append(1) or contract(*a))
     assert run(["tensors", "--config", cfg, "--out",
                 str(tmp_path / "t.json")]) == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_locmap_rows(tmp_path):

@@ -68,6 +68,16 @@ def test_unknown_keys_rejected_with_path(mutate, key):
     ("simulate.n_trajectories", "abc"),
     ("simulate.n_trajectories", 8.9),
     ("simulate.n_times", 2.5),
+    ("simulate.compare", "no"),
+    ("locmap.check_convergence", "false"),
+    ("locmap.pairs", 5),
+    ("body.center_of_mass_m", "abc"),
+    ("body.inertia_body_kg_m2", "abc"),
+    pytest.param("body.inertia_body_kg_m2", [[1.0, 0.0], [0.0, 1.0]],
+                 id="body.inertia_body_kg_m2-2x2"),
+    pytest.param("body.inertia_body_kg_m2",
+                 [[1.0, 0.0, 0.0], [0.0, float("nan"), 0.0], [0.0, 0.0, 1.0]],
+                 id="body.inertia_body_kg_m2-nan"),
 ])
 def test_malformed_numbers_rejected_with_key(path, value):
     raw = base_raw()
@@ -102,8 +112,18 @@ def test_malformed_numbers_rejected_with_key(path, value):
     (lambda r: r["locmap"]["random"].update(max_angle_rad="x"),
      "'locmap.random.max_angle_rad' must be a finite number"),
     (lambda r: r.pop("atom"), "missing key 'atom'"),
+    (lambda r: r.update(body={"shape": "cylinder", "radius_m": 5e-8,
+                              "half_length_m": 1.1e-7, "capped": "false"}),
+     "'body.capped' must be true or false"),
+    (lambda r: r.update(body={"shape": "mesh", "obj_path": 987654}),
+     "'body.obj_path' must be a string"),
+    (lambda r: r.update(body={"shape": "mesh", "obj_path": "no/such.obj"}),
+     "body.obj_path: "),
+    (lambda r: r.update(flux={"model": "tabulated", "csv_path": 987654}),
+     "'flux.csv_path' must be a string"),
 ], ids=["atom", "quadrature", "locmap", "simulate", "pair", "times", "lengths",
-        "dx_scale", "max_angle", "missing_top_key"])
+        "dx_scale", "max_angle", "missing_top_key", "capped", "obj_path",
+        "obj_missing", "csv_path"])
 def test_malformed_blocks_fail_at_the_boundary(mutate, message):
     raw = base_raw()
     raw["locmap"] = {"random": {"count": 1, "delta_x_scale_m": 1e-9}}
@@ -167,6 +187,15 @@ def test_outgas_preset_override_temperature():
     rate, temperature, area, note = parse_outgas_block(parse_config(raw))
     assert temperature == 300.0
     assert note is not None
+
+
+def test_outgas_preset_must_be_a_string():
+    raw = base_raw()
+    del raw["flux"]
+    raw["outgas"] = {"preset": [5]}
+    with pytest.raises(ConfigError,
+                       match=re.escape("'outgas.preset' must be a string")):
+        parse_outgas_block(parse_config(raw))
 
 
 def test_read_flux_csv_by_node_index(tmp_path):

@@ -375,37 +375,51 @@ def test_table_contraction_matches_energy_loop(random_table, refined):
     q, table = random_table
     em = split(table, q)
 
-    def blocks(n_polar, n_nodes):
-        d, ft, pbar = _moment_blocks(em, N2_MASS, AngularQuadrature(n_polar),
-                                     EnergyQuadrature(n_nodes), refined)
-        return (d.d_tt, d.d_tr, d.d_rt, d.d_rr, ft.force, ft.torque), pbar
+    def blocks(n_nodes):
+        d, ft, (ft_fine, scale) = _moment_blocks(em, N2_MASS,
+                                                 EnergyQuadrature(n_nodes))
+        f = ft_fine if refined else ft
+        return (d.d_tt, d.d_tr, d.d_rt, d.d_rr, f.force, f.torque), scale
 
-    # every block, and the inputs of the force check's scale Gamma pbar,
-    # against the energy loop; on this grid the refined rules are those of
-    # twice the orders
-    got, pbar = blocks(32, 40)
-    k = 2 if refined else 1
-    ref, (tot, p_sum) = _reference_table_blocks(
-        table, q, N2_MASS, AngularQuadrature(32 * k), EnergyQuadrature(40 * k))
+    # D and the coarse F against the energy loop at the order, the refined
+    # F against it at twice the order (on this grid the refined rule is
+    # that of 2n), and the force check's scale Gamma pbar against the
+    # loop's spectral weights; the loop's cos rule has 7 points per
+    # segment, the contraction's 3
+    def reference(n_nodes):
+        return _reference_table_blocks(table, q, N2_MASS, AngularQuadrature(32),
+                                       EnergyQuadrature(n_nodes))
+
+    got, scale = blocks(40)
+    ref, (tot, p_sum) = reference(40)
+    if refined:
+        ref = ref[:4] + reference(80)[0][4:]
     for g, r in zip(got, ref):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
-    assert abs(pbar / (p_sum / tot) - 1.0) <= 1e-12
+    assert abs(scale / (total_rate(table, q) * p_sum / tot) - 1.0) <= 1e-12
     assert abs(np.sum(em.node_rates) / total_rate(table, q) - 1.0) <= 1e-12
     assert em.radius == q.max_radius()
 
-    # the cos level is exact, and so is D's energy level (p^2 is linear in
-    # E); only F's energy level carries error, as p is not polynomial in E
+    # D's energy level is exact (p^2 is linear in E); F's carries error,
+    # as p is not polynomial in E
     def change(a, b):
         return max(np.max(np.abs(x - y)) / np.max(np.abs(y))
                    for x, y in zip(a, b))
 
-    levels = {orders: blocks(*orders)[0]
-              for orders in [(32, 4), (32, 160), (2, 40), (128, 40)]}
+    levels = {n: blocks(n)[0] for n in (4, 160)}
     for other in levels.values():
         assert change(other[:4], got[:4]) <= 1e-13
-    assert change(levels[2, 40][4:], levels[128, 40][4:]) <= 1e-12
-    assert change(levels[32, 4][4:], got[4:]) > 1e-5
-    assert change(levels[32, 160][4:], got[4:]) > 1e-6
+    assert change(levels[4][4:], got[4:]) > 1e-5
+    assert change(levels[160][4:], got[4:]) > 1e-6
+
+
+def test_table_tensors_ignore_angular_order(random_table):
+    # the cos rule is exact at a fixed order: the angular order is unread
+    q, table = random_table
+    d, f = zip(*(transport(table, q, N2_MASS, AngularQuadrature(n))
+                 for n in (2, 128)))
+    assert d[0].matrix.tobytes() == d[1].matrix.tobytes()
+    assert f[0].vector.tobytes() == f[1].vector.tobytes()
 
 
 def test_table_force_check_is_live():
@@ -448,9 +462,10 @@ def test_table_force_check_is_live_on_fine_grid():
         force_torque(table, q, N2_MASS)
 
 
-@pytest.mark.parametrize("check, contractions", [(True, 2), (False, 1)])
-def test_transport_is_one_pass(random_table, monkeypatch, check, contractions):
-    # one split, one table contraction per level, and D and F both returned
+@pytest.mark.parametrize("check", [True, False])
+def test_transport_is_one_pass(random_table, monkeypatch, check):
+    # one split and one table contraction, which carries the refined
+    # energy weights of the check, and D and F both returned
     q, table = random_table
     calls = []
     for name in ("split", "_table_surface_moments"):
@@ -460,7 +475,7 @@ def test_transport_is_one_pass(random_table, monkeypatch, check, contractions):
     d, ft = transport(table, q, N2_MASS, check_convergence=check)
     assert isinstance(d, Diffusion6) and isinstance(ft, ForceTorque6)
     assert calls.count("split") == 1
-    assert calls.count("_table_surface_moments") == contractions
+    assert calls.count("_table_surface_moments") == 1
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
