@@ -69,11 +69,19 @@ def _dump_json(doc, out_path) -> None:
     _write_text(out_path, _emit_json(doc) + "\n")
 
 
+def _open_out(out_path):
+    try:
+        return open(out_path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"--out '{out_path}' cannot be written: "
+                          f"{exc.strerror}") from None
+
+
 def _write_text(out_path, text: str) -> None:
     if out_path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
+        with _open_out(out_path) as fh:
             fh.write(text)
 
 
@@ -83,7 +91,7 @@ def _stream_text(out_path, chunks) -> None:
             sys.stdout.write(chunk)
             sys.stdout.flush()
         return
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
+    with _open_out(out_path) as fh:
         for chunk in chunks:
             fh.write(chunk)
             fh.flush()

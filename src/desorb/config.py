@@ -182,7 +182,12 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
         path = f"quadrature.{key}"
         n = _integer(_get(quad_block, key, "quadrature", required=False,
                           default=default), path, minimum)
-        scaled = int(round(n * resolution_scale))
+        try:
+            scaled = int(round(n * resolution_scale))
+        except (OverflowError, ValueError):   # round(inf), round(nan)
+            raise ConfigError(f"'{path}' = {n} times --resolution-scale "
+                              f"{resolution_scale:g} is not a finite "
+                              f"order") from None
         if scaled < minimum:
             raise ConfigError(f"'{path}' = {n} times --resolution-scale "
                               f"{resolution_scale:g} is {scaled}, below "

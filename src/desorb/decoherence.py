@@ -21,14 +21,18 @@ spectrum's characteristic function chi, exact for Maxwell-Boltzmann
 over its own rule for a tabulated spectrum. The mu integral of chi
 against the profile's panel-wise quadratic interpolant then takes
 Filon-type panel moments, so the accuracy is uniform in the recoil
-phase. A tabulated flux is not separable; it is integrated node by
-node of its energy rule with pure-phase moments. The smooth and
+phase. For a translation (R = R') of an axial law, n . R nu is
+A + B cos(phi - phi') on each mu ring, and the phi integral of the law
+is closed form (AxialLaw.ring), so n_azimuth is read only for R != R'
+and for tables. A tabulated flux is not separable; it is integrated
+node by node of its energy rule with pure-phase moments. The smooth and
 oscillatory parts share one grid, so the rate vanishes identically (to
 the last bit) for identical poses.
 
 The 2x self-check samples the angular grid once, at the refined level,
-and takes the coarse level as every other sample in mu and phi. It
-compares both Re F and Im F and returns the refined values.
+and takes the coarse level as every other sample in mu and phi (in mu
+only, for a closed-form translation). It compares both Re F and Im F
+and returns the refined values.
 """
 
 from __future__ import annotations
@@ -96,7 +100,9 @@ class LocalizationRate:
 @dataclass(frozen=True)
 class DecoherenceQuadrature:
     """Resolution of the aligned-axis angular grid, and of the energy
-    rule of a tabulated flux (other spectra are integrated exactly)."""
+    rule of a tabulated flux (other spectra are integrated exactly).
+    n_azimuth is read only for pairs with R != R' and for tables: a
+    translation of an axial law integrates phi in closed form."""
 
     n_mu_panels: int = 96       # polar Filon panels (2n+1 samples)
     n_azimuth: int = 64
@@ -137,14 +143,23 @@ def _grid_cosines(axis, e1, e2, target, mu, sin_t, cphi, sphi):
     return out
 
 
+def _profile_terms(g2, static, weights):
+    """Per-node (re, im) of the phi-integrated sqrt(a b) profile g2.
+
+    static is the rule at zero phase and weights the Filon weights per
+    node. Re F takes g2 on static - Re(weights), which is exactly zero at
+    zero phase: identical poses give 0 to the last bit.
+    """
+    return (np.einsum("im,im->i", g2, static.real - weights.real),
+            np.einsum("im,im->i", g2, weights.imag))
+
+
 def _level_terms(a, b, step, n_azimuth, static, weights):
     """Per-node (re, im) from the two profiles on every step-th sample.
 
-    b is None when both poses see the same profile. static is the rule
-    at zero phase and weights the Filon weights per node. Re F takes
+    b is None when both poses see the same profile. Re F takes
     (sqrt a - sqrt b)^2 / 2, summed over phi as (a + b) / 2 - sqrt(a b),
-    on the static rule, plus sqrt(a b) on static - Re(weights), which is
-    exactly zero at zero phase: identical poses give 0 to the last bit.
+    on the static rule, plus the terms of _profile_terms.
     """
     dphi = 2.0 * np.pi / n_azimuth
     a = a[:, ::step, ::step]
@@ -154,11 +169,11 @@ def _level_terms(a, b, step, n_azimuth, static, weights):
     else:
         b = b[:, ::step, ::step]
         g2 = dphi * np.sqrt(a * b).sum(axis=2)
-    re = np.einsum("im,im->i", g2, static.real - weights.real)
+    re, im = _profile_terms(g2, static, weights)
     if b is not None:
         gdiff = 0.5 * dphi * (sum_a + b.sum(axis=2)) - g2
         re += gdiff @ static.real
-    return re, np.einsum("im,im->i", g2, weights.imag)
+    return re, im
 
 
 def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
@@ -206,12 +221,23 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     e1, e2 = frames(axis)
     mu = filon_grid(fine.n_mu_panels)
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
+    nu_r = axes @ pair.rotation.T        # R nu
+    out = np.zeros((len(levels), 2))
+    if table is None and rotated_alike:
+        # n . R nu = A + B cos(phi - phi'): the law's phi integral in closed form
+        c0 = np.einsum("ia,ia->i", axis, nu_r)
+        rho = np.hypot(np.einsum("ia,ia->i", e1, nu_r),
+                       np.einsum("ia,ia->i", e2, nu_r))
+        g2 = em.law.ring(c0[:, None] * mu, rho[:, None] * sin_t)
+        for j, lv in enumerate(levels):
+            step = fine.n_mu_panels // lv.n_mu_panels
+            re, im = _profile_terms(g2[:, ::step], static[j], weights[j])
+            out[j] = node_weights @ re, node_weights @ im
+        return [tuple(row) for row in out]
+
     phi = 2.0 * np.pi * np.arange(fine.n_azimuth) / fine.n_azimuth
     cphi, sphi = np.cos(phi), np.sin(phi)
-    nu_r = axes @ pair.rotation.T        # R nu
     nu_rp = axes @ pair.rotation_prime.T
-
-    out = np.zeros((len(levels), 2))
     for lo in range(0, len(points), fine.node_chunk):
         idx = np.arange(lo, min(lo + fine.node_chunk, len(points)))
         grid = (axis[idx], e1[idx], e2[idx])

@@ -77,19 +77,40 @@ class AxialLaw:
     `integral` is the solid-angle integral 2 pi int f dmu, the share of
     the rate prefactor that is emitted; `moments` holds the exact
     t_k = int f(mu) mu^k dmu over [-1, 1], k = 0, 1, 2 (shape (3, 1));
-    `mu_of` maps uniform variates on [0, 1) to draws of mu.
+    `mu_of` maps uniform variates on [0, 1) to draws of mu. `linear`
+    holds (alpha, beta, half): f = alpha + beta mu on mu > 0 if half,
+    else on all of [-1, 1], and 0 elsewhere.
     """
 
     delta = False
 
-    def __init__(self, integral: float, moments, density, mu_of):
+    def __init__(self, integral: float, moments, density, mu_of, linear):
         self.integral = integral
         self.moments = np.array(moments, dtype=float)[:, None]
         self._density = density
         self._mu_of = mu_of
+        self._linear = linear
 
     def density(self, mu):
         return self._density(np.asarray(mu, dtype=float))
+
+    def ring(self, a, b):
+        """int_0^2pi f(a + b cos phi) dphi for b >= 0, in closed form.
+
+        The integrand is nonzero on |phi| < phi0, phi0 = arccos(-a / b)
+        clipped to [0, pi] (pi where f covers the whole sphere), so the
+        integral is 2 [alpha phi0 + beta (a phi0 + b sin phi0)]. At b = 0,
+        phi0 is pi for a > 0 and 0 otherwise, as in the strict mu > 0.
+        """
+        alpha, beta, half = self._linear
+        if half:
+            x = np.where(b > 0.0, -a / np.where(b > 0.0, b, 1.0),
+                         np.where(a > 0.0, -1.0, 1.0))
+            x = np.clip(x, -1.0, 1.0)
+            phi0, sin0 = np.arccos(x), np.sqrt((1.0 - x) * (1.0 + x))
+        else:
+            phi0, sin0 = np.pi, 0.0
+        return 2.0 * (alpha * phi0 + beta * (a * phi0 + b * sin0))
 
     def directions(self, axes: np.ndarray, rng: np.random.Generator):
         """One direction per row of axes: mu from the law, then phi."""
@@ -102,7 +123,7 @@ class _Delta(AxialLaw):
     delta = True
 
     def __init__(self):
-        super().__init__(1.0, np.full(3, 0.5 / np.pi), None, None)
+        super().__init__(1.0, np.full(3, 0.5 / np.pi), None, None, None)
 
     def density(self, mu):
         raise ValueError("fixed-direction site has no pointwise angular density")
@@ -112,13 +133,14 @@ class _Delta(AxialLaw):
 
 
 COSINE = AxialLaw(1.0, np.array([1 / 2, 1 / 3, 1 / 4]) / np.pi,
-                  lambda mu: np.maximum(mu, 0.0) / np.pi, np.sqrt)
+                  lambda mu: np.maximum(mu, 0.0) / np.pi, np.sqrt,
+                  (0.0, 1.0 / np.pi, True))
 HEMISPHERE = AxialLaw(0.5, np.array([1 / 4, 1 / 8, 1 / 12]) / np.pi,
                       lambda mu: np.where(mu > 0.0, 1.0 / (4.0 * np.pi), 0.0),
-                      lambda u: u)
+                      lambda u: u, (1.0 / (4.0 * np.pi), 0.0, True))
 SPHERE = AxialLaw(1.0, np.array([1 / 2, 0.0, 1 / 6]) / np.pi,
                   lambda mu: np.full_like(mu, 1.0 / (4.0 * np.pi)),
-                  lambda u: 2.0 * u - 1.0)
+                  lambda u: 2.0 * u - 1.0, (1.0 / (4.0 * np.pi), 0.0, False))
 DELTA = _Delta()
 
 

@@ -223,6 +223,21 @@ def test_simulate_zero_trajectories_exit2(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", "-"]) == 2
 
 
+def test_unwritable_out_exit2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"quadrature": {"surface_resolution": 8},
+                                  "simulate": {"duration_s": 1.0,
+                                               "n_trajectories": 10}})
+    missing = tmp_path / "missing" / "t.json"
+    assert run(["tensors", "--config", cfg, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert "--out" in err and str(missing) in err
+    # simulate writes its CSV, then fails on the report path
+    out = tmp_path / "s.csv"
+    (tmp_path / "s.csv.report.json").mkdir()
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert f"{out}.report.json" in capsys.readouterr().err
+
+
 def test_locmap_zero_azimuth_exit2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"locmap": {
         "pairs": [{"delta_x_m": [1e-9, 0.0, 0.0]}], "n_azimuth": 0}})

@@ -289,3 +289,15 @@ def test_missing_required_keys():
     with pytest.raises(ConfigError) as err:
         parse_config(raw)
     assert "radius_m" in str(err.value)
+
+
+@pytest.mark.parametrize("key,value,scale", [
+    ("surface_resolution", 8, 1e308), ("surface_resolution", 8, float("nan")),
+    ("surface_resolution", 10**400, 1.0), ("energy_nodes", 10**400, 1.0)],
+    ids=["scale_1e308", "scale_nan", "huge_resolution", "huge_energy_nodes"])
+def test_overflowing_order_is_config_error(key, value, scale):
+    # the scaled order fails before any rule is built
+    raw = base_raw()
+    raw["quadrature"][key] = value
+    with pytest.raises(ConfigError, match=f"quadrature.{key}"):
+        parse_config(raw, resolution_scale=scale)

@@ -230,6 +230,31 @@ def test_quadrature_not_converged(q_small, cosine_mono):
         localization_rate(pair, cosine_mono, q_small, N2_MASS, quad)
 
 
+@pytest.mark.parametrize("model", [
+    CosineLaw(MaxwellBoltzmannFlux(300.0), RATE),
+    Isotropic(Monoenergetic(E_MODERATE), RATE),
+    SingleSite([0.0, 0.0, SPHERE_RADIUS], CosineDirection([0.0, 0.6, 0.8]),
+               MaxwellBoltzmannFlux(300.0), 5.0)],
+    ids=["cosine", "isotropic", "site_cosine"])
+def test_translation_has_no_azimuth_level(q_small, model):
+    # R = R': the phi integral is closed form, so n_azimuth is never read
+    rot = rotation_from_w([0.4, -0.2, 0.9])
+    pair = PosePair([2e-11, -1e-11, 3e-11], rot, rot)
+    rates = [localization_rate(pair, model, q_small, N2_MASS,
+                               DecoherenceQuadrature(n_azimuth=n))
+             for n in (6, 128)]
+    assert rates[0].re > 0.0
+    assert rates[0] == rates[1]
+
+
+def test_translation_check_is_live(q_small, cosine_mono):
+    # the 2x check of a translation still refines the mu panels
+    quad = DecoherenceQuadrature(n_mu_panels=2, convergence_tol=1e-10)
+    pair = PosePair([0.0, 0.0, 2e3 * HBAR / P_MODERATE])
+    with pytest.raises(QuadratureNotConverged):
+        localization_rate(pair, cosine_mono, q_small, N2_MASS, quad)
+
+
 def test_coherence_map_rows(q_small, cosine_mono):
     gamma = total_rate(cosine_mono, q_small)
     rot = rotation_from_w([0.2, 0.0, 0.4])

@@ -5,10 +5,10 @@ from scipy import stats
 from desorb.constants import KB, TORR_L_PER_CM2_S
 from desorb.decoherence import PosePair, localization_rate
 from desorb.errors import ConfigError, DesorbError, NonFinite, NotUnit
-from desorb.flux import (CosineLaw, EventSampler, FixedDirection, Isotropic,
-                         IsotropicDirection, SingleSite, TabulatedFlux,
-                         flux_eval, node_emission_rates, outgas_rate,
-                         total_rate)
+from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineLaw, EventSampler,
+                         FixedDirection, Isotropic, IsotropicDirection,
+                         SingleSite, TabulatedFlux, flux_eval,
+                         node_emission_rates, outgas_rate, total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor, force_torque
 from desorb.quadrules import frames, gauss_legendre
@@ -68,6 +68,31 @@ def test_cosine_solid_angle_integral_lebedev_oracle(cosine_model):
     hvals = np.array([flux_eval(cosine_model, n, np.zeros(3), nu, e)
                       for n in hn])
     assert abs(np.sum(hw * hvals) / target - 1.0) < 1e-12
+
+
+_RING_EDGES = [(0.3, 0.0), (-0.3, 0.0), (0.0, 0.0), (0.0, 0.7), (0.4, 0.4),
+               (-0.4, 0.4), (1.0, 0.0), (-1.0, 0.0)]
+
+
+@pytest.mark.parametrize("law", [COSINE, HEMISPHERE, SPHERE],
+                         ids=["cosine", "hemisphere", "sphere"])
+def test_ring_matches_midpoint_phi_sum(law):
+    # int_0^2pi f(a + b cos phi) dphi against a 2^16-point midpoint sum; a
+    # jump of f at mu = 0 (HEMISPHERE's step) costs the midpoint sum up to
+    # half a cell of the jump at each of the two edges, so that is added
+    n = 2**16
+    dphi = 2.0 * np.pi / n
+    cphi = np.cos((np.arange(n) + 0.5) * dphi)
+    jump = float(law.density(1e-300) - law.density(-1e-300))
+    rng = np.random.default_rng(20261018)
+    rand = rng.uniform(0.0, 1.0, (64, 2)) * [2.0, 1.0] - [1.0, 0.0]
+    rand[:, 1] *= np.sqrt(1.0 - rand[:, 0] ** 2)   # a^2 + b^2 <= 1
+    for a, b in [*_RING_EDGES, *rand]:
+        ref = dphi * law.density(a + b * cphi).sum()
+        assert abs(law.ring(a, b) - ref) <= 1e-8 + jump * dphi
+    a, b = rand.T
+    assert np.array_equal(law.ring(a, b),
+                          [law.ring(ai, bi) for ai, bi in zip(a, b)])
 
 
 def test_flux_requires_unit_direction(cosine_model):
