@@ -26,9 +26,8 @@ from .moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
                       ForceTorque6, analytic_cosine_tensor, diffusion_tensor,
                       force_torque, predict_moments, spectral_momentum_moments,
                       transport)
-from .montecarlo import (ComparisonReport, EnsembleMoments, Trajectory,
-                         compare_to_prediction, simulate_ensemble,
-                         simulate_trajectory)
+from .montecarlo import (ComparisonReport, EnsembleMoments,
+                         compare_to_prediction, simulate_ensemble)
 from .rotations import (Pose, momentum_from_energy, polar_project,
                         random_rotation, rotation_from_w, skew,
                         w_from_rotations)

@@ -9,7 +9,9 @@ outputs. `--threads` is accepted and ignored. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 import numpy as np
@@ -69,12 +71,32 @@ def _dump_json(doc, out_path) -> None:
     _write_text(out_path, _emit_json(doc) + "\n")
 
 
+def _unwritable(out_path, reason: str) -> ConfigError:
+    return ConfigError(f"--out '{out_path}' cannot be written: {reason}")
+
+
+def _check_out(out_path) -> None:
+    """Fail before any computation on an output path that cannot be
+    written. It only looks: nothing is created or truncated."""
+    if out_path in (None, "-"):
+        return
+    folder = os.path.dirname(out_path) or os.curdir
+    if not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif os.path.isdir(out_path):
+        code = errno.EISDIR
+    elif not os.access(folder, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise _unwritable(out_path, os.strerror(code))
+
+
 def _open_out(out_path):
     try:
         return open(out_path, "w", encoding="utf-8", newline="")
     except OSError as exc:
-        raise ConfigError(f"--out '{out_path}' cannot be written: "
-                          f"{exc.strerror}") from None
+        raise _unwritable(out_path, exc.strerror) from None
 
 
 def _write_text(out_path, text: str) -> None:
@@ -176,6 +198,9 @@ def cmd_locmap(cfg: RunConfig, out_path) -> int:
 def cmd_simulate(cfg: RunConfig, out_path) -> int:
     model = _require_flux(cfg)
     duration, n_traj, n_times, compare = parse_simulate_block(cfg)
+    report_path = None if out_path in (None, "-") else out_path + ".report.json"
+    if compare:
+        _check_out(report_path)
     em = simulate_ensemble(model, cfg.quadrature, cfg.atom_mass, duration,
                            n_traj, cfg.seed, n_times=n_times)
     lines = [_metadata_comment(cfg, "simulate")]
@@ -210,7 +235,6 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
             "passed": report.passed,
             "max_abs_z": report.max_abs_z,
         }
-        report_path = None if out_path in (None, "-") else out_path + ".report.json"
         _dump_json(doc, report_path)
         sys.stdout.write(report.summary() + "\n")
     return EXIT_OK
@@ -289,6 +313,7 @@ def main(argv=None) -> int:
     try:
         if not 0.0 < args.resolution_scale < np.inf:
             raise ConfigError("--resolution-scale must be finite and > 0")
+        _check_out(args.out)
         if args.command == "validate" and args.config is None:
             cfg = None
         else:

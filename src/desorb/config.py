@@ -16,7 +16,7 @@ from typing import Any, Optional
 import numpy as np
 
 from .decoherence import DecoherenceQuadrature, PosePair
-from .errors import ConfigError
+from .errors import AngleOutOfRange, ConfigError
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    Isotropic, IsotropicDirection, SingleSite, read_flux_csv)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
@@ -79,6 +79,13 @@ def _positive(value, path: str) -> float:
     v = _number(value, path)
     if v <= 0:
         raise ConfigError(f"'{path}' must be positive, got {value}")
+    return v
+
+
+def _nonnegative(value, path: str) -> float:
+    v = _number(value, path)
+    if v < 0:
+        raise ConfigError(f"'{path}' must be >= 0, got {value}")
     return v
 
 
@@ -364,11 +371,8 @@ def parse_locmap_block(cfg: RunConfig):
         path = f"locmap.pairs[{i}]"
         _check_keys(p, {"delta_x_m", "w", "w_prime"}, path)
         dx = _vector3(_get(p, "delta_x_m", path), f"{path}.delta_x_m")
-        rot = rotation_from_w(_vector3(p["w"], f"{path}.w")) if "w" in p \
-            else np.eye(3)
-        rotp = rotation_from_w(_vector3(p["w_prime"], f"{path}.w_prime")) \
-            if "w_prime" in p else np.eye(3)
-        pairs.append(PosePair(dx, rot, rotp))
+        pairs.append(_pose_pair(dx, _rotation(p, "w", path),
+                                _rotation(p, "w_prime", path), path))
     if "ray" in block:
         ray = block["ray"]
         _check_keys(ray, {"direction", "lengths_m"}, "locmap.ray")
@@ -389,14 +393,15 @@ def parse_locmap_block(cfg: RunConfig):
                          "locmap.random.count", 0)
         scale = _number(_get(rnd, "delta_x_scale_m", "locmap.random"),
                         "locmap.random.delta_x_scale_m")
-        max_angle = _number(_get(rnd, "max_angle_rad", "locmap.random",
-                                 required=False, default=3.0),
-                            "locmap.random.max_angle_rad")
+        max_angle = _nonnegative(_get(rnd, "max_angle_rad", "locmap.random",
+                                      required=False, default=3.0),
+                                 "locmap.random.max_angle_rad")
         rng = stream(cfg.seed, "locmap-pairs")
-        for _ in range(count):
+        for k in range(count):
             dx = scale * rng.standard_normal(3)
-            pairs.append(PosePair(dx, _random_small_rotation(rng, max_angle),
-                                  _random_small_rotation(rng, max_angle)))
+            pairs.append(_pose_pair(dx, _random_small_rotation(rng, max_angle),
+                                    _random_small_rotation(rng, max_angle),
+                                    f"locmap.random pair {k}"))
     if not pairs:
         raise ConfigError("locmap block defines no pose pairs")
     quad = DecoherenceQuadrature(
@@ -408,9 +413,32 @@ def parse_locmap_block(cfg: RunConfig):
                                    "locmap.check_convergence"),
         convergence_tol=_positive(block.get("convergence_tol", 1e-3),
                                   "locmap.convergence_tol"))
-    times = _numbers(block.get("visibility_times_s", []),
-                     "locmap.visibility_times_s")
+    times = [_nonnegative(t, f"locmap.visibility_times_s[{i}]")
+             for i, t in enumerate(_list(block.get("visibility_times_s", []),
+                                         "locmap.visibility_times_s"))]
     return pairs, quad, times
+
+
+def _rotation(pair: dict, key: str, path: str) -> np.ndarray:
+    """The rotation exp([w]_x) of an optional axis-angle key, |w| < pi."""
+    if key not in pair:
+        return np.eye(3)
+    w = _vector3(pair[key], f"{path}.{key}")
+    try:
+        return rotation_from_w(w)
+    except AngleOutOfRange as exc:
+        raise ConfigError(f"'{path}.{key}': {exc}") from None
+
+
+def _pose_pair(dx, rot, rot_prime, name: str) -> PosePair:
+    """A pose pair whose relative rotation the locmap CSV can encode (a
+    ray's pairs need no check: R = R' = I)."""
+    pair = PosePair(dx, rot, rot_prime)
+    try:
+        pair.relative_angle_vector()
+    except AngleOutOfRange as exc:
+        raise ConfigError(f"'{name}': {exc}") from None
+    return pair
 
 
 def _random_small_rotation(rng, max_angle):

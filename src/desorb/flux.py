@@ -462,21 +462,20 @@ class EventSampler:
         if em.table is not None:
             self._cells = _TableCells(em.table)
 
-    def draw(self, rng: np.random.Generator, size: Optional[int] = None) -> EmissionSample:
-        """Draw `size` events. The stream is read for the point indices
-        (not for a single point), then mu and phi, then the energies; a
-        table draws its (mu, E) before phi."""
-        count = 1 if size is None else int(size)
+    def draw(self, rng: np.random.Generator, size: int) -> EmissionSample:
+        """Draw a batch of `size` events. The stream is read for the point
+        indices (not for a single point), then mu and phi, then the
+        energies; a table draws its (mu, E) before phi."""
         em = self.emitters
         if len(self._cdf) == 1:
-            idx = np.zeros(count, dtype=np.intp)
+            idx = np.zeros(size, dtype=np.intp)
         else:
-            idx = np.searchsorted(self._cdf, rng.random(count), side="right")
+            idx = np.searchsorted(self._cdf, rng.random(size), side="right")
             idx = np.clip(idx, 0, len(self._cdf) - 1)
         axes = em.axes[idx]
         if em.table is None:
             dirs = em.law.directions(axes, rng)
-            energies = np.atleast_1d(em.spectrum.sample(rng, count))
+            energies = em.spectrum.sample(rng, size)
         else:
             mu, energies = _sample_table(em.table, self._cells, idx, rng)
             dirs = _directions_about(axes, mu, rng)

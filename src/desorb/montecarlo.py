@@ -37,18 +37,6 @@ P_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """Single-particle record: piecewise-constant P, J and the event log."""
-
-    times: np.ndarray        # event times [s], sorted
-    momenta: np.ndarray      # (n_events + 1, 3) P after each event
-    angular: np.ndarray      # (n_events + 1, 3) J after each event
-    directions: np.ndarray   # (n_events, 3) emission directions
-    sites: np.ndarray        # (n_events, 3)
-    energies: np.ndarray     # (n_events,)
-
-
-@dataclass(frozen=True)
 class EnsembleMoments:
     """Per-time mean and covariance of (P, J) with jackknife errors."""
 
@@ -65,22 +53,6 @@ def _kicks(ev: EmissionSample, m_atom: float) -> np.ndarray:
     """(n, 6) kicks (-p n, -s x p n) of a batch of events on the particle."""
     atom_p = momentum_from_energy(ev.energies, m_atom)[:, None] * ev.directions
     return -np.hstack([atom_p, np.cross(ev.sites, atom_p)])
-
-
-def simulate_trajectory(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
-                        duration: float, rng: np.random.Generator) -> Trajectory:
-    """One trajectory with full event log (for inspection and tests).
-
-    The orientation is held at the reference during the run, the regime
-    in which the drift/diffusion predictions hold.
-    """
-    sampler = EventSampler(model, q)
-    n_events = rng.poisson(sampler.total * duration)
-    times = np.sort(rng.uniform(0.0, duration, n_events))
-    ev = sampler.draw(rng, size=n_events)
-    path = np.vstack([np.zeros(6), np.cumsum(_kicks(ev, m_atom), axis=0)])
-    return Trajectory(times, path[:, :3], path[:, 3:], ev.directions,
-                      ev.sites, ev.energies)
 
 
 def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,

@@ -55,9 +55,7 @@ class Monoenergetic:
         p = np.sqrt(2.0 * m_atom * self.energy)
         return phase_moments(p * np.asarray(t), p * np.asarray(tau))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        if size is None:
-            return self.energy
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.energy)
 
 
@@ -112,7 +110,7 @@ class MaxwellBoltzmannFlux:
         series = series_moments(np.where(small, tau, 0.0), derivs)
         return np.where(small, series, direct)
 
-    def sample(self, rng: np.random.Generator, size=None):
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Gamma(2) in units of kB T: sum of two exponentials
         return self.kt * (rng.standard_exponential(size)
                           + rng.standard_exponential(size))
@@ -162,21 +160,16 @@ class TabulatedSpectrum:
         return sum(wk * phase_moments(pk * t, pk * tau)
                    for pk, wk in zip(np.sqrt(2.0 * m_atom * e), w))
 
-    def sample(self, rng: np.random.Generator, size=None):
-        scalar = size is None
-        n = 1 if scalar else int(np.prod(size))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         e = self.energies
         v = self.values
         seg_mass = 0.5 * (v[:-1] + v[1:]) * np.diff(e)
         cdf = np.concatenate([[0.0], np.cumsum(seg_mass)])
         cdf /= cdf[-1]
-        u = rng.random(n)
+        u = rng.random(size)
         seg = np.clip(np.searchsorted(cdf, u, side="right") - 1, 0, len(seg_mass) - 1)
         u_loc = (u - cdf[seg]) / (cdf[seg + 1] - cdf[seg])
-        out = e[seg] + linear_draw(v[seg], v[seg + 1], u_loc) * np.diff(e)[seg]
-        if scalar:
-            return float(out[0])
-        return out.reshape(size)
+        return e[seg] + linear_draw(v[seg], v[seg + 1], u_loc) * np.diff(e)[seg]
 
 
 Spectrum = Monoenergetic | MaxwellBoltzmannFlux | TabulatedSpectrum

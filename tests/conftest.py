@@ -1,7 +1,20 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from desorb.geometry import BodySpec, Sphere, build_quadrature
+
+# property tests replay the same examples on every run and keep no example
+# database; hypothesis's cache of source constants goes to the temp dir,
+# so a test run writes no .hypothesis/ into the checkout
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("deterministic")
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "desorb-hypothesis")
 
 N2_MASS = 4.65e-26  # kg
 SPHERE_RADIUS = 75e-9  # m

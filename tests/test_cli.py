@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import desorb.cli
 import desorb.moments
 from desorb.cli import main
 from desorb.constants import HBAR, KB
@@ -223,19 +224,29 @@ def test_simulate_zero_trajectories_exit2(tmp_path):
     assert run(["simulate", "--config", cfg, "--out", "-"]) == 2
 
 
-def test_unwritable_out_exit2(tmp_path, capsys):
+def test_unwritable_out_exit2(tmp_path, capsys, monkeypatch):
+    # the paths are checked before anything is computed
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr(desorb.cli, "transport", never)
+    monkeypatch.setattr(desorb.cli, "simulate_ensemble", never)
     cfg = write_config(tmp_path, {"quadrature": {"surface_resolution": 8},
                                   "simulate": {"duration_s": 1.0,
                                                "n_trajectories": 10}})
     missing = tmp_path / "missing" / "t.json"
-    assert run(["tensors", "--config", cfg, "--out", str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert "--out" in err and str(missing) in err
-    # simulate writes its CSV, then fails on the report path
+    for command, out in (("tensors", missing), ("tensors", tmp_path),
+                         ("simulate", missing), ("outgas", missing),
+                         ("validate", missing)):
+        assert run([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out '{out}' cannot be written" in err
+    # a report path that is a directory fails before the CSV is written
     out = tmp_path / "s.csv"
     (tmp_path / "s.csv.report.json").mkdir()
     assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    assert f"{out}.report.json" in capsys.readouterr().err
+    assert f"--out '{out}.report.json'" in capsys.readouterr().err
+    assert not out.exists() and not missing.parent.exists()
 
 
 def test_locmap_zero_azimuth_exit2(tmp_path, capsys):

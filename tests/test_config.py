@@ -65,6 +65,9 @@ def test_unknown_keys_rejected_with_path(mutate, key):
     ("locmap.n_azimuth", 0),
     ("locmap.convergence_tol", -1),
     ("locmap.random.count", "x"),
+    ("locmap.random.max_angle_rad", -1),
+    pytest.param("locmap.visibility_times_s", [1.0, -1.0],
+                 id="locmap.visibility_times_s-negative"),
     ("simulate.n_trajectories", "abc"),
     ("simulate.n_trajectories", 8.9),
     ("simulate.n_times", 2.5),
@@ -111,6 +114,17 @@ def test_malformed_numbers_rejected_with_key(path, value):
      "'locmap.random.delta_x_scale_m' must be a finite number"),
     (lambda r: r["locmap"]["random"].update(max_angle_rad="x"),
      "'locmap.random.max_angle_rad' must be a finite number"),
+    (lambda r: r["locmap"].update(pairs=[{"delta_x_m": [0, 0, 0],
+                                          "w": [4.0, 0, 0]}]),
+     "'locmap.pairs[0].w': |w| = 4 not below pi"),
+    (lambda r: r["locmap"].update(pairs=[{"delta_x_m": [0, 0, 0]},
+                                         {"delta_x_m": [0, 0, 0],
+                                          "w_prime": [0, -3.5, 0]}]),
+     "'locmap.pairs[1].w_prime': |w| = 3.5 not below pi"),
+    (lambda r: r["locmap"].update(pairs=[{"delta_x_m": [0, 0, 0],
+                                          "w": [1.5707965, 0, 0],
+                                          "w_prime": [-1.5707965, 0, 0]}]),
+     "'locmap.pairs[0]': relative angle"),
     (lambda r: r.pop("atom"), "missing key 'atom'"),
     (lambda r: r.update(body={"shape": "cylinder", "radius_m": 5e-8,
                               "half_length_m": 1.1e-7, "capped": "false"}),
@@ -122,7 +136,8 @@ def test_malformed_numbers_rejected_with_key(path, value):
     (lambda r: r.update(flux={"model": "tabulated", "csv_path": 987654}),
      "'flux.csv_path' must be a string"),
 ], ids=["atom", "quadrature", "locmap", "simulate", "pair", "times", "lengths",
-        "dx_scale", "max_angle", "missing_top_key", "capped", "obj_path",
+        "dx_scale", "max_angle", "w", "w_prime", "w_rel_near_pi",
+        "missing_top_key", "capped", "obj_path",
         "obj_missing", "csv_path"])
 def test_malformed_blocks_fail_at_the_boundary(mutate, message):
     raw = base_raw()

@@ -451,7 +451,7 @@ def _mb_pose_pair(log_dx, direction, w, w_prime):
                     rotation_from_w(w_prime))
 
 
-@settings(max_examples=25, derandomize=True, deadline=None)
+@settings(max_examples=25)
 @given(_POSES)
 def test_mb_rate_bounds_and_swap_property(q_tiny, pose):
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)

@@ -150,22 +150,42 @@ def test_biased_rate_nonzero_force(sphere_quad_coarse):
     assert abs(ft.force[2]) > 1e-3 * gamma * j1
 
 
-def test_frame_covariance_random_rotations():
+def _gradient_rates(points, rot):
+    """RATE (1 + 0.6 x / 75 nm), with x along the rotated body's x axis."""
+    return RATE * (1.0 + 0.6 * (points @ rot)[:, 0] / 7.5e-8)
+
+
+_FRAME_MODELS = {
+    "cosine": lambda rot, q: CosineLaw(
+        MaxwellBoltzmannFlux(T_ROOM), lambda pts: _gradient_rates(pts, rot)),
+    "isotropic": lambda rot, q: Isotropic(
+        MaxwellBoltzmannFlux(T_ROOM), lambda pts: _gradient_rates(pts, rot)),
+    "site_cosine": lambda rot, q: SingleSite(
+        rot @ np.array([2e-8, -3e-8, 7.5e-8]),
+        CosineDirection(rot @ np.array([0.6, 0.0, 0.8])),
+        MaxwellBoltzmannFlux(T_ROOM), 40.0),
+    # node order and each node's cos to its normal survive the rotation,
+    # so the per-node table is the same on both meshes
+    "table": lambda rot, q: _mb_cosine_table(
+        q, np.linspace(0.0, 1.0, 5), np.linspace(0.0, 12.0 * KB * T_ROOM, 9),
+        _gradient_rates(q.points, np.eye(3))),
+}
+
+
+@pytest.mark.parametrize("kind", list(_FRAME_MODELS))
+def test_frame_covariance_random_rotations(kind):
     rng = stream(55, "test-frame-cov")
     mesh = cube_mesh(7.5e-8)
     q = build_quadrature(BodySpec(mesh), 1)
-    rate_field = lambda pts: RATE * (1.0 + 0.6 * pts[:, 0] / 7.5e-8)
-    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), rate_field)
-    d = diffusion_tensor(model, q, N2_MASS)
-    ft = force_torque(model, q, N2_MASS)
+    make = _FRAME_MODELS[kind]
+    d, ft = transport(make(np.eye(3), q), q, N2_MASS)
     for _ in range(5):
         rot = random_rotation(rng)
-        mesh_rot = Mesh(mesh.vertices @ rot.T, mesh.faces)
-        q_rot = build_quadrature(BodySpec(mesh_rot), 1)
-        field_rot = lambda pts, _r=rot: RATE * (1.0 + 0.6 * (pts @ _r)[:, 0] / 7.5e-8)
-        model_rot = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), field_rot)
-        d_rot = diffusion_tensor(model_rot, q_rot, N2_MASS)
-        ft_rot = force_torque(model_rot, q_rot, N2_MASS)
+        q_rot = build_quadrature(BodySpec(Mesh(mesh.vertices @ rot.T,
+                                               mesh.faces)), 1)
+        np.testing.assert_allclose(q_rot.points, q.points @ rot.T,
+                                   rtol=0.0, atol=1e-20)
+        d_rot, ft_rot = transport(make(rot, q), q_rot, N2_MASS)
         big = np.kron(np.eye(2), rot)
         assert rel_err(d_rot.matrix, big @ d.matrix @ big.T) < 1e-8
         assert rel_err(ft_rot.vector, big @ ft.vector) < 1e-8

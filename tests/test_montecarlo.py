@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import N2_MASS, SPHERE_RADIUS
-from desorb.flux import (CosineLaw, FixedDirection, IsotropicDirection,
-                         SingleSite, total_rate)
+from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
+                         FixedDirection, IsotropicDirection, SingleSite,
+                         TabulatedFlux, total_rate)
 from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
-from desorb.montecarlo import (_BLOCK, _jackknife_moments,
-                               compare_to_prediction, simulate_ensemble,
-                               simulate_trajectory)
+from desorb.montecarlo import (_BLOCK, _jackknife_moments, _simulate_block,
+                               compare_to_prediction, simulate_ensemble)
 from desorb.rng import stream
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
 
@@ -80,19 +81,50 @@ def test_ensemble_size_not_multiple_of_block(sphere_quad_coarse):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
-def test_trajectory_momentum_bookkeeping(sphere_quad_coarse):
-    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 5e3 / sphere_quad_coarse.total_area)
-    rng = stream(3, "test-traj")
-    traj = simulate_trajectory(model, sphere_quad_coarse, N2_MASS, 1.0, rng)
-    # piecewise-constant record: one state per event plus the initial one
-    assert traj.momenta.shape == (len(traj.times) + 1, 3)
-    # final momentum equals minus the summed atom momenta
-    p_atoms = np.sqrt(2 * N2_MASS * traj.energies)[:, None] * traj.directions
-    np.testing.assert_allclose(traj.momenta[-1], -p_atoms.sum(axis=0),
-                               atol=1e-30)
-    np.testing.assert_allclose(
-        traj.angular[-1], -np.cross(traj.sites, p_atoms).sum(axis=0),
-        atol=1e-37)
+def _bookkeeping_model(kind, q):
+    """About ten events per trajectory and second from each model kind."""
+    if kind == "cosine":
+        return CosineLaw(MaxwellBoltzmannFlux(300.0), 10.0 / q.total_area)
+    if kind == "site":
+        return SingleSite(np.array([0.0, 3e-8, SPHERE_RADIUS]),
+                          CosineDirection(np.array([0.6, 0.0, 0.8])),
+                          Monoenergetic(E0), 10.0)
+    cos_grid = np.array([0.0, 0.5, 1.0])
+    e_grid = np.array([0.0, 2e-21, 8e-21])
+    rates = 1.0 + 0.8 * q.points[:, 2] / SPHERE_RADIUS
+    values = (rates[:, None, None] * cos_grid[None, :, None]
+              * np.array([0.0, 1.0, 0.2])[None, None, :])
+    table = TabulatedFlux(cos_grid, e_grid, values)
+    return TabulatedFlux(cos_grid, e_grid,
+                         values * 10.0 / total_rate(table, q))
+
+
+@pytest.mark.parametrize("kind", ["cosine", "site", "table"])
+@settings(max_examples=12)
+@given(seed=st.integers(0, 2**63 - 1), block=st.integers(0, 10**6),
+       n=st.integers(1, 40), n_times=st.integers(1, 6),
+       duration=st.floats(0.05, 2.0))
+def test_block_kick_bookkeeping(sphere_quad_coarse, kind, seed, block, n,
+                                n_times, duration):
+    # each trajectory's (P, J) at a report time is minus the momenta that
+    # its own atoms carried off at or before that time
+    sampler = EventSampler(_bookkeeping_model(kind, sphere_quad_coarse),
+                           sphere_quad_coarse)
+    report_times = duration * np.arange(1, n_times + 1) / n_times
+    got, counts = _simulate_block(sampler, N2_MASS, duration, report_times,
+                                  seed, block, n)
+    rng = stream(seed, "trajectory", block)
+    assert np.array_equal(counts, rng.poisson(sampler.total * duration, n))
+    t_ev = rng.uniform(0.0, duration, counts.sum())
+    ev = sampler.draw(rng, int(counts.sum()))
+    p_atom = np.sqrt(2.0 * N2_MASS * ev.energies)[:, None] * ev.directions
+    atom = np.hstack([p_atom, np.cross(ev.sites, p_atom)])
+    owner = np.repeat(np.arange(n), counts)
+    expected = np.array([[-atom[(owner == i) & (t_ev <= t)].sum(axis=0)
+                          for t in report_times] for i in range(n)])
+    assert got.shape == (n, n_times, 6)
+    scale = np.abs(atom).max(axis=0, initial=0.0) * max(counts.max(), 1)
+    assert np.all(np.abs(got - expected) <= 1e-12 * scale)
 
 
 def test_isotropic_site_covariance_matches_prediction(sphere_quad_coarse):
