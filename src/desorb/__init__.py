@@ -16,7 +16,8 @@ from .decoherence import (CoherenceRow, DecoherenceQuadrature, LocalizationRate,
                           PosePair, coherence_map, localization_rate)
 from .errors import (AngleOutOfRange, CoincidentPoints, ConfigError,
                      DegenerateMesh, DesorbError, NegativeEnergy, NonFinite,
-                     NotUnit, QuadratureNotConverged, ZeroNorm)
+                     NotUnit, QuadratureNotConverged, RateOutOfBounds,
+                     ZeroNorm)
 from .flux import (CosineDirection, CosineLaw, EmissionSample, FixedDirection,
                    Isotropic, IsotropicDirection, SingleSite, TabulatedFlux,
                    flux_eval, outgas_rate, total_rate)

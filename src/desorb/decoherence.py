@@ -21,18 +21,27 @@ spectrum's characteristic function chi, exact for Maxwell-Boltzmann
 over its own rule for a tabulated spectrum. The mu integral of chi
 against the profile's panel-wise quadratic interpolant then takes
 Filon-type panel moments, so the accuracy is uniform in the recoil
-phase. For a translation (R = R') of an axial law, n . R nu is
-A + B cos(phi - phi') on each mu ring, and the phi integral of the law
-is closed form (AxialLaw.ring), so n_azimuth is read only for R != R'
-and for tables. A tabulated flux is not separable; it is integrated
-node by node of its energy rule with pure-phase moments. The smooth and
-oscillatory parts share one grid, so the rate vanishes identically (to
-the last bit) for identical poses.
+phase. On each mu ring a pose sees n . R nu = A + B cos(phi - phase),
+so the phi integral of a law over a whole ring is closed form
+(AxialLaw.ring), and so is that of a table, whose interpolant is
+piecewise linear in cos (TabulatedFlux.arc). That is all a translation
+(R = R') needs. For R != R', Re F and Im F need g2 = int sqrt(a b) dphi
+of the two poses' profiles a and b, taken as (int a + int b) / 2 minus
+the incoherent part 1/2 int (sqrt a - sqrt b)^2 dphi. The latter is
+closed form on the arcs where only one pose emits; on the at most two
+pieces where both emit it takes the arc rule (arc_rule), an end-corrected
+Chebyshev rule with max(2, n_azimuth // 8) intervals per piece, so
+n_azimuth sets the rule's size for R != R' and nothing else. Every term
+of the incoherent part is >= 0, and it is exactly 0 where the two rings
+coincide. A tabulated flux is not separable; it is integrated node by
+node of its energy rule with pure-phase moments. The smooth and
+oscillatory parts share one mu grid, so the rate vanishes identically
+(to the last bit) for identical poses.
 
-The 2x self-check samples the angular grid once, at the refined level,
-and takes the coarse level as every other sample in mu and phi (in mu
-only, for a closed-form translation). It compares both Re F and Im F
-and returns the refined values.
+The 2x self-check samples once, at the refined level, and takes the
+coarse level as every other sample in mu and every other node of the
+arc rule, whose refined level doubles the intervals per piece. It
+compares both Re F and Im F and returns the refined values.
 """
 
 from __future__ import annotations
@@ -44,7 +53,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .constants import HBAR
-from .errors import DesorbError, NonFinite, QuadratureNotConverged
+from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
+                     RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
 from .quadrules import (filon_grid, filon_moments, frames, phase_moments,
@@ -87,10 +97,11 @@ class LocalizationRate:
             raise NonFinite("localization rate holds NaN or infinity")
         g2 = 2.0 * self.total_rate
         if self.re < -1e-12 * g2:
-            raise ValueError(f"negative localization rate {self.re:.3g}")
+            raise RateOutOfBounds(f"negative localization rate {self.re:.3g}")
         if self.re > g2 * (1.0 + 1e-9):
-            raise ValueError(f"localization rate {self.re:.3g} above twice "
-                             f"the emission rate {self.total_rate:.3g}")
+            raise RateOutOfBounds(f"localization rate {self.re:.3g} above "
+                                  f"twice the emission rate "
+                                  f"{self.total_rate:.3g}")
 
     def visibility(self, t: float) -> float:
         """Coherence left after time t: exp(-Re F * t)."""
@@ -99,17 +110,19 @@ class LocalizationRate:
 
 @dataclass(frozen=True)
 class DecoherenceQuadrature:
-    """Resolution of the aligned-axis angular grid, and of the energy
+    """Resolution of the aligned-axis angular rule, and of the energy
     rule of a tabulated flux (other spectra are integrated exactly).
-    n_azimuth is read only for pairs with R != R' and for tables: a
-    translation of an axial law integrates phi in closed form."""
+    n_azimuth is read only for pairs with R != R', laws and tables alike:
+    their arc rule has max(2, n_azimuth // 8) intervals per piece where
+    both poses emit (7 and 15 interior points at 64 and its refinement).
+    A translation integrates phi in closed form."""
 
     n_mu_panels: int = 96       # polar Filon panels (2n+1 samples)
     n_azimuth: int = 64
     energy_nodes: int = 40
     check_convergence: bool = True
     convergence_tol: float = 1e-3   # relative to the total emission rate
-    node_chunk: int = 16           # nodes per batch of the refined grid
+    node_chunk: int = 16           # nodes per batch of the refined samples
 
     def refined(self) -> "DecoherenceQuadrature":
         return replace(self, n_mu_panels=2 * self.n_mu_panels,
@@ -132,15 +145,141 @@ def _pair_geometry(pair: PosePair, points: np.ndarray):
     return length, axis
 
 
-def _grid_cosines(axis, e1, e2, target, mu, sin_t, cphi, sphi):
-    """n(mu, phi) . target for per-node frames, shape (chunk, n_mu, n_phi)."""
-    c0 = np.einsum("ia,ia->i", axis, target)
-    c1 = np.einsum("ia,ia->i", e1, target)
-    c2 = np.einsum("ia,ia->i", e2, target)
-    ring = c1[:, None] * cphi + c2[:, None] * sphi      # (chunk, n_phi)
-    out = sin_t[None, :, None] * ring[:, None, :]
-    out += (c0[:, None] * mu)[:, :, None]
+_TWO_PI = 2.0 * np.pi
+
+
+def _ring_params(axis, e1, e2, nu, mu, sin_t):
+    """n(mu, phi) . nu = A + B cos(phi - phase) on every mu ring of every
+    node's frame: A, B of shape (nodes, n_mu), phase of shape (nodes, 1)."""
+    c0 = np.einsum("ia,ia->i", axis, nu)
+    c1 = np.einsum("ia,ia->i", e1, nu)
+    c2 = np.einsum("ia,ia->i", e2, nu)
+    return (c0[:, None] * mu, np.hypot(c1, c2)[:, None] * sin_t,
+            np.arctan2(c2, c1)[:, None])
+
+
+def arc_rule(slots: int):
+    """Nodes x_k = -cos(k pi / slots), k = 0..slots, and weights w_k of the
+    end-corrected Chebyshev rule int_{-1}^{1} g dx ~ sum w_k g(x_k).
+
+    Inside, w_k = pi / slots sin(k pi / slots): Gauss-Chebyshev of the
+    second kind, which is the trapezoid rule in theta = arccos(-x). A
+    sqrt-type zero of g at an end is smooth in theta. The two ends carry
+    (pi / slots)^2 / 12, the Euler-Maclaurin term of a g that does not
+    vanish there, so the rule is 4th order in 1 / slots either way. The
+    rule of slots / 2 reads every other node of the rule of slots.
+    """
+    theta = np.pi * np.arange(slots + 1) / slots
+    w = np.pi / slots * np.sin(theta)
+    w[[0, -1]] = (np.pi / slots) ** 2 / 12.0
+    return -np.cos(theta), w
+
+
+def _wrap(x):
+    return (x + np.pi) % _TWO_PI - np.pi
+
+
+def _arc_samples(model, ra, rb, x):
+    """c_a and c_b on the arc rule's nodes x of every piece where both
+    rings emit.
+
+    ra, rb are (A, B, phase) of one chunk of rings, and ha, hb their
+    emitting half widths under the model's profile: pose p emits on
+    |phi - phase_p| < h_p, which is the whole ring at h_p = pi. Seen from
+    a's phase the two arcs meet in at most two pieces, the direct one and
+    the one across phi = +-pi; a full ring's arc ends at its minimum, so
+    a piece never holds one. The pieces are the same sets in either pose
+    order. Returns the flat ring index and half length of each nonempty
+    piece, c_a and c_b there, and ha and hb.
+    """
+    ha, hb = model.half_width(*ra[:2]), model.half_width(*rb[:2])
+    d = _wrap(rb[2] - ra[2])
+    centre = np.stack(np.broadcast_arrays(
+        d, np.where(d >= 0.0, d - _TWO_PI, d + _TWO_PI)), axis=-1)
+    lo = np.maximum(-ha[..., None], centre - hb[..., None])
+    hi = np.maximum(np.minimum(ha[..., None], centre + hb[..., None]), lo)
+    half = 0.5 * (hi - lo)
+    keep = np.flatnonzero(half > 0.0)
+    ring = keep // 2
+    half = half.ravel()[keep]
+    phi = np.multiply(half[:, None], x)
+    phi += (0.5 * (lo + hi)).ravel()[keep][:, None]
+    shifted = phi - np.broadcast_to(d, ha.shape).ravel()[ring][:, None]
+    out = [ring, half]
+    for (a, b, _), arg in ((ra, phi), (rb, shifted)):
+        c = np.cos(arg, out=arg)
+        c *= b.ravel()[ring][:, None]
+        c += a.ravel()[ring][:, None]
+        out.append(c)
+    return out + [ha, hb]
+
+
+def _one_sided(arc, r, h, h_other, phase_other):
+    """int over the part of r's arc where the other ring does not emit,
+    of r's profile; arc(A, B, lo, hi) integrates it from r's phase. The
+    other ring's gap runs from d + h_other to d - h_other + 2 pi, d the
+    phase difference; written so, it is exactly empty for a ring equal to
+    r, and it is empty for a full other ring."""
+    d = _wrap(phase_other - r[2])
+    gap = h_other < np.pi
+    total = 0.0
+    for lo, hi in ((d + h_other, (d + _TWO_PI) - h_other),
+                   ((d - _TWO_PI) + h_other, d - h_other)):
+        lo = np.maximum(-h, lo)
+        hi = np.where(gap, np.maximum(np.minimum(h, hi), lo), lo)
+        total = total + np.maximum(arc(r[0], r[1], lo, hi), 0.0)
+    return total
+
+
+def _table_profile(table, e, idx, arcs, n_mu):
+    """A table's (inside, arc, ring) at energy e on the nodes idx, as
+    _ring_terms takes them."""
+    knot, node = table.knot, idx[:, None]
+    piece_node = None if arcs is None else idx[arcs[0] // n_mu][:, None]
+    return (lambda c: table.interp(np.maximum(c, knot), e, piece_node),
+            lambda a, b, lo, hi: table.arc(a, b, lo, hi, e, node),
+            lambda a, b: table.arc(a, b, -np.pi, np.pi, e, node))
+
+
+def _ring_terms(profile, ra, rb, arcs, steps):
+    """[(g2, gdiff)] per (slot step, mu step, slots) of steps, each of
+    shape (chunk, n_mu of the level): g2 = int sqrt(a b) dphi and gdiff
+    its incoherent part, (int a + int b) / 2 - g2 (None for one pose, rb
+    None). profile holds (inside, arc, ring): the profile on its support,
+    on an arc and on the whole ring; arcs is what _arc_samples returns."""
+    inside, arc, ring = profile
+    if rb is None:
+        g2 = ring(*ra[:2])
+        return [(g2[:, ::m], None) for _, m, _ in steps]
+    full = 0.5 * (ring(*ra[:2]) + ring(*rb[:2]))
+    ring_idx, half, ca, cb, ha, hb = arcs
+    one_sided = (_one_sided(arc, ra, ha, hb, rb[2])
+                 + _one_sided(arc, rb, hb, ha, ra[2]))
+    s0 = steps[-1][0]
+    h = np.sqrt(inside(ca[:, ::s0]))
+    h -= np.sqrt(inside(cb[:, ::s0]))
+    h *= h
+    out = []
+    for s, m, slots in steps:
+        # every term is >= 0, and 0 where the two rings coincide
+        q = half * (h[:, ::s // s0] @ arc_rule(slots)[1])
+        gdiff = 0.5 * (np.bincount(ring_idx, q, minlength=one_sided.size)
+                       .reshape(one_sided.shape) + one_sided)[:, ::m]
+        out.append((full[:, ::m] - gdiff, gdiff))
     return out
+
+
+def ring_overlap(law, ring_a, ring_b, slots: int = 16):
+    """int_0^2pi sqrt(f(c_a) f(c_b)) dphi of an axial law by the arc
+    rule, for rings c_p = A_p + B_p cos(phi - phase_p) given as
+    (A, B, phase) arrays of one shape: (ring_a + ring_b) / 2 minus the
+    incoherent part _pair_terms takes."""
+    ra, rb = ([np.asarray(v, dtype=float).reshape(-1, 1) for v in r]
+              for r in (ring_a, ring_b))
+    arcs = _arc_samples(law, ra, rb, arc_rule(slots)[0])
+    (g2, _), = _ring_terms((law.inside, law.arc, law.ring), ra, rb, arcs,
+                           [(1, 1, slots)])
+    return g2.ravel()
 
 
 def _profile_terms(g2, static, weights):
@@ -152,28 +291,6 @@ def _profile_terms(g2, static, weights):
     """
     return (np.einsum("im,im->i", g2, static.real - weights.real),
             np.einsum("im,im->i", g2, weights.imag))
-
-
-def _level_terms(a, b, step, n_azimuth, static, weights):
-    """Per-node (re, im) from the two profiles on every step-th sample.
-
-    b is None when both poses see the same profile. Re F takes
-    (sqrt a - sqrt b)^2 / 2, summed over phi as (a + b) / 2 - sqrt(a b),
-    on the static rule, plus the terms of _profile_terms.
-    """
-    dphi = 2.0 * np.pi / n_azimuth
-    a = a[:, ::step, ::step]
-    sum_a = a.sum(axis=2)
-    if b is None:
-        g2 = dphi * sum_a
-    else:
-        b = b[:, ::step, ::step]
-        g2 = dphi * np.sqrt(a * b).sum(axis=2)
-    re, im = _profile_terms(g2, static, weights)
-    if b is not None:
-        gdiff = 0.5 * dphi * (sum_a + b.sum(axis=2)) - g2
-        re += gdiff @ static.real
-    return re, im
 
 
 def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
@@ -190,11 +307,22 @@ def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
     return rate * (1.0 - chi.real), rate * chi.imag
 
 
+def _arc_levels(levels):
+    """(slot step, mu step, slots) of the arc rule at each level, coarse
+    to fine. The first level has max(2, n_azimuth // 8) slots per piece
+    and each refinement doubles them, so every level reads each slot
+    step-th node (and mu step-th ring) of the finest samples."""
+    top = len(levels) - 1
+    base = max(2, levels[0].n_azimuth // 8)
+    return [(1 << (top - j), levels[-1].n_mu_panels // lv.n_mu_panels,
+             base << j) for j, lv in enumerate(levels)]
+
+
 def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     """[(re, im)] per quadrature level, coarse to fine.
 
-    The levels nest (each doubles the last), so the angular grid and the
-    profiles are evaluated once, on the finest level.
+    The levels nest (each doubles the last), so the rings and the arc
+    rule's samples are evaluated once, on the finest level.
     """
     table = em.table
     if table is None and em.law.delta:
@@ -221,52 +349,53 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     e1, e2 = frames(axis)
     mu = filon_grid(fine.n_mu_panels)
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    nu_r = axes @ pair.rotation.T        # R nu
+    poses = [pair.rotation] + ([] if rotated_alike else [pair.rotation_prime])
+    rings = [_ring_params(axis, e1, e2, axes @ rot.T, mu, sin_t)
+             for rot in poses]
     out = np.zeros((len(levels), 2))
     if table is None and rotated_alike:
         # n . R nu = A + B cos(phi - phi'): the law's phi integral in closed form
-        c0 = np.einsum("ia,ia->i", axis, nu_r)
-        rho = np.hypot(np.einsum("ia,ia->i", e1, nu_r),
-                       np.einsum("ia,ia->i", e2, nu_r))
-        g2 = em.law.ring(c0[:, None] * mu, rho[:, None] * sin_t)
+        g2 = em.law.ring(*rings[0][:2])
         for j, lv in enumerate(levels):
             step = fine.n_mu_panels // lv.n_mu_panels
             re, im = _profile_terms(g2[:, ::step], static[j], weights[j])
             out[j] = node_weights @ re, node_weights @ im
         return [tuple(row) for row in out]
 
-    phi = 2.0 * np.pi * np.arange(fine.n_azimuth) / fine.n_azimuth
-    cphi, sphi = np.cos(phi), np.sin(phi)
-    nu_rp = axes @ pair.rotation_prime.T
+    steps = _arc_levels(levels)
+    x = arc_rule(steps[-1][2])[0]
+    model = em.law if table is None else table
     for lo in range(0, len(points), fine.node_chunk):
         idx = np.arange(lo, min(lo + fine.node_chunk, len(points)))
-        grid = (axis[idx], e1[idx], e2[idx])
-        ca = _grid_cosines(*grid, nu_r[idx], mu, sin_t, cphi, sphi)
-        cb = None if rotated_alike else _grid_cosines(
-            *grid, nu_rp[idx], mu, sin_t, cphi, sphi)
-        w_nodes = node_weights[idx]
-        if table is None:
-            a = em.law.density(ca)
-            b = None if cb is None else em.law.density(cb)
-        for j, lv in enumerate(levels):
-            step = fine.n_mu_panels // lv.n_mu_panels
+        ra = tuple(v[idx] for v in rings[0])
+        rb = arcs = None
+        if not rotated_alike:
+            rb = tuple(v[idx] for v in rings[1])
+            arcs = _arc_samples(model, ra, rb, x)
+
+        def parts():
+            """(level, energy weight, Filon weights, (g2, gdiff))."""
             if table is None:
-                re, im = _level_terms(a, b, step, lv.n_azimuth, static[j],
-                                      weights[j][idx])
-                out[j] += w_nodes @ re, w_nodes @ im
-                continue
-            sa = ca[:, ::step, ::step]
-            sb = None if cb is None else cb[:, ::step, ::step]
-            node = idx[:, None, None]
-            for ek, wk in zip(*rules[j]):
-                w_e = filon_moments(lv.n_mu_panels,
-                                    kappa[idx] * np.sqrt(2.0 * m_atom * ek),
-                                    kernel)
-                re, im = _level_terms(
-                    table.interp(sa, ek, node),
-                    None if sb is None else table.interp(sb, ek, node),
-                    1, lv.n_azimuth, static[j], w_e)
-                out[j] += wk * (w_nodes @ re), wk * (w_nodes @ im)
+                law = (em.law.inside, em.law.arc, em.law.ring)
+                for j, terms in enumerate(_ring_terms(law, ra, rb, arcs,
+                                                      steps)):
+                    yield j, 1.0, weights[j][idx], terms
+                return
+            for j, lv in enumerate(levels):
+                for ek, wk in zip(*rules[j]):
+                    p_k = np.sqrt(2.0 * m_atom * ek)
+                    w_e = filon_moments(lv.n_mu_panels, kappa[idx] * p_k,
+                                        kernel)
+                    prof = _table_profile(table, ek, idx, arcs, len(mu))
+                    yield j, wk, w_e, _ring_terms(prof, ra, rb, arcs,
+                                                  [steps[j]])[0]
+
+        w_nodes = node_weights[idx]
+        for j, wk, w_e, (g2, gdiff) in parts():
+            re, im = _profile_terms(g2, static[j], w_e)
+            if gdiff is not None:
+                re += gdiff @ static[j].real
+            out[j] += wk * (w_nodes @ re), wk * (w_nodes @ im)
     return [tuple(row) for row in out]
 
 

@@ -29,6 +29,10 @@ class QuadratureNotConverged(DesorbError):
     """Refining the quadrature still changes the result above tolerance."""
 
 
+class RateOutOfBounds(DesorbError, ValueError):
+    """A localization rate below 0 or above twice the emission rate."""
+
+
 class CoincidentPoints(DesorbError):
     """Green function evaluated at source point."""
 

@@ -29,6 +29,7 @@ so pointwise evaluation is only defined at its point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -70,6 +71,14 @@ def _rates_at(rate_per_area: RateField, points: np.ndarray) -> np.ndarray:
 # Axial laws
 # ---------------------------------------------------------------------------
 
+def _edge_cos(a, b, knot):
+    """cos phi0 of the arc |phi| < phi0 where a + b cos phi > knot (b >= 0),
+    clipped to [-1, 1]; at b = 0 it is -1 (whole ring) for a > knot, else 1."""
+    x = np.where(b > 0.0, (knot - a) / np.where(b > 0.0, b, 1.0),
+                 np.where(a > knot, -1.0, 1.0))
+    return np.clip(x, -1.0, 1.0)
+
+
 class AxialLaw:
     """Emission density f(mu) per steradian about an emitter's axis,
     mu = n . axis.
@@ -104,13 +113,31 @@ class AxialLaw:
         """
         alpha, beta, half = self._linear
         if half:
-            x = np.where(b > 0.0, -a / np.where(b > 0.0, b, 1.0),
-                         np.where(a > 0.0, -1.0, 1.0))
-            x = np.clip(x, -1.0, 1.0)
+            x = _edge_cos(a, b, 0.0)
             phi0, sin0 = np.arccos(x), np.sqrt((1.0 - x) * (1.0 + x))
         else:
             phi0, sin0 = np.pi, 0.0
         return 2.0 * (alpha * phi0 + beta * (a * phi0 + b * sin0))
+
+    def half_width(self, a, b):
+        """phi0 of ring: the law emits on |phi| < phi0 of a + b cos phi."""
+        if not self._linear[2]:
+            return np.full(np.broadcast(a, b).shape, np.pi)
+        return np.arccos(_edge_cos(a, b, 0.0))
+
+    def arc(self, a, b, lo, hi):
+        """int_lo^hi f(a + b cos phi) dphi for -phi0 <= lo <= hi <= phi0:
+        alpha (hi - lo) + beta (a (hi - lo) + b (sin hi - sin lo))."""
+        alpha, beta, _ = self._linear
+        return (alpha * (hi - lo)
+                + beta * (a * (hi - lo) + b * (np.sin(hi) - np.sin(lo))))
+
+    def inside(self, c):
+        """f on its support, continued to the edge: alpha + beta c, with
+        c clipped to mu >= 0 for a half-space law. Both sides of a step
+        edge see the emitting value."""
+        alpha, beta, half = self._linear
+        return alpha + beta * (np.maximum(c, 0.0) if half else c)
 
     def directions(self, axes: np.ndarray, rng: np.random.Generator):
         """One direction per row of axes: mu from the law, then phi."""
@@ -334,6 +361,50 @@ class TabulatedFlux:
         out = ((1 - tc) * (1 - te) * f00 + (1 - tc) * te * f01
                + tc * (1 - te) * f10 + tc * te * f11)
         return np.where(inside, out, 0.0)
+
+    @cached_property
+    def knot(self) -> float:
+        """cos at and below which every node's table is zero at every
+        energy (-inf if the table emits down to cos = -1): the edge of
+        the arc a ring integral covers."""
+        c = self.cos_grid
+        rows = np.flatnonzero(np.any(self.values, axis=(0, 2)))
+        first = rows[0] if len(rows) else len(c)
+        if first > 0:
+            return float(c[first - 1])
+        return float(c[0]) if c[0] > -1.0 else -np.inf
+
+    def half_width(self, a, b):
+        """phi0 of the arc |phi| < phi0 where a + b cos phi > knot."""
+        return np.arccos(_edge_cos(a, b, self.knot))
+
+    def arc(self, a, b, lo, hi, e, node_idx):
+        """int_lo^hi interp(a + b cos phi, e, node) dphi for b >= 0 and
+        -pi <= lo <= hi <= pi, in closed form.
+
+        In cos the interpolant at one node and energy is a step of v_0 at
+        the first grid point g_0, a ramp whose slope changes by r_j at each
+        grid point g_j, and a step down of v_K past the last, so it is
+        sum_j s_j [c > g_j] + r_j (c - g_j)_+; each term integrates over
+        the part |phi| < phi_j of [lo, hi] where c > g_j. node_idx
+        broadcasts against a.
+        """
+        g = self.cos_grid
+        v = self.interp(g, e, np.asarray(node_idx)[..., None])
+        r = np.diff(np.diff(v, axis=-1) / np.diff(g), axis=-1,
+                    prepend=0.0, append=0.0)
+        s = np.zeros_like(v)
+        s[..., 0] = v[..., 0]
+        s[..., -1] -= v[..., -1]
+        a, b, lo, hi = (np.asarray(x, dtype=float)[..., None]
+                        for x in (a, b, lo, hi))
+        phi0 = np.arccos(_edge_cos(a, b, g))
+        left = np.maximum(lo, -phi0)
+        right = np.maximum(np.minimum(hi, phi0), left)
+        width = right - left
+        terms = s * width + r * ((a - g) * width
+                                 + b * (np.sin(right) - np.sin(left)))
+        return terms.sum(axis=-1)
 
     def node_spectral_rate(self, node_idx=None):
         """2 pi * integral over (mu, E) per node: rate per area [1/(m^2 s)].

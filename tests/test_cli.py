@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import desorb.cli
+import desorb.decoherence
 import desorb.moments
 from desorb.cli import main
 from desorb.constants import HBAR, KB
@@ -192,6 +193,33 @@ def test_locmap_rows(tmp_path):
     assert abs(float(rows[1][7]) + float(rows[2][7])) < 1e-10 * gamma
     # saturation ray row approaches the total emission rate within 1%
     assert abs(float(rows[3][6]) / gamma - 1.0) < 0.01
+
+
+def test_locmap_out_of_bounds_row_is_annotated(tmp_path, monkeypatch,
+                                               capsys):
+    # a rate outside [0, 2 Gamma] is a named error: the middle row reads
+    # nan and the row after it is still written
+    pair_terms = desorb.decoherence._pair_terms
+
+    def above_bound(pair, em, m_atom, levels):
+        if pair.delta_x[1] != 0.0:
+            return [(1e30, 0.0)] * len(levels)
+        return pair_terms(pair, em, m_atom, levels)
+
+    monkeypatch.setattr(desorb.decoherence, "_pair_terms", above_bound)
+    cfg = write_config(tmp_path, {
+        "quadrature": {"surface_resolution": 4},
+        "locmap": {"pairs": [{"delta_x_m": [1e-12, 0.0, 0.0]},
+                             {"delta_x_m": [0.0, 1e-12, 0.0]},
+                             {"delta_x_m": [2e-12, 0.0, 0.0]}],
+                   "check_convergence": False}})
+    out = tmp_path / "locmap.csv"
+    assert run(["locmap", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[2:]]
+    assert len(rows) == 3
+    assert rows[1][6:] == ["nan", "nan"]
+    assert 0.0 < float(rows[0][6]) < float(rows[2][6])
+    assert "RateOutOfBounds" in capsys.readouterr().err
 
 
 def test_simulate_reproducible_and_report(tmp_path):

@@ -95,6 +95,39 @@ def test_ring_matches_midpoint_phi_sum(law):
                           [law.ring(ai, bi) for ai, bi in zip(a, b)])
 
 
+def test_table_arc_matches_midpoint_sum():
+    # a random table on a cos grid that stops short of +-1: in cos the
+    # interpolant is piecewise linear with a step at each grid end, which
+    # costs the midpoint sum at most half a cell of the step at each of
+    # the <= 4 crossings; the kinks cost it O(dphi^2)
+    rng = np.random.default_rng(20261021)
+    table = TabulatedFlux([-0.7, -0.2, 0.1, 0.5, 0.9], [0.0, 1.0, 2.0],
+                          rng.uniform(0.0, 1.0, (3, 5, 3)))
+    n = 2**16
+    for _ in range(40):
+        a = rng.uniform(-1.0, 1.0)
+        b = rng.uniform(0.0, 1.0) * np.sqrt(1.0 - a * a)
+        lo, hi = np.sort(rng.uniform(-np.pi, np.pi, 2))
+        e, node = rng.uniform(0.0, 2.0), int(rng.integers(3))
+        dphi = (hi - lo) / n
+        phi = lo + (np.arange(n) + 0.5) * dphi
+        ref = dphi * table.interp(a + b * np.cos(phi), e, node).sum()
+        assert abs(table.arc(a, b, lo, hi, e, node) - ref) <= 4.0 * dphi
+
+
+def test_table_knot_is_the_emitting_edge():
+    values = np.zeros((2, 4, 2))
+    values[1, 2, 0] = 1.0
+    table = TabulatedFlux([-1.0, -0.5, 0.0, 1.0], [0.0, 1.0], values)
+    assert table.knot == -0.5          # zero at and below cos = -0.5
+    values[0, 0, 1] = 1.0
+    assert TabulatedFlux([-1.0, -0.5, 0.0, 1.0], [0.0, 1.0],
+                         values).knot == -np.inf
+    # emitting at its first grid point above cos = -1: a step there
+    assert TabulatedFlux([-0.9, 0.0, 1.0], [0.0, 1.0],
+                         np.ones((2, 3, 2))).knot == -0.9
+
+
 def test_flux_requires_unit_direction(cosine_model):
     with pytest.raises(NotUnit):
         flux_eval(cosine_model, np.array([0.0, 0.0, 1.0 + 1e-8]),

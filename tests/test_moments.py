@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import N2_MASS, SPHERE_RADIUS, rel_err
@@ -21,7 +22,7 @@ from desorb.moments import (AngularQuadrature, Diffusion6, EnergyQuadrature,
                             spectral_momentum_moments, transport)
 from desorb.quadrules import gauss_legendre, segment_rule
 from desorb.rng import stream
-from desorb.rotations import random_rotation, skew
+from desorb.rotations import random_rotation, rotation_from_w, skew
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
                             TabulatedSpectrum)
 
@@ -189,6 +190,37 @@ def test_frame_covariance_random_rotations(kind):
         big = np.kron(np.eye(2), rot)
         assert rel_err(d_rot.matrix, big @ d.matrix @ big.T) < 1e-8
         assert rel_err(ft_rot.vector, big @ ft.vector) < 1e-8
+
+
+_VEC = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@settings(max_examples=20)
+@given(st.tuples(*[st.floats(0.3, 1.5)] * 3), _VEC, _VEC,
+       st.sampled_from([CosineLaw, Isotropic]))
+def test_diffusion_psd_and_frame_covariant_property(extents, w, g, law):
+    # a box of random half extents, a random rotation (|w| <= sqrt 3 < pi)
+    # and a rate RATE (1 + g . s / r) with |g| <= 0.87 below 1, so the
+    # rate stays positive on the box of circumradius r; the rotated body
+    # with the rotated gradient gives the rotated D
+    base = cube_mesh(SPHERE_RADIUS)
+    vertices = base.vertices * np.asarray(extents)
+    radius = np.max(np.linalg.norm(vertices, axis=1))
+    grad = 0.5 * np.asarray(g) / radius
+    rot = rotation_from_w(w)
+
+    def d_of(r):
+        q = build_quadrature(BodySpec(Mesh(vertices @ r.T, base.faces)), 1)
+        model = law(MaxwellBoltzmannFlux(T_ROOM),
+                    lambda pts: RATE * (1.0 + (pts @ r) @ grad))
+        return diffusion_tensor(model, q, N2_MASS).matrix
+
+    d, d_rot = d_of(np.eye(3)), d_of(rot)
+    eigs = np.linalg.eigvalsh(d)
+    assert np.array_equal(d, d.T) or rel_err(d, d.T) < 1e-12
+    assert eigs.min() >= -1e-12 * eigs.max()
+    big = np.kron(np.eye(2), rot)
+    assert rel_err(d_rot, big @ d @ big.T) < 1e-8
 
 
 def test_j2_quadrature_vs_closed_form(sphere_quad):
