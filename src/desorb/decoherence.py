@@ -17,7 +17,7 @@ phase vector v = dX + (R - R') s, so all oscillation lives in the polar
 coordinate mu = n.v / |v|; a fixed-direction site is rate (1 - chi).
 Energy is integrated first: the spectral average of exp(i p |v| mu / hbar) is the
 spectrum's characteristic function chi, exact for Maxwell-Boltzmann
-(through the Faddeeva function) and monoenergetic spectra, and summed
+(through Dawson's integral) and monoenergetic spectra, and summed
 over its own rule for a tabulated spectrum. The mu integral of chi
 against the profile's panel-wise quadratic interpolant then takes
 Filon-type panel moments, so the accuracy is uniform in the recoil
@@ -179,12 +179,12 @@ def _wrap(x):
     return (x + np.pi) % _TWO_PI - np.pi
 
 
-def _arc_samples(model, ra, rb, x):
+def _arc_samples(ra, rb, ha, hb, x):
     """c_a and c_b on the arc rule's nodes x of every piece where both
     rings emit.
 
     ra, rb are (A, B, phase) of one chunk of rings, and ha, hb their
-    emitting half widths under the model's profile: pose p emits on
+    emitting half widths under the profile: pose p emits on
     |phi - phase_p| < h_p, which is the whole ring at h_p = pi. Seen from
     a's phase the two arcs meet in at most two pieces, the direct one and
     the one across phi = +-pi; a full ring's arc ends at its minimum, so
@@ -192,7 +192,6 @@ def _arc_samples(model, ra, rb, x):
     order. Returns the flat ring index and half length of each nonempty
     piece, c_a and c_b there, and ha and hb.
     """
-    ha, hb = model.half_width(*ra[:2]), model.half_width(*rb[:2])
     d = _wrap(rb[2] - ra[2])
     centre = np.stack(np.broadcast_arrays(
         d, np.where(d >= 0.0, d - _TWO_PI, d + _TWO_PI)), axis=-1)
@@ -231,27 +230,35 @@ def _one_sided(arc, r, h, h_other, phase_other):
     return total
 
 
-def _table_profile(table, e, idx, arcs, n_mu):
-    """A table's (inside, arc, ring) at energy e on the nodes idx, as
-    _ring_terms takes them."""
+def _law_rings(law, ra, rb, x):
+    """A law's _arc_samples for rings ra, rb and its integral over each
+    whole ring, from one edge per ring."""
+    ea, eb = law.edge(*ra[:2]), law.edge(*rb[:2])
+    return (_arc_samples(ra, rb, ea[0], eb[0], x),
+            (law.ring(*ra[:2], ea), law.ring(*rb[:2], eb)))
+
+
+def _table_profile(table, e, idx, arcs, n_mu, rings):
+    """A table's (inside, arc) at energy e on the nodes idx, and its
+    integral over each whole ring of rings, as _ring_terms takes them."""
     knot, node = table.knot, idx[:, None]
     piece_node = None if arcs is None else idx[arcs[0] // n_mu][:, None]
-    return (lambda c: table.interp(np.maximum(c, knot), e, piece_node),
-            lambda a, b, lo, hi: table.arc(a, b, lo, hi, e, node),
-            lambda a, b: table.arc(a, b, -np.pi, np.pi, e, node))
+    return ((lambda c: table.interp(np.maximum(c, knot), e, piece_node),
+             lambda a, b, lo, hi: table.arc(a, b, lo, hi, e, node)),
+            [table.arc(*r[:2], -np.pi, np.pi, e, node) for r in rings])
 
 
-def _ring_terms(profile, ra, rb, arcs, steps):
+def _ring_terms(profile, whole, ra, rb, arcs, steps):
     """[(g2, gdiff)] per (slot step, mu step, slots) of steps, each of
     shape (chunk, n_mu of the level): g2 = int sqrt(a b) dphi and gdiff
     its incoherent part, (int a + int b) / 2 - g2 (None for one pose, rb
-    None). profile holds (inside, arc, ring): the profile on its support,
-    on an arc and on the whole ring; arcs is what _arc_samples returns."""
-    inside, arc, ring = profile
+    None). profile holds (inside, arc): the profile on its support and
+    on an arc; whole holds int a and int b over the whole rings; arcs is
+    what _arc_samples returns."""
+    inside, arc = profile
     if rb is None:
-        g2 = ring(*ra[:2])
-        return [(g2[:, ::m], None) for _, m, _ in steps]
-    full = 0.5 * (ring(*ra[:2]) + ring(*rb[:2]))
+        return [(whole[0][:, ::m], None) for _, m, _ in steps]
+    full = 0.5 * (whole[0] + whole[1])
     ring_idx, half, ca, cb, ha, hb = arcs
     one_sided = (_one_sided(arc, ra, ha, hb, rb[2])
                  + _one_sided(arc, rb, hb, ha, ra[2]))
@@ -276,8 +283,8 @@ def ring_overlap(law, ring_a, ring_b, slots: int = 16):
     incoherent part _pair_terms takes."""
     ra, rb = ([np.asarray(v, dtype=float).reshape(-1, 1) for v in r]
               for r in (ring_a, ring_b))
-    arcs = _arc_samples(law, ra, rb, arc_rule(slots)[0])
-    (g2, _), = _ring_terms((law.inside, law.arc, law.ring), ra, rb, arcs,
+    arcs, whole = _law_rings(law, ra, rb, arc_rule(slots)[0])
+    (g2, _), = _ring_terms((law.inside, law.arc), whole, ra, rb, arcs,
                            [(1, 1, slots)])
     return g2.ravel()
 
@@ -364,21 +371,24 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
 
     steps = _arc_levels(levels)
     x = arc_rule(steps[-1][2])[0]
-    model = em.law if table is None else table
     for lo in range(0, len(points), fine.node_chunk):
         idx = np.arange(lo, min(lo + fine.node_chunk, len(points)))
         ra = tuple(v[idx] for v in rings[0])
         rb = arcs = None
         if not rotated_alike:
             rb = tuple(v[idx] for v in rings[1])
-            arcs = _arc_samples(model, ra, rb, x)
+            if table is None:
+                arcs, whole = _law_rings(em.law, ra, rb, x)
+            else:
+                arcs = _arc_samples(ra, rb, table.half_width(*ra[:2]),
+                                    table.half_width(*rb[:2]), x)
 
         def parts():
             """(level, energy weight, Filon weights, (g2, gdiff))."""
             if table is None:
-                law = (em.law.inside, em.law.arc, em.law.ring)
-                for j, terms in enumerate(_ring_terms(law, ra, rb, arcs,
-                                                      steps)):
+                law = (em.law.inside, em.law.arc)
+                for j, terms in enumerate(_ring_terms(law, whole, ra, rb,
+                                                      arcs, steps)):
                     yield j, 1.0, weights[j][idx], terms
                 return
             for j, lv in enumerate(levels):
@@ -386,8 +396,10 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
                     p_k = np.sqrt(2.0 * m_atom * ek)
                     w_e = filon_moments(lv.n_mu_panels, kappa[idx] * p_k,
                                         kernel)
-                    prof = _table_profile(table, ek, idx, arcs, len(mu))
-                    yield j, wk, w_e, _ring_terms(prof, ra, rb, arcs,
+                    prof = _table_profile(
+                        table, ek, idx, arcs, len(mu),
+                        [r for r in (ra, rb) if r is not None])
+                    yield j, wk, w_e, _ring_terms(*prof, ra, rb, arcs,
                                                   [steps[j]])[0]
 
         w_nodes = node_weights[idx]

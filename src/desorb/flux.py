@@ -103,27 +103,23 @@ class AxialLaw:
     def density(self, mu):
         return self._density(np.asarray(mu, dtype=float))
 
-    def ring(self, a, b):
-        """int_0^2pi f(a + b cos phi) dphi for b >= 0, in closed form.
-
-        The integrand is nonzero on |phi| < phi0, phi0 = arccos(-a / b)
-        clipped to [0, pi] (pi where f covers the whole sphere), so the
-        integral is 2 [alpha phi0 + beta (a phi0 + b sin phi0)]. At b = 0,
-        phi0 is pi for a > 0 and 0 otherwise, as in the strict mu > 0.
-        """
-        alpha, beta, half = self._linear
-        if half:
-            x = _edge_cos(a, b, 0.0)
-            phi0, sin0 = np.arccos(x), np.sqrt((1.0 - x) * (1.0 + x))
-        else:
-            phi0, sin0 = np.pi, 0.0
-        return 2.0 * (alpha * phi0 + beta * (a * phi0 + b * sin0))
-
-    def half_width(self, a, b):
-        """phi0 of ring: the law emits on |phi| < phi0 of a + b cos phi."""
+    def edge(self, a, b):
+        """(phi0, sin phi0) of ring a + b cos phi, b >= 0: the law emits on
+        |phi| < phi0, phi0 = arccos(-a / b) clipped to [0, pi], or pi
+        where f covers the whole sphere. At b = 0, phi0 is pi for a > 0
+        and 0 otherwise, as in the strict mu > 0."""
         if not self._linear[2]:
-            return np.full(np.broadcast(a, b).shape, np.pi)
-        return np.arccos(_edge_cos(a, b, 0.0))
+            return np.full(np.broadcast(a, b).shape, np.pi), 0.0
+        x = _edge_cos(a, b, 0.0)
+        return np.arccos(x), np.sqrt((1.0 - x) * (1.0 + x))
+
+    def ring(self, a, b, edge=None):
+        """int_0^2pi f(a + b cos phi) dphi for b >= 0, in closed form:
+        2 [alpha phi0 + beta (a phi0 + b sin phi0)] with (phi0, sin phi0)
+        the edge, which a caller that has it passes in."""
+        alpha, beta, _ = self._linear
+        phi0, sin0 = self.edge(a, b) if edge is None else edge
+        return 2.0 * (alpha * phi0 + beta * (a * phi0 + b * sin0))
 
     def arc(self, a, b, lo, hi):
         """int_lo^hi f(a + b cos phi) dphi for -phi0 <= lo <= hi <= phi0:

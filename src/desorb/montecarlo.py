@@ -18,10 +18,11 @@ Z_LIMIT = 4 and a chi-square p-value above P_FLOOR = 1e-3.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import SurfaceQuadrature
@@ -171,12 +172,79 @@ def compare_to_prediction(moments: EnsembleMoments, d: Diffusion6,
     z_all = np.concatenate([z_mean, z_cov])
     chi2 = float(np.sum(z_all**2))
     dof = len(z_all)
-    p_value = float(chdtrc(dof, chi2))
+    p_value = chi2_tail(chi2, dof)
     max_abs_z = float(np.max(np.abs(z_all)))
     n_events = int(moments.event_counts.sum())
     passed = bool(n_events > 0 and max_abs_z < Z_LIMIT and p_value > P_FLOOR)
     return ComparisonReport(z_mean, z_cov, chi2, dof, p_value, passed,
                             max_abs_z, n_events, moments.n_trajectories)
+
+
+# ln 2 = _LN2_HI + _LN2_LO, the high part with 32 trailing zero bits
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _split(v: float):
+    """v = hi + lo with 26-bit hi and lo (Veltkamp): their products are
+    exact."""
+    c = 134217729.0 * v
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _exp_sum(parts) -> float:
+    """exp of the exact sum of parts. The sum is reduced by k ln 2 before
+    it is rounded, so an argument near -700 keeps full precision."""
+    total = math.fsum(parts)
+    if total < -746.0:   # exp rounds to 0 below about -745.13
+        return 0.0
+    k = round(total / math.log(2.0))
+    r = math.fsum(parts + [-k * _LN2_HI, -k * _LN2_LO])
+    return math.ldexp(math.exp(r), k)
+
+
+def chi2_tail(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square distributed with an integer dof >= 1.
+
+    The finite sums of Abramowitz & Stegun 26.4.4-5: with y = x / 2,
+    exp(-y) sum_(j<dof/2) y^j / j! for even dof, and erfc(sqrt y) plus
+    exp(-y) sum_(1<=j<=dof/2) y^(j-1/2) / Gamma(j+1/2) for odd dof. The
+    terms are summed in log space, so the tail underflows only where its
+    value is below the smallest double. NaN and negative x give NaN,
+    +inf gives 0.
+    """
+    dof = operator.index(dof)
+    if dof < 1:
+        raise ValueError(f"chi-square dof must be >= 1, not {dof}")
+    if math.isnan(x) or x < 0.0:
+        return math.nan
+    if x == math.inf:
+        return 0.0
+    y = 0.5 * x
+    if y == 0.0:
+        return 1.0
+    half = 0.5 * (dof % 2)
+    p = 0.0
+    if half:
+        # erfc amplifies the rounding of z = sqrt(y) by 2y; the exact
+        # z^2 - y undoes it, as d/dz log erfc(z) ~ -2z
+        z = math.sqrt(y)
+        p = math.erfc(z)
+        if p:
+            hi, lo = _split(z)
+            p *= math.exp(math.fsum([hi * hi, 2.0 * hi * lo, lo * lo, -y]))
+    log_y = math.log(y)
+    js = range(dof % 2, (dof + 1) // 2)
+    logs = [(j - half) * log_y - math.lgamma(j + 1.0 - half) for j in js]
+    if logs:
+        top = max(range(len(logs)), key=logs.__getitem__)
+        s = math.fsum(math.exp(v - logs[top]) for v in logs)
+        hi, lo = _split(log_y)
+        n = js[top] - half
+        p += _exp_sum([-y, n * hi, n * lo, -math.lgamma(n + 1.0),
+                       math.log(s)])
+    return min(p, 1.0)   # the rounding of a large dof's sum can pass 1
 
 
 def _z_scores(diff: np.ndarray, stderr: np.ndarray) -> np.ndarray:

@@ -12,14 +12,13 @@ from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
-from scipy.special import wofz
 
 from .constants import KB
 from .errors import NegativeEnergy, NonFinite
 from .quadrules import (SERIES_TAU, SERIES_TERMS, linear_draw,
                         phase_moments, segment_rule, series_moments)
 
-# J_n(t) switches from the Faddeeva recurrence to its asymptotic series
+# J_n(t) switches from the J_0 recurrence to its asymptotic series
 # at |t| = _ASYMPTOTIC_T: the recurrence loses about t^(n-1) eps there,
 # and the first omitted series term is below 1e-13 relative for n <= 10.
 _ASYMPTOTIC_T = 20.0
@@ -27,6 +26,14 @@ _ASYMPTOTIC_TERMS = 24
 _ASYMPTOTIC_COEFFS = np.array([[factorial(n + 2 * m) / factorial(m)
                                 for m in range(_ASYMPTOTIC_TERMS)]
                                for n in range(3 + SERIES_TERMS)])
+# Dawson's integral by Rybicki's sampling sum (step _DAWSON_H, the odd
+# n = 1, 3, .., 27 of _DAWSON_N) and, below _DAWSON_SERIES, its Taylor
+# series D(x) = sum_k (-2)^k x^(2k+1) / (2k+1)!!, k = 0..9.
+_DAWSON_H = 0.25
+_DAWSON_N = 2.0 * np.arange(14) + 1.0
+_DAWSON_C = np.exp(-(_DAWSON_H * _DAWSON_N) ** 2)
+_DAWSON_SERIES = 0.2
+_DAWSON_TAYLOR = np.cumprod([1.0] + [-2.0 / (2 * k + 3) for k in range(9)])
 
 
 @dataclass(frozen=True)
@@ -36,6 +43,8 @@ class Monoenergetic:
     energy: float
 
     def __post_init__(self):
+        if not np.isfinite(self.energy):
+            raise NonFinite("monoenergetic line energy must be finite")
         if self.energy < 0:
             raise NegativeEnergy("monoenergetic line energy must be >= 0")
 
@@ -66,6 +75,8 @@ class MaxwellBoltzmannFlux:
     temperature: float
 
     def __post_init__(self):
+        if not np.isfinite(self.temperature):
+            raise NonFinite("temperature must be finite")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
 
@@ -175,12 +186,44 @@ class TabulatedSpectrum:
 Spectrum = Monoenergetic | MaxwellBoltzmannFlux | TabulatedSpectrum
 
 
+def _dawson(x):
+    """Dawson's integral D(x) = exp(-x^2) int_0^x exp(y^2) dy, real x.
+
+    Rybicki's sum (Computers in Physics 3 (1989) 85): with n0 the even
+    integer nearest x / h and x' = x - n0 h, D(x) is
+    exp(-x'^2) / sqrt(pi) times the sum over odd n = +-1, +-3, .. of
+    exp(-(n h)^2) exp(2 x' n h) / (n0 + n); its error is about
+    exp(-(pi / 2h)^2) < 1e-17.
+    Near 0 the +-n terms cancel, so |x| < _DAWSON_SERIES takes the series.
+    """
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = np.abs(x) < _DAWSON_SERIES
+    xs = x[small]
+    out[small] = xs * np.polyval(_DAWSON_TAYLOR[::-1], xs * xs)
+    if np.all(small):
+        return out
+    x = x[~small]
+    ax = np.abs(x)
+    n0 = 2.0 * np.rint(0.5 / _DAWSON_H * ax)
+    xp = ax - _DAWSON_H * n0
+    en = np.exp(2.0 * _DAWSON_H * xp)
+    e2 = en * en
+    total = np.zeros_like(ax)
+    for c, n in zip(_DAWSON_C, _DAWSON_N):
+        total += c * (en / (n0 + n) + 1.0 / (en * (n0 - n)))
+        en *= e2
+    out[~small] = np.copysign(np.exp(-xp * xp) / np.sqrt(np.pi) * total, x)
+    return out
+
+
 def _gauss_fourier(t, n_max: int):
     """J_n(t) = int_0^inf x^n exp(-x^2 + i t x) dx for n = 0..n_max.
 
     Returns (n_max + 1, ...) complex. Below _ASYMPTOTIC_T:
-    J_0 = sqrt(pi)/2 w(t/2) with the Faddeeva function w, then
-    J_(n+1) = (delta_n0 + n J_(n-1) + i t J_n) / 2. Above it the
+    J_0 = sqrt(pi)/2 exp(-x^2) + i D(x), x = t/2, with Dawson's integral
+    D (this is sqrt(pi)/2 w(x), w the Faddeeva function on the real
+    line), then J_(n+1) = (delta_n0 + n J_(n-1) + i t J_n) / 2. Above it the
     asymptotic series J_n ~ (i/t)^(n+1) sum_m (n+2m)!/m! t^(-2m); the
     exp(-t^2/4) terms it omits are below 1e-30 there.
     """
@@ -188,7 +231,8 @@ def _gauss_fourier(t, n_max: int):
     out = np.empty((n_max + 1,) + t.shape, dtype=complex)
     far = np.abs(t) >= _ASYMPTOTIC_T
     near = t[~far]
-    j = [0.5 * np.sqrt(np.pi) * wofz(0.5 * near)]
+    x = 0.5 * near
+    j = [0.5 * np.sqrt(np.pi) * np.exp(-x * x) + 1j * _dawson(x)]
     j.append(0.5 + 0.5j * near * j[0])
     for n in range(1, n_max):
         j.append(0.5 * (n * j[n - 1] + 1j * near * j[n]))

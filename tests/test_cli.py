@@ -292,15 +292,40 @@ def test_locmap_block_not_an_object_exit2(tmp_path, capsys):
     assert "'locmap' must be an object" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of the import time of every command
-    code = "import sys, desorb.cli; print('scipy.stats' in sys.modules)"
+def test_commands_load_no_scipy(tmp_path):
+    # loading scipy costs most of the start-up of every command; only
+    # validate (scipy.integrate.quad as its oracle) may load it
+    cfg = write_config(tmp_path, {
+        "quadrature": {"surface_resolution": 8},
+        "tensors": {},
+        "locmap": {"pairs": [{"delta_x_m": [1e-11, 0.0, 0.0]},
+                             {"delta_x_m": [0.0, 0.0, 0.0],
+                              "w": [0.0, 0.01, 0.0]}]},
+        "simulate": {"duration_s": 1.0, "n_trajectories": 64, "n_times": 2,
+                     "compare": True},
+    })
+    argvs = [[cmd, "--config", cfg, "--out", str(tmp_path / f"{cmd}.out")]
+             for cmd in ("tensors", "locmap", "simulate")]
+    code = """if True:
+        import json, sys
+        import desorb.cli
+        def scipy():
+            return sorted(m for m in sys.modules
+                          if m == "scipy" or m.startswith("scipy."))
+        loaded = {"import": scipy()}
+        for argv in json.loads(sys.argv[1]):
+            assert desorb.cli.main(argv) == 0, argv
+            loaded[argv[0]] = scipy()
+        print(json.dumps(loaded))
+    """
     src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                         env=env, check=True, capture_output=True,
+                         text=True).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == {
+        "import": [], "tensors": [], "locmap": [], "simulate": []}
 
 
 def test_outgas_presets(tmp_path):

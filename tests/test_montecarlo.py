@@ -1,3 +1,6 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,7 +13,8 @@ from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
 from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
 from desorb.montecarlo import (_BLOCK, _jackknife_moments, _simulate_block,
-                               compare_to_prediction, simulate_ensemble)
+                               chi2_tail, compare_to_prediction,
+                               simulate_ensemble)
 from desorb.rng import stream
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
 
@@ -241,3 +245,37 @@ def test_ensemble_covariance_psd(sphere_quad_coarse):
         np.testing.assert_allclose(cov, cov.T, atol=1e-30)
         eigs = np.linalg.eigvalsh(cov)
         assert eigs.min() >= -1e-12 * max(eigs.max(), 1e-300)
+
+
+def test_chi2_tail_matches_mpmath():
+    # the regularized upper incomplete gamma Q(k/2, x/2) at 30 digits;
+    # x = 1000 and more is where exp(-x/2) alone underflows
+    x = np.concatenate([np.geomspace(1e-6, 2000.0, 40),
+                        np.linspace(1000.0, 1800.0, 9)])
+    worst = 0.0
+    with mpmath.workdps(30):
+        for k in range(1, 81):
+            for xi in x:
+                ref = float(mpmath.gammainc(k / 2, mpmath.mpf(xi) / 2,
+                                            regularized=True))
+                got = chi2_tail(float(xi), k)
+                if ref > 1e-300:
+                    worst = max(worst, abs(got - ref) / ref)
+                else:
+                    assert got <= 1e-290
+    assert worst <= 1e-13
+
+
+def test_chi2_tail_edge_values():
+    for k in (1, 2, 27, 80):
+        assert chi2_tail(0.0, k) == 1.0
+        assert chi2_tail(math.inf, k) == 0.0
+        assert math.isnan(chi2_tail(math.nan, k))
+    # below the smallest double, and a numpy integer dof
+    assert chi2_tail(1500.0, 1) == 0.0
+    assert chi2_tail(1400.0, np.int64(2)) == pytest.approx(math.exp(-700.0),
+                                                           rel=1e-13)
+    with pytest.raises(ValueError):
+        chi2_tail(1.0, 0)
+    with pytest.raises(TypeError):
+        chi2_tail(1.0, 2.5)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from desorb.constants import KB
 from desorb.errors import NegativeEnergy, NonFinite
 from desorb.rng import stream
+from desorb.quadrules import SERIES_TERMS
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
-                            TabulatedSpectrum)
+                            TabulatedSpectrum, _gauss_fourier)
 
 N2_MASS = 4.65e-26
 
@@ -164,3 +165,63 @@ def test_tabulated_rejects_bad_grids():
 def test_tabulated_rejects_non_finite(energies, values):
     with pytest.raises(NonFinite):
         TabulatedSpectrum(energies, values)
+
+
+@pytest.mark.parametrize("make,value", [
+    (MaxwellBoltzmannFlux, np.nan), (MaxwellBoltzmannFlux, np.inf),
+    (MaxwellBoltzmannFlux, -np.inf), (Monoenergetic, np.nan),
+    (Monoenergetic, np.inf), (Monoenergetic, -np.inf),
+])
+def test_spectrum_rejects_non_finite(make, value):
+    with pytest.raises(NonFinite):
+        make(value)
+
+
+def test_spectrum_keeps_sign_errors():
+    for t in (0.0, -300.0):
+        with pytest.raises(ValueError):
+            MaxwellBoltzmannFlux(t)
+    with pytest.raises(NegativeEnergy):
+        Monoenergetic(-1e-22)
+
+
+def _faddeeva_j(t):
+    """J_0..J_2 from scipy's Faddeeva function and the upward recurrence."""
+    j0 = 0.5 * np.sqrt(np.pi) * special.wofz(0.5 * t)
+    j1 = 0.5 + 0.5j * t * j0
+    return np.stack([j0, j1, 0.5 * (j0 + 1j * t * j1)])
+
+
+def test_gauss_fourier_matches_faddeeva():
+    # dense on |t| < 20, geometric down to 1e-9, both sides of the
+    # Dawson series switch (|x| = |t|/2 = 0.2) and of the asymptotic
+    # branch (|t| = 20)
+    edges = [0.4, 20.0]
+    t = np.concatenate([np.linspace(-19.99, 19.99, 4000),
+                        np.geomspace(1e-9, 19.99, 300),
+                        [np.nextafter(e, d) for e in edges
+                         for d in (0.0, np.inf)], edges])
+    t = np.concatenate([t, -t])
+    got, ref = _gauss_fourier(t, 2), _faddeeva_j(t)
+    # J_0 pointwise, and its imaginary part, Dawson's integral, on its own:
+    # near t = 0 the real part sqrt(pi)/2 would hide it
+    assert np.max(np.abs(got[0] - ref[0]) / np.abs(ref[0])) <= 2e-14
+    assert np.max(np.abs(got[0].imag - ref[0].imag)
+                  / np.abs(ref[0].imag)) <= 2e-14
+    # J_1, J_2 relative to their largest value, J_n(0): near |t| = 20 the
+    # recurrence, shared with the oracle, cancels to J_n ~ t^-(n+1), so
+    # either side's pointwise error there is about t^2 eps
+    scale = np.abs(_faddeeva_j(np.zeros(1)))[1:]
+    assert np.max(np.abs(got[1:] - ref[1:]) / scale) <= 2e-14
+
+
+def test_gauss_fourier_zero_argument():
+    # under filterwarnings = error a RuntimeWarning would fail here
+    t = np.array([0.0, -0.0, 5e-324])
+    j = _gauss_fourier(t, 2 + SERIES_TERMS)
+    assert np.all(j[0] == 0.5 * np.sqrt(np.pi))
+    assert j[1, 0] == 0.5 and j[2, 0] == 0.25 * np.sqrt(np.pi)
+    assert np.all(np.isfinite(j))
+    spec = MaxwellBoltzmannFlux(300.0)
+    m = spec.panel_moments(N2_MASS, 0.0, 0.0)
+    assert np.allclose(m, [2.0, 0.0, 2.0 / 3.0], rtol=0, atol=1e-15)
