@@ -2,7 +2,9 @@
 
 The schema is strict: unknown keys are rejected with the full key path,
 so typos cannot silently fall back to defaults. See README for the
-documented schema.
+documented schema. Each JSON object is read through a `_Block`: a present
+key, `null` included, goes through its check, and an absent one takes its
+default. A tag such as `body.shape` picks keys and builder from `_Kinds`.
 """
 
 from __future__ import annotations
@@ -11,12 +13,12 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .decoherence import DecoherenceQuadrature, PosePair
-from .errors import AngleOutOfRange, ConfigError
+from .errors import AngleOutOfRange, ConfigError, NegativeEnergy, NotUnit
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    Isotropic, IsotropicDirection, SingleSite, read_flux_csv)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
@@ -36,25 +38,61 @@ OUTGAS_PRESETS = {
                "note": "baked bulk silica at room temperature"},
 }
 
-
-def _check_keys(block: dict, allowed: set, path: str) -> None:
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{path}' must be an object" if path
-                          else "config root must be a JSON object")
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{path}.{key}'" if path
-                              else f"unknown key '{key}'")
+_REQUIRED = object()
 
 
-def _get(block: dict, key: str, path: str, required: bool = True,
-         default: Any = None) -> Any:
-    if key not in block:
-        if required:
-            raise ConfigError(f"missing key '{path}.{key}'" if path
-                              else f"missing key '{key}'")
-        return default
-    return block[key]
+class _Block:
+    """The JSON object at a key path ("" for the root), with its keys
+    checked against `keys` (None leaves that to `allow`)."""
+
+    def __init__(self, value, path: str, keys: Optional[frozenset] = None):
+        if not isinstance(value, dict):
+            raise ConfigError(f"'{path}' must be an object" if path
+                              else "config root must be a JSON object")
+        self.raw, self.path = value, path
+        if keys is not None:
+            self.allow(keys)
+
+    def allow(self, keys) -> None:
+        for key in self.raw:
+            if key not in keys:
+                raise ConfigError(f"unknown key '{self.at(key)}'")
+
+    def at(self, key: str) -> str:
+        return f"{self.path}.{key}" if self.path else key
+
+    def __call__(self, key: str, check: Callable, *args,
+                 default: Any = _REQUIRED) -> Any:
+        """check(value, path, *args) of a present key; an absent key
+        takes `default`, or is missing if it has none."""
+        if key not in self.raw:
+            if default is _REQUIRED:
+                raise ConfigError(f"missing key '{self.at(key)}'")
+            return default
+        return check(self.raw[key], self.at(key), *args)
+
+
+class _Kinds(NamedTuple):
+    """A check of a block whose `tag` picks (allowed keys, build) from
+    `kinds`; every kind also allows `common`."""
+
+    tag: str
+    kinds: dict
+    common: frozenset = frozenset()
+
+    def __call__(self, value, path: str, *context):
+        block = _Block(value, path)
+        name = block(self.tag, lambda value, path: value)
+        if not isinstance(name, str) or name not in self.kinds:
+            raise ConfigError(f"'{block.at(self.tag)}' unknown: {name!r}")
+        keys, build = self.kinds[name]
+        block.allow(keys | self.common | {self.tag})
+        return build(block, *context)
+
+
+def _object_or(value, path: str, scalar: Callable, build: Callable):
+    """A JSON object read by `build`, any other value by `scalar`."""
+    return (build if isinstance(value, dict) else scalar)(value, path)
 
 
 def _number(value, path: str) -> float:
@@ -65,14 +103,11 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
-def _list(value, path: str) -> list:
+def _each(value, path: str, check: Callable) -> list:
+    """A list whose i-th element passes check(element, "<path>[i]")."""
     if not isinstance(value, list):
         raise ConfigError(f"'{path}' must be a list")
-    return value
-
-
-def _numbers(value, path: str) -> list:
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(_list(value, path))]
+    return [check(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _positive(value, path: str) -> float:
@@ -117,15 +152,14 @@ def _string(value, path: str) -> str:
 def _vector3(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"'{path}' must be a finite 3-vector")
-    return np.array(_numbers(value, path))
+    return np.array(_each(value, path, _number))
 
 
 def _matrix3(value, path: str) -> np.ndarray:
     """A 3x3 matrix of finite JSON numbers, given as three rows."""
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"'{path}' must be a finite 3x3 matrix")
-    return np.array([_vector3(row, f"{path}[{i}]")
-                     for i, row in enumerate(value)])
+    return np.array(_each(value, path, _vector3))
 
 
 @dataclass
@@ -151,9 +185,126 @@ class RunConfig:
         ).hexdigest()
 
 
+def _body(b: _Block, shape) -> BodySpec:
+    """The body of a shape, with the keys every shape shares."""
+    mass = b("mass_kg", _positive, default=1e-18)
+    com = b("center_of_mass_m", _vector3, default=None)
+    inertia = b("inertia_body_kg_m2", _matrix3, default=None)
+    try:
+        return BodySpec(shape, mass=mass, center_of_mass=com,
+                        inertia_body=inertia)
+    except ValueError as exc:
+        raise ConfigError(f"body: {exc}") from None
+
+
+def _box(b: _Block) -> BodySpec:
+    he = b("half_extents_m", _vector3)
+    if np.any(he <= 0):
+        raise ConfigError("'body.half_extents_m' must be positive")
+    return _body(b, Box(he))
+
+
+def _mesh(b: _Block) -> BodySpec:
+    path = b("obj_path", _string)
+    try:
+        shape = read_obj(path)
+    except OSError as exc:
+        raise ConfigError(f"body.obj_path: {exc}") from None
+    return _body(b, shape)
+
+
+_SHAPES = _Kinds("shape", {
+    "sphere": (frozenset({"radius_m"}),
+               lambda b: _body(b, Sphere(b("radius_m", _positive)))),
+    "cylinder": (frozenset({"radius_m", "half_length_m", "capped"}),
+                 lambda b: _body(b, Cylinder(
+                     b("radius_m", _positive), b("half_length_m", _positive),
+                     b("capped", _boolean, default=True)))),
+    "box": (frozenset({"half_extents_m"}), _box),
+    "mesh": (frozenset({"obj_path"}), _mesh),
+}, frozenset({"mass_kg", "center_of_mass_m", "inertia_body_kg_m2"}))
+
+
+def _tabulated_spectrum(b: _Block) -> TabulatedSpectrum:
+    energies = np.asarray(b("energies_j", _each, _number), dtype=float)
+    values = np.asarray(b("values", _each, _number), dtype=float)
+    try:
+        return TabulatedSpectrum(energies, values)
+    except (ValueError, NegativeEnergy) as exc:
+        raise ConfigError(f"{b.path}: {exc}") from None
+
+
+_SPECTRA = _Kinds("kind", {
+    "maxwell_boltzmann": (frozenset({"temperature_k"}), lambda b:
+                          MaxwellBoltzmannFlux(b("temperature_k", _positive))),
+    "monoenergetic": (frozenset({"energy_j"}),
+                      lambda b: Monoenergetic(b("energy_j", _positive))),
+    "tabulated": (frozenset({"energies_j", "values"}), _tabulated_spectrum),
+})
+
+
+def _law(value, path: str, cls):
+    """The direction law cls(v) of a unit vector v."""
+    try:
+        return cls(_vector3(value, path))
+    except NotUnit as exc:
+        raise ConfigError(f"'{path}': {exc}") from None
+
+
+_DIRECTIONS = _Kinds("law", {
+    "isotropic": (frozenset(), lambda b: IsotropicDirection()),
+    "fixed": (frozenset({"direction"}),
+              lambda b: b("direction", _law, FixedDirection)),
+    "cosine": (frozenset({"axis"}), lambda b: b("axis", _law, CosineDirection)),
+})
+
+_GRADIENT_KEYS = frozenset({"base", "gradient_1_m"})
+
+
+def _rate_gradient(value, path: str):
+    """{"base": r0, "gradient_1_m": g}: the rate r0 (1 + g . s) at s."""
+    b = _Block(value, path, _GRADIENT_KEYS)
+    base, grad = b("base", _positive), b("gradient_1_m", _vector3)
+    return lambda points: base * (1.0 + points @ grad)
+
+
+def _surface_law(b: _Block, q: SurfaceQuadrature, cls) -> FluxModel:
+    rate = b("rate_per_area_hz_m2", _object_or, _positive, _rate_gradient)
+    built = cls(b("spectrum", _SPECTRA), rate)
+    if callable(rate) and np.any(rate(q.points) < 0):
+        raise ConfigError("'flux.rate_per_area_hz_m2' is negative at "
+                          "some surface nodes")
+    return built
+
+
+def _flux_table(b: _Block, q: SurfaceQuadrature) -> FluxModel:
+    try:
+        return read_flux_csv(b("csv_path", _string), q)
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"flux.csv_path: {exc}") from None
+
+
+_SURFACE_LAW_KEYS = frozenset({"rate_per_area_hz_m2", "spectrum"})
+_FLUX_MODELS = _Kinds("model", {
+    "cosine": (_SURFACE_LAW_KEYS,
+               lambda b, q: _surface_law(b, q, CosineLaw)),
+    "isotropic": (_SURFACE_LAW_KEYS,
+                  lambda b, q: _surface_law(b, q, Isotropic)),
+    "single_site": (frozenset({"site_m", "rate_hz", "direction", "spectrum"}),
+                    lambda b, q: SingleSite(
+                        b("site_m", _vector3), b("direction", _DIRECTIONS),
+                        b("spectrum", _SPECTRA), b("rate_hz", _positive))),
+    "tabulated": (frozenset({"csv_path"}), _flux_table),
+})
+
+
 # "threads" is accepted and ignored: every command runs on one thread
-_TOP_KEYS = {"seed", "threads", "atom", "body", "flux", "quadrature",
-             "tensors", "locmap", "simulate", "outgas"}
+_TOP_KEYS = frozenset({"seed", "threads", "atom", "body", "flux",
+                       "quadrature", "tensors", "locmap", "simulate",
+                       "outgas"})
+_ATOM_KEYS = frozenset({"mass_kg", "species"})
+_QUADRATURE_KEYS = frozenset({"surface_resolution", "angular_polar",
+                              "energy_nodes"})
 
 
 def load_config(path, resolution_scale: float = 1.0,
@@ -170,25 +321,24 @@ def load_config(path, resolution_scale: float = 1.0,
 
 def parse_config(raw: dict, resolution_scale: float = 1.0,
                  seed_override: Optional[int] = None) -> RunConfig:
-    _check_keys(raw, _TOP_KEYS, "")
-    seed = _integer(_get(raw, "seed", "", required=False, default=0), "seed")
+    top = _Block(raw, "", _TOP_KEYS)
+    seed = top("seed", _integer, default=0)
     if seed_override is not None:
         seed = seed_override
+    top("threads", _integer, default=None)    # checked, then ignored
 
-    atom = _get(raw, "atom", "")
-    _check_keys(atom, {"mass_kg", "species"}, "atom")
-    atom_mass = _positive(_get(atom, "mass_kg", "atom"), "atom.mass_kg")
-    species = _get(atom, "species", "atom", required=False)
+    atom = top("atom", _Block, _ATOM_KEYS)
+    atom_mass = atom("mass_kg", _positive)
+    species = atom("species", _string, default=None)
 
-    body = _parse_body(_get(raw, "body", ""))
+    body = top("body", _SHAPES)
 
-    quad_block = _get(raw, "quadrature", "", required=False, default={})
-    _check_keys(quad_block, {"surface_resolution", "angular_polar",
-                             "energy_nodes"}, "quadrature")
+    quad = top("quadrature", _Block, _QUADRATURE_KEYS,
+               default=_Block({}, "quadrature"))
+
     def order(key, default, minimum):
-        path = f"quadrature.{key}"
-        n = _integer(_get(quad_block, key, "quadrature", required=False,
-                          default=default), path, minimum)
+        path = quad.at(key)
+        n = quad(key, _integer, minimum, default=default)
         try:
             scaled = int(round(n * resolution_scale))
         except (OverflowError, ValueError):   # round(inf), round(nan)
@@ -207,12 +357,9 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
 
     quadrature = build_quadrature(body, resolution)
+    flux = top("flux", _FLUX_MODELS, quadrature, default=None)
 
-    flux = None
-    if "flux" in raw:
-        flux = _parse_flux(raw["flux"], quadrature)
-
-    _check_keys(raw.get("tensors", {}), set(), "tensors")
+    top("tensors", _Block, frozenset(), default=None)
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
                                            "outgas") if name in raw}
     return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass,
@@ -221,181 +368,47 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
                      surface_resolution=resolution, command_blocks=blocks)
 
 
-def _parse_body(block) -> BodySpec:
-    if not isinstance(block, dict):
-        raise ConfigError("'body' must be an object")
-    shape_name = _get(block, "shape", "body")
-    common = {"shape", "mass_kg", "center_of_mass_m", "inertia_body_kg_m2"}
-    mass = _positive(_get(block, "mass_kg", "body", required=False,
-                          default=1e-18), "body.mass_kg")
-    com = block.get("center_of_mass_m")
-    if com is not None:
-        com = _vector3(com, "body.center_of_mass_m")
-    inertia = block.get("inertia_body_kg_m2")
-    if inertia is not None:
-        inertia = _matrix3(inertia, "body.inertia_body_kg_m2")
-    if shape_name == "sphere":
-        _check_keys(block, common | {"radius_m"}, "body")
-        shape = Sphere(_positive(_get(block, "radius_m", "body"), "body.radius_m"))
-    elif shape_name == "cylinder":
-        _check_keys(block, common | {"radius_m", "half_length_m", "capped"}, "body")
-        shape = Cylinder(
-            _positive(_get(block, "radius_m", "body"), "body.radius_m"),
-            _positive(_get(block, "half_length_m", "body"), "body.half_length_m"),
-            _boolean(_get(block, "capped", "body", required=False,
-                          default=True), "body.capped"))
-    elif shape_name == "box":
-        _check_keys(block, common | {"half_extents_m"}, "body")
-        he = _vector3(_get(block, "half_extents_m", "body"), "body.half_extents_m")
-        if np.any(he <= 0):
-            raise ConfigError("'body.half_extents_m' must be positive")
-        shape = Box(he)
-    elif shape_name == "mesh":
-        _check_keys(block, common | {"obj_path"}, "body")
-        path = _string(_get(block, "obj_path", "body"), "body.obj_path")
-        try:
-            shape = read_obj(path)
-        except OSError as exc:
-            raise ConfigError(f"body.obj_path: {exc}") from None
-    else:
-        raise ConfigError(f"'body.shape' unknown: {shape_name!r}")
-    try:
-        return BodySpec(shape, mass=mass, center_of_mass=com, inertia_body=inertia)
-    except ValueError as exc:
-        raise ConfigError(f"body: {exc}") from None
-
-
-def _parse_spectrum(block, path: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    kind = _get(block, "kind", path)
-    if kind == "maxwell_boltzmann":
-        _check_keys(block, {"kind", "temperature_k"}, path)
-        return MaxwellBoltzmannFlux(_positive(_get(block, "temperature_k", path),
-                                              f"{path}.temperature_k"))
-    if kind == "monoenergetic":
-        _check_keys(block, {"kind", "energy_j"}, path)
-        return Monoenergetic(_positive(_get(block, "energy_j", path),
-                                       f"{path}.energy_j"))
-    if kind == "tabulated":
-        _check_keys(block, {"kind", "energies_j", "values"}, path)
-        try:
-            return TabulatedSpectrum(np.asarray(_get(block, "energies_j", path),
-                                                dtype=float),
-                                     np.asarray(_get(block, "values", path),
-                                                dtype=float))
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    raise ConfigError(f"'{path}.kind' unknown: {kind!r}")
-
-
-def _parse_rate_field(value, path: str):
-    if isinstance(value, dict):
-        _check_keys(value, {"base", "gradient_1_m"}, path)
-        base = _positive(_get(value, "base", path), f"{path}.base")
-        grad = _vector3(_get(value, "gradient_1_m", path), f"{path}.gradient_1_m")
-
-        def rate(points, _b=base, _g=grad):
-            return _b * (1.0 + points @ _g)
-
-        return rate
-    return _positive(value, path)
-
-
-def _parse_flux(block, q: SurfaceQuadrature) -> FluxModel:
-    if not isinstance(block, dict):
-        raise ConfigError("'flux' must be an object")
-    model = _get(block, "model", "flux")
-    if model in ("cosine", "isotropic"):
-        _check_keys(block, {"model", "rate_per_area_hz_m2", "spectrum"}, "flux")
-        rate = _parse_rate_field(_get(block, "rate_per_area_hz_m2", "flux"),
-                                 "flux.rate_per_area_hz_m2")
-        spectrum = _parse_spectrum(_get(block, "spectrum", "flux"), "flux.spectrum")
-        cls = CosineLaw if model == "cosine" else Isotropic
-        built = cls(spectrum, rate)
-        if callable(rate) and np.any(rate(q.points) < 0):
-            raise ConfigError("'flux.rate_per_area_hz_m2' is negative at "
-                              "some surface nodes")
-        return built
-    if model == "single_site":
-        _check_keys(block, {"model", "site_m", "rate_hz", "direction",
-                            "spectrum"}, "flux")
-        direction = _parse_direction(_get(block, "direction", "flux"),
-                                     "flux.direction")
-        return SingleSite(
-            _vector3(_get(block, "site_m", "flux"), "flux.site_m"),
-            direction,
-            _parse_spectrum(_get(block, "spectrum", "flux"), "flux.spectrum"),
-            _positive(_get(block, "rate_hz", "flux"), "flux.rate_hz"))
-    if model == "tabulated":
-        _check_keys(block, {"model", "csv_path"}, "flux")
-        try:
-            return read_flux_csv(_string(_get(block, "csv_path", "flux"),
-                                         "flux.csv_path"), q)
-        except (ValueError, OSError) as exc:
-            raise ConfigError(f"flux.csv_path: {exc}") from None
-    raise ConfigError(f"'flux.model' unknown: {model!r}")
-
-
-def _parse_direction(block, path: str):
-    if not isinstance(block, dict):
-        raise ConfigError(f"'{path}' must be an object")
-    law = _get(block, "law", path)
-    if law == "isotropic":
-        _check_keys(block, {"law"}, path)
-        return IsotropicDirection()
-    if law == "fixed":
-        _check_keys(block, {"law", "direction"}, path)
-        return FixedDirection(_vector3(_get(block, "direction", path),
-                                       f"{path}.direction"))
-    if law == "cosine":
-        _check_keys(block, {"law", "axis"}, path)
-        return CosineDirection(_vector3(_get(block, "axis", path), f"{path}.axis"))
-    raise ConfigError(f"'{path}.law' unknown: {law!r}")
-
-
 # ---------------------------------------------------------------------------
 # Command blocks
 # ---------------------------------------------------------------------------
 
+_LOCMAP_KEYS = frozenset({"pairs", "ray", "random", "visibility_times_s",
+                          "n_mu_panels", "n_azimuth", "check_convergence",
+                          "convergence_tol"})
+_PAIR_KEYS = frozenset({"delta_x_m", "w", "w_prime"})
+_RAY_KEYS = frozenset({"direction", "lengths_m"})
+_RANDOM_KEYS = frozenset({"count", "delta_x_scale_m", "max_angle_rad"})
+_SIMULATE_KEYS = frozenset({"duration_s", "n_trajectories", "n_times",
+                            "compare"})
+_OUTGAS_KEYS = frozenset({"preset", "specific_rate_pa_m3_s_m2",
+                          "specific_rate_torr_l_cm2_s", "gas_temperature_k",
+                          "area_m2"})
+
+
+def _command(cfg: RunConfig, name: str, keys: frozenset) -> _Block:
+    if name not in cfg.command_blocks:
+        raise ConfigError(f"missing '{name}' block")
+    return _Block(cfg.command_blocks[name], name, keys)
+
+
 def parse_locmap_block(cfg: RunConfig):
     """(pairs, DecoherenceQuadrature, visibility times) from the locmap block."""
-    block = cfg.command_blocks.get("locmap")
-    if block is None:
-        raise ConfigError("missing 'locmap' block")
-    _check_keys(block, {"pairs", "ray", "random", "visibility_times_s",
-                        "n_mu_panels", "n_azimuth", "check_convergence",
-                        "convergence_tol"}, "locmap")
-    pairs = []
-    for i, p in enumerate(_list(block.get("pairs", []), "locmap.pairs")):
-        path = f"locmap.pairs[{i}]"
-        _check_keys(p, {"delta_x_m", "w", "w_prime"}, path)
-        dx = _vector3(_get(p, "delta_x_m", path), f"{path}.delta_x_m")
-        pairs.append(_pose_pair(dx, _rotation(p, "w", path),
-                                _rotation(p, "w_prime", path), path))
-    if "ray" in block:
-        ray = block["ray"]
-        _check_keys(ray, {"direction", "lengths_m"}, "locmap.ray")
-        direction = _vector3(_get(ray, "direction", "locmap.ray"),
-                             "locmap.ray.direction")
+    b = _command(cfg, "locmap", _LOCMAP_KEYS)
+    pairs = b("pairs", _each, _pair, default=[])
+    ray = b("ray", _Block, _RAY_KEYS, default=None)
+    if ray is not None:
+        direction = ray("direction", _vector3)
         norm = np.linalg.norm(direction)
         if norm == 0:
             raise ConfigError("'locmap.ray.direction' must be nonzero")
         direction = direction / norm
-        for length in _numbers(_get(ray, "lengths_m", "locmap.ray"),
-                               "locmap.ray.lengths_m"):
+        for length in ray("lengths_m", _each, _number):
             pairs.append(PosePair(length * direction))
-    if "random" in block:
-        rnd = block["random"]
-        _check_keys(rnd, {"count", "delta_x_scale_m", "max_angle_rad"},
-                    "locmap.random")
-        count = _integer(_get(rnd, "count", "locmap.random"),
-                         "locmap.random.count", 0)
-        scale = _number(_get(rnd, "delta_x_scale_m", "locmap.random"),
-                        "locmap.random.delta_x_scale_m")
-        max_angle = _nonnegative(_get(rnd, "max_angle_rad", "locmap.random",
-                                      required=False, default=3.0),
-                                 "locmap.random.max_angle_rad")
+    rnd = b("random", _Block, _RANDOM_KEYS, default=None)
+    if rnd is not None:
+        count = rnd("count", _integer, 0)
+        scale = rnd("delta_x_scale_m", _number)
+        max_angle = rnd("max_angle_rad", _nonnegative, default=3.0)
         rng = stream(cfg.seed, "locmap-pairs")
         for k in range(count):
             dx = scale * rng.standard_normal(3)
@@ -405,29 +418,28 @@ def parse_locmap_block(cfg: RunConfig):
     if not pairs:
         raise ConfigError("locmap block defines no pose pairs")
     quad = DecoherenceQuadrature(
-        n_mu_panels=_integer(block.get("n_mu_panels", 96),
-                             "locmap.n_mu_panels", 1),
-        n_azimuth=_integer(block.get("n_azimuth", 64), "locmap.n_azimuth", 1),
+        n_mu_panels=b("n_mu_panels", _integer, 1, default=96),
+        n_azimuth=b("n_azimuth", _integer, 1, default=64),
         energy_nodes=cfg.energy.n_nodes,
-        check_convergence=_boolean(block.get("check_convergence", True),
-                                   "locmap.check_convergence"),
-        convergence_tol=_positive(block.get("convergence_tol", 1e-3),
-                                  "locmap.convergence_tol"))
-    times = [_nonnegative(t, f"locmap.visibility_times_s[{i}]")
-             for i, t in enumerate(_list(block.get("visibility_times_s", []),
-                                         "locmap.visibility_times_s"))]
+        check_convergence=b("check_convergence", _boolean, default=True),
+        convergence_tol=b("convergence_tol", _positive, default=1e-3))
+    times = b("visibility_times_s", _each, _nonnegative, default=[])
     return pairs, quad, times
 
 
-def _rotation(pair: dict, key: str, path: str) -> np.ndarray:
-    """The rotation exp([w]_x) of an optional axis-angle key, |w| < pi."""
-    if key not in pair:
-        return np.eye(3)
-    w = _vector3(pair[key], f"{path}.{key}")
+def _pair(value, path: str) -> PosePair:
+    p = _Block(value, path, _PAIR_KEYS)
+    return _pose_pair(p("delta_x_m", _vector3),
+                      p("w", _rotation, default=np.eye(3)),
+                      p("w_prime", _rotation, default=np.eye(3)), path)
+
+
+def _rotation(value, path: str) -> np.ndarray:
+    """The rotation exp([w]_x) of an axis-angle vector w, |w| < pi."""
     try:
-        return rotation_from_w(w)
+        return rotation_from_w(_vector3(value, path))
     except AngleOutOfRange as exc:
-        raise ConfigError(f"'{path}.{key}': {exc}") from None
+        raise ConfigError(f"'{path}': {exc}") from None
 
 
 def _pose_pair(dx, rot, rot_prime, name: str) -> PosePair:
@@ -450,60 +462,41 @@ def _random_small_rotation(rng, max_angle):
 
 
 def parse_simulate_block(cfg: RunConfig):
-    block = cfg.command_blocks.get("simulate")
-    if block is None:
-        raise ConfigError("missing 'simulate' block")
-    _check_keys(block, {"duration_s", "n_trajectories", "n_times", "compare"},
-                "simulate")
-    duration = _positive(_get(block, "duration_s", "simulate"),
-                         "simulate.duration_s")
-    n_traj = _integer(_get(block, "n_trajectories", "simulate"),
-                      "simulate.n_trajectories", 4)
-    n_times = _integer(_get(block, "n_times", "simulate", required=False,
-                            default=16), "simulate.n_times", 1)
-    compare = _boolean(_get(block, "compare", "simulate", required=False,
-                            default=True), "simulate.compare")
-    return duration, n_traj, n_times, compare
+    b = _command(cfg, "simulate", _SIMULATE_KEYS)
+    return (b("duration_s", _positive), b("n_trajectories", _integer, 4),
+            b("n_times", _integer, 1, default=16),
+            b("compare", _boolean, default=True))
 
 
 def parse_outgas_block(cfg: RunConfig):
     """(specific_rate_pa_m3_s_m2, temperature, area, provenance note)."""
-    block = cfg.command_blocks.get("outgas")
-    if block is None:
-        raise ConfigError("missing 'outgas' block")
-    _check_keys(block, {"preset", "specific_rate_pa_m3_s_m2",
-                        "specific_rate_torr_l_cm2_s", "gas_temperature_k",
-                        "area_m2"}, "outgas")
+    b = _command(cfg, "outgas", _OUTGAS_KEYS)
     from .constants import TORR_L_PER_CM2_S
-    note = None
-    if "preset" in block:
-        preset = _string(block["preset"], "outgas.preset")
+    units = {"specific_rate_pa_m3_s_m2": 1.0,
+             "specific_rate_torr_l_cm2_s": TORR_L_PER_CM2_S}
+    sources = [key for key in ("preset", *units) if key in b.raw]
+    if len(sources) > 1:
+        raise ConfigError(f"'{b.at(sources[0])}' and '{b.at(sources[1])}' "
+                          f"exclude each other")
+    if not sources:
+        raise ConfigError("outgas needs a preset or a specific rate")
+    note, temperature = None, _REQUIRED
+    if sources[0] == "preset":
+        preset = b("preset", _string)
         if preset not in OUTGAS_PRESETS:
             raise ConfigError(f"'outgas.preset' unknown: {preset!r}")
         p = OUTGAS_PRESETS[preset]
         rate = p["specific_rate"] * (TORR_L_PER_CM2_S if p["torr_l_per_cm2_s"]
                                      else 1.0)
-        temperature = block.get("gas_temperature_k", p["gas_temperature_k"])
-        temperature = _positive(temperature, "outgas.gas_temperature_k")
-        note = p["note"]
+        temperature, note = p["gas_temperature_k"], p["note"]
         if preset == "silica":
             note += ("; the ideal-gas conversion at 295 K over the sphere "
                      "area gives ~0.115 Hz for a 150 nm particle, a factor "
                      "~3 below the commonly quoted 0.33 Hz estimate, whose "
                      "temperature/area convention is not stated")
     else:
-        if "specific_rate_pa_m3_s_m2" in block:
-            rate = _positive(block["specific_rate_pa_m3_s_m2"],
-                             "outgas.specific_rate_pa_m3_s_m2")
-        elif "specific_rate_torr_l_cm2_s" in block:
-            rate = TORR_L_PER_CM2_S * _positive(
-                block["specific_rate_torr_l_cm2_s"],
-                "outgas.specific_rate_torr_l_cm2_s")
-        else:
-            raise ConfigError("outgas needs a preset or a specific rate")
-        temperature = _positive(_get(block, "gas_temperature_k", "outgas"),
-                                "outgas.gas_temperature_k")
-    area = block.get("area_m2")
-    area = cfg.quadrature.total_area if area is None else _positive(
-        area, "outgas.area_m2")
+        rate = units[sources[0]] * b(sources[0], _positive)
+    # a preset's temperature is a default that the block may override
+    temperature = b("gas_temperature_k", _positive, default=temperature)
+    area = b("area_m2", _positive, default=cfg.quadrature.total_area)
     return rate, temperature, area, note

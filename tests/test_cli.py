@@ -292,6 +292,16 @@ def test_locmap_block_not_an_object_exit2(tmp_path, capsys):
     assert "'locmap' must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("energies", [{"a": 1}, [{}, 1e-21]],
+                         ids=["object", "object_entry"])
+def test_tabulated_spectrum_object_exit2(tmp_path, capsys, energies):
+    flux = dict(BASE_CONFIG["flux"], spectrum={
+        "kind": "tabulated", "energies_j": energies, "values": [1.0, 0.5]})
+    cfg = write_config(tmp_path, {"flux": flux, "tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", "-"]) == 2
+    assert "'flux.spectrum.energies_j" in capsys.readouterr().err
+
+
 def test_commands_load_no_scipy(tmp_path):
     # loading scipy costs most of the start-up of every command; only
     # validate (scipy.integrate.quad as its oracle) may load it

@@ -1,8 +1,10 @@
 import json
+import pathlib
 import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from desorb.config import (parse_config, parse_locmap_block,
                            parse_outgas_block, parse_simulate_block)
@@ -316,3 +318,262 @@ def test_overflowing_order_is_config_error(key, value, scale):
     raw["quadrature"][key] = value
     with pytest.raises(ConfigError, match=f"quadrature.{key}"):
         parse_config(raw, resolution_scale=scale)
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("energies_j", {}, "'flux.spectrum.energies_j' must be a list"),
+    ("energies_j", [{}, 1e-21],
+     "'flux.spectrum.energies_j[0]' must be a finite number"),
+    ("values", [1.0, [2.0]], "'flux.spectrum.values[1]' must be a finite number"),
+    ("values", [1.0, True], "'flux.spectrum.values[1]' must be a finite number"),
+    ("values", [1.0, 2.0, 3.0], "flux.spectrum: need matching 1D"),
+    ("energies_j", [1e-21, 0.0], "flux.spectrum: energy grid must be strictly"),
+    ("energies_j", [-1e-21, 0.0], "flux.spectrum: tabulated energies must be >= 0"),
+])
+def test_tabulated_spectrum_arrays_fail_at_the_boundary(key, value, message):
+    # element faults name the element; shape faults come from the spectrum
+    raw = base_raw()
+    raw["flux"]["spectrum"] = {"kind": "tabulated", "energies_j": [0.0, 1e-21],
+                               "values": [1.0, 2.0]}
+    raw["flux"]["spectrum"][key] = value
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(raw)
+
+
+@pytest.mark.parametrize("block,first,second", [
+    ({"preset": "gold", "specific_rate_pa_m3_s_m2": 1.0},
+     "outgas.preset", "outgas.specific_rate_pa_m3_s_m2"),
+    ({"preset": "silica", "specific_rate_torr_l_cm2_s": 1e-9},
+     "outgas.preset", "outgas.specific_rate_torr_l_cm2_s"),
+    ({"specific_rate_pa_m3_s_m2": 1.0, "specific_rate_torr_l_cm2_s": 1e-9,
+      "gas_temperature_k": 295.0},
+     "outgas.specific_rate_pa_m3_s_m2", "outgas.specific_rate_torr_l_cm2_s"),
+])
+def test_outgas_rate_sources_exclude_each_other(block, first, second):
+    raw = base_raw()
+    raw["outgas"] = block
+    with pytest.raises(ConfigError, match=re.escape(
+            f"'{first}' and '{second}' exclude each other")):
+        parse_outgas_block(parse_config(raw))
+
+
+def test_flux_direction_must_be_a_unit_vector():
+    raw = base_raw()
+    raw["flux"] = {"model": "single_site", "site_m": [7.5e-8, 0, 0],
+                   "rate_hz": 1.0, "direction": {"law": "fixed",
+                                                 "direction": [1, 1, 0]},
+                   "spectrum": {"kind": "monoenergetic", "energy_j": 1e-21}}
+    with pytest.raises(ConfigError, match=re.escape(
+            "'flux.direction.direction': direction must be a unit vector")):
+        parse_config(raw)
+
+
+# -- the boundary: every leaf of configs that set every optional key ------
+
+def _full_configs(obj_path, csv_path):
+    """Valid configs that together set every key of the schema: the first
+    sets every optional key, the others swap in the remaining kinds."""
+    full = {
+        "seed": 7, "threads": 1, "atom": {"mass_kg": N2, "species": "N2"},
+        "body": {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e-7,
+                 "capped": True, "mass_kg": 1e-18,
+                 "center_of_mass_m": [0.0, 0.0, 1e-9],
+                 "inertia_body_kg_m2": [[1e-33, 0.0, 0.0], [0.0, 1e-33, 0.0],
+                                        [0.0, 0.0, 1e-33]]},
+        "flux": {"model": "cosine",
+                 "rate_per_area_hz_m2": {"base": 1e3,
+                                         "gradient_1_m": [0.0, 0.0, 1e6]},
+                 "spectrum": {"kind": "tabulated", "energies_j": [0.0, 1e-21],
+                              "values": [1.0, 0.5]}},
+        "quadrature": {"surface_resolution": 2, "angular_polar": 4,
+                       "energy_nodes": 4},
+        "tensors": {},
+        "locmap": {"pairs": [{"delta_x_m": [1e-9, 0.0, 0.0], "w": [0.1, 0.0, 0.0],
+                              "w_prime": [0.0, 0.1, 0.0]}],
+                   "ray": {"direction": [0, 0, 1], "lengths_m": [1e-9]},
+                   "random": {"count": 1, "delta_x_scale_m": 1e-9,
+                              "max_angle_rad": 1.0},
+                   "visibility_times_s": [0.1], "n_mu_panels": 8,
+                   "n_azimuth": 8, "check_convergence": False,
+                   "convergence_tol": 1e-3},
+        "simulate": {"duration_s": 1.0, "n_trajectories": 8, "n_times": 2,
+                     "compare": False},
+        "outgas": {"preset": "gold", "gas_temperature_k": 300.0,
+                   "area_m2": 1e-13},
+    }
+    site = {"model": "single_site", "site_m": [5e-8, 0.0, 0.0], "rate_hz": 5.0}
+    mb = {"kind": "maxwell_boltzmann", "temperature_k": 300.0}
+    line = {"kind": "monoenergetic", "energy_j": 1e-21}
+    sphere = {"shape": "sphere", "radius_m": 5e-8}
+    return {
+        "full": full,
+        "mesh": dict(full, body={"shape": "mesh", "obj_path": obj_path},
+                     flux=dict(site, spectrum=mb, direction={
+                         "law": "fixed", "direction": [1.0, 0.0, 0.0]}),
+                     outgas={"specific_rate_pa_m3_s_m2": 1e-5,
+                             "gas_temperature_k": 300.0}),
+        "box": dict(full, body={"shape": "box", "half_extents_m": [5e-8] * 3},
+                    flux=dict(site, spectrum=line, direction={
+                        "law": "cosine", "axis": [1, 0, 0]}),
+                    outgas={"specific_rate_torr_l_cm2_s": 1e-9,
+                            "gas_temperature_k": 300.0}),
+        "sphere": dict(full, body=sphere, flux=dict(
+            site, spectrum=line, direction={"law": "isotropic"})),
+        "table": dict(full, body=sphere,
+                      flux={"model": "tabulated", "csv_path": csv_path}),
+    }
+
+
+def _leaves(node, path=()):
+    """Every key path and list index below node, as tuples."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from _leaves(value, path + (key,))
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                   for k in path).lstrip(".")
+
+
+# every leaf of "full", and the leaves of the blocks the other configs swap in
+LEAVES = [(name, path) for name, raw in _full_configs("", "").items()
+          for path in _leaves(raw)
+          if name == "full" or path[0] in ("body", "flux", "outgas")]
+PATH_KEYS = {"obj_path", "csv_path"}
+# orders and counts take small numbers only: a large valid one is slow
+SIZE_KEYS = {"surface_resolution", "angular_polar", "energy_nodes", "count",
+             "n_mu_panels", "n_azimuth"}
+
+
+@pytest.fixture(scope="module")
+def full_configs(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("schema")
+    obj = tmp / "tet.obj"
+    obj.write_text("v 1e-7 1e-7 1e-7\nv 1e-7 -1e-7 -1e-7\nv -1e-7 1e-7 -1e-7\n"
+                   "v -1e-7 -1e-7 1e-7\nf 1 2 3\nf 1 4 2\nf 1 3 4\nf 2 4 3\n",
+                   encoding="ascii")
+    csv = tmp / "flux.csv"
+    csv.write_text("node_index,cos_theta,E_joule,value\n0,0,0,1\n0,0,1e-21,1\n"
+                   "0,1,0,1\n0,1,1e-21,1\n", encoding="ascii")
+    return _full_configs(str(obj), str(csv))
+
+
+def _parse_all(raw):
+    cfg = parse_config(raw)
+    parse_locmap_block(cfg)
+    parse_simulate_block(cfg)
+    parse_outgas_block(cfg)
+
+
+def _with_leaf(raw, path, value):
+    raw = json.loads(json.dumps(raw))
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return raw
+
+
+def _json_type(value):
+    for name, types in (("null", type(None)), ("bool", bool), ("string", str),
+                        ("number", (int, float)), ("list", list),
+                        ("object", dict)):
+        if isinstance(value, types):
+            return name
+
+
+WRONG_TYPES = {"null": None, "string": "x", "number": 2.5, "bool": True,
+               "list": [], "object": {}}
+
+
+def test_full_configs_parse(full_configs):
+    for raw in full_configs.values():
+        _parse_all(raw)
+
+
+@pytest.mark.parametrize("name,path", LEAVES,
+                         ids=[f"{n}:{_dotted(p)}" for n, p in LEAVES])
+def test_every_leaf_rejects_other_json_types(full_configs, name, path):
+    raw = full_configs[name]
+    node = raw
+    for key in path:
+        node = node[key]
+    accepted = {_json_type(node)}
+    if path == ("flux", "rate_per_area_hz_m2"):
+        accepted.add("number")    # a uniform rate or a gradient field
+    for kind, value in WRONG_TYPES.items():
+        if kind in accepted:
+            continue
+        with pytest.raises(ConfigError) as err:
+            _parse_all(_with_leaf(raw, path, value))
+        assert _dotted(path) in str(err.value), (kind, str(err.value))
+
+
+def _containers(inner):
+    return (st.lists(inner, max_size=3)
+            | st.dictionaries(st.text(max_size=3), inner, max_size=2))
+
+
+def _json_values(numbers):
+    scalars = st.none() | st.booleans() | st.text(max_size=3) | numbers
+    return st.recursive(scalars, _containers, max_leaves=4)
+
+
+SMALL_NUMBERS = st.integers(-3, 12) | st.floats(-12.0, 12.0)
+# Finite magnitudes stay within 1e+-30: beyond that the geometry and
+# rotation code overflows (ROADMAP item 6). NaN, infinities and integers
+# that no float holds are config errors and are drawn too.
+NUMBERS = (SMALL_NUMBERS
+           | st.floats(-1e30, 1e30).filter(lambda x: x == 0 or abs(x) >= 1e-30)
+           | st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                              10**400]))
+SMALL_JSON, ANY_JSON = _json_values(SMALL_NUMBERS), _json_values(NUMBERS)
+
+
+@st.composite
+def leaf_values(draw):
+    """A leaf of one of the full configs and a JSON value for it."""
+    name, path = draw(st.sampled_from(LEAVES))
+    value = draw(SMALL_JSON if path[-1] in SIZE_KEYS else ANY_JSON)
+    # a path leaf never takes a string, so no random path is opened
+    assume(not (path[-1] in PATH_KEYS and isinstance(value, str)))
+    return name, path, value
+
+
+TABLE = ("flux", "spectrum")
+
+
+@settings(max_examples=150)
+@given(leaf_values())
+@example(("full", TABLE + ("energies_j",), {"": 0}))
+@example(("full", TABLE + ("values", 1), float("nan")))
+@example(("full", TABLE + ("energies_j", 0), -1.0))
+@example(("mesh", ("flux", "direction", "direction"), [1, 1, 0]))
+def test_any_json_value_at_a_leaf_parses_or_is_a_config_error(
+        full_configs, leaf):
+    name, path, value = leaf
+    try:
+        _parse_all(_with_leaf(full_configs[name], path, value))
+    except ConfigError:
+        pass
+
+
+def test_schema_keys_match_readme():
+    # every key the reader allows is in README's schema block, and back
+    import desorb.config as config
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    block = readme.split("### Config schema", 1)[1].split("```jsonc", 1)[1]
+    documented = set(re.findall(r'"(\w+)":', block.split("```", 1)[0]))
+    allowed = set()
+    for value in vars(config).values():
+        if isinstance(value, frozenset):
+            allowed |= value
+        elif isinstance(value, config._Kinds):
+            allowed |= {value.tag} | value.common
+            for keys, _ in value.kinds.values():
+                allowed |= keys
+    assert allowed == documented
