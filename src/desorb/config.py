@@ -90,6 +90,14 @@ class _Kinds(NamedTuple):
         return build(block, *context)
 
 
+def _named(prefix: str, errors, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), with `errors` raised as "<prefix>: <error>"."""
+    try:
+        return call(*args, **kwargs)
+    except errors as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
 def _object_or(value, path: str, scalar: Callable, build: Callable):
     """A JSON object read by `build`, any other value by `scalar`."""
     return (build if isinstance(value, dict) else scalar)(value, path)
@@ -190,11 +198,8 @@ def _body(b: _Block, shape) -> BodySpec:
     mass = b("mass_kg", _positive, default=1e-18)
     com = b("center_of_mass_m", _vector3, default=None)
     inertia = b("inertia_body_kg_m2", _matrix3, default=None)
-    try:
-        return BodySpec(shape, mass=mass, center_of_mass=com,
-                        inertia_body=inertia)
-    except ValueError as exc:
-        raise ConfigError(f"body: {exc}") from None
+    return _named("body", ValueError, BodySpec, shape, mass=mass,
+                  center_of_mass=com, inertia_body=inertia)
 
 
 def _box(b: _Block) -> BodySpec:
@@ -202,15 +207,6 @@ def _box(b: _Block) -> BodySpec:
     if np.any(he <= 0):
         raise ConfigError("'body.half_extents_m' must be positive")
     return _body(b, Box(he))
-
-
-def _mesh(b: _Block) -> BodySpec:
-    path = b("obj_path", _string)
-    try:
-        shape = read_obj(path)
-    except OSError as exc:
-        raise ConfigError(f"body.obj_path: {exc}") from None
-    return _body(b, shape)
 
 
 _SHAPES = _Kinds("shape", {
@@ -221,17 +217,16 @@ _SHAPES = _Kinds("shape", {
                      b("radius_m", _positive), b("half_length_m", _positive),
                      b("capped", _boolean, default=True)))),
     "box": (frozenset({"half_extents_m"}), _box),
-    "mesh": (frozenset({"obj_path"}), _mesh),
+    "mesh": (frozenset({"obj_path"}), lambda b: _body(b, _named(
+        "body.obj_path", OSError, read_obj, b("obj_path", _string)))),
 }, frozenset({"mass_kg", "center_of_mass_m", "inertia_body_kg_m2"}))
 
 
 def _tabulated_spectrum(b: _Block) -> TabulatedSpectrum:
     energies = np.asarray(b("energies_j", _each, _number), dtype=float)
     values = np.asarray(b("values", _each, _number), dtype=float)
-    try:
-        return TabulatedSpectrum(energies, values)
-    except (ValueError, NegativeEnergy) as exc:
-        raise ConfigError(f"{b.path}: {exc}") from None
+    return _named(b.path, (ValueError, NegativeEnergy), TabulatedSpectrum,
+                  energies, values)
 
 
 _SPECTRA = _Kinds("kind", {
@@ -245,10 +240,7 @@ _SPECTRA = _Kinds("kind", {
 
 def _law(value, path: str, cls):
     """The direction law cls(v) of a unit vector v."""
-    try:
-        return cls(_vector3(value, path))
-    except NotUnit as exc:
-        raise ConfigError(f"'{path}': {exc}") from None
+    return _named(f"'{path}'", NotUnit, cls, _vector3(value, path))
 
 
 _DIRECTIONS = _Kinds("law", {
@@ -277,13 +269,6 @@ def _surface_law(b: _Block, q: SurfaceQuadrature, cls) -> FluxModel:
     return built
 
 
-def _flux_table(b: _Block, q: SurfaceQuadrature) -> FluxModel:
-    try:
-        return read_flux_csv(b("csv_path", _string), q)
-    except (ValueError, OSError) as exc:
-        raise ConfigError(f"flux.csv_path: {exc}") from None
-
-
 _SURFACE_LAW_KEYS = frozenset({"rate_per_area_hz_m2", "spectrum"})
 _FLUX_MODELS = _Kinds("model", {
     "cosine": (_SURFACE_LAW_KEYS,
@@ -294,7 +279,9 @@ _FLUX_MODELS = _Kinds("model", {
                     lambda b, q: SingleSite(
                         b("site_m", _vector3), b("direction", _DIRECTIONS),
                         b("spectrum", _SPECTRA), b("rate_hz", _positive))),
-    "tabulated": (frozenset({"csv_path"}), _flux_table),
+    "tabulated": (frozenset({"csv_path"}), lambda b, q: _named(
+        "flux.csv_path", (ValueError, OSError), read_flux_csv,
+        b("csv_path", _string), q)),
 })
 
 
@@ -436,20 +423,15 @@ def _pair(value, path: str) -> PosePair:
 
 def _rotation(value, path: str) -> np.ndarray:
     """The rotation exp([w]_x) of an axis-angle vector w, |w| < pi."""
-    try:
-        return rotation_from_w(_vector3(value, path))
-    except AngleOutOfRange as exc:
-        raise ConfigError(f"'{path}': {exc}") from None
+    return _named(f"'{path}'", AngleOutOfRange, rotation_from_w,
+                  _vector3(value, path))
 
 
 def _pose_pair(dx, rot, rot_prime, name: str) -> PosePair:
     """A pose pair whose relative rotation the locmap CSV can encode (a
     ray's pairs need no check: R = R' = I)."""
     pair = PosePair(dx, rot, rot_prime)
-    try:
-        pair.relative_angle_vector()
-    except AngleOutOfRange as exc:
-        raise ConfigError(f"'{name}': {exc}") from None
+    _named(f"'{name}'", AngleOutOfRange, pair.relative_angle_vector)
     return pair
 
 
