@@ -132,15 +132,18 @@ def _nonnegative(value, path: str) -> float:
     return v
 
 
-def _integer(value, path: str, minimum: Optional[int] = None) -> int:
-    """An integral JSON number >= minimum, if one is given (8.0 passes,
-    8.9 and "8" fail)."""
+def _integer(value, path: str, minimum: Optional[int] = None,
+             maximum: Optional[int] = None) -> int:
+    """An integral JSON number within [minimum, maximum], where given (8.0
+    passes, 8.9 and "8" fail)."""
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"'{path}' must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"'{path}' must be >= {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"'{path}' must be <= {maximum}")
     return value
 
 
@@ -365,6 +368,9 @@ _LOCMAP_KEYS = frozenset({"pairs", "ray", "random", "visibility_times_s",
 _PAIR_KEYS = frozenset({"delta_x_m", "w", "w_prime"})
 _RAY_KEYS = frozenset({"direction", "lengths_m"})
 _RANDOM_KEYS = frozenset({"count", "delta_x_scale_m", "max_angle_rad"})
+# random pairs are drawn one by one before any row is computed; a million
+# is already hours of rows
+_MAX_RANDOM_PAIRS = 10**6
 _SIMULATE_KEYS = frozenset({"duration_s", "n_trajectories", "n_times",
                             "compare"})
 _OUTGAS_KEYS = frozenset({"preset", "specific_rate_pa_m3_s_m2",
@@ -393,7 +399,7 @@ def parse_locmap_block(cfg: RunConfig):
             pairs.append(PosePair(length * direction))
     rnd = b("random", _Block, _RANDOM_KEYS, default=None)
     if rnd is not None:
-        count = rnd("count", _integer, 0)
+        count = rnd("count", _integer, 0, _MAX_RANDOM_PAIRS)
         scale = rnd("delta_x_scale_m", _number)
         max_angle = rnd("max_angle_rad", _nonnegative, default=3.0)
         rng = stream(cfg.seed, "locmap-pairs")

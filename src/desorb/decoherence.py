@@ -40,14 +40,17 @@ oscillatory parts share one mu grid, so the rate vanishes identically
 
 The 2x self-check samples once, at the refined level, and takes the
 coarse level as every other sample in mu and every other node of the
-arc rule, whose refined level doubles the intervals per piece. It
-compares both Re F and Im F and returns the refined values.
+arc rule, whose refined level doubles the intervals per piece. The
+Filon weights of both levels come from one filon_moments call too: a
+kernel that takes wide panels from edge values (the thermal one) is
+evaluated once per distinct phase scale, at the refined panel edges,
+and a coarse panel reads every other edge. The check compares both
+Re F and Im F and returns the refined values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -57,8 +60,7 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import (filon_grid, filon_moments, frames, phase_moments,
-                        segment_rule)
+from .quadrules import PHASE, filon_grid, filon_moments, frames, segment_rule
 from .rotations import check_rotation, w_from_rotations
 
 
@@ -340,18 +342,20 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     fine = levels[-1]
     length, axis = _pair_geometry(pair, points)
     kappa = length / HBAR   # phase per unit momentum and unit mu
-    if table is not None:
-        rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
-                 for j in range(len(levels))]
-        kernel = phase_moments
-    else:
-        kernel = partial(em.spectrum.panel_moments, m_atom)
+    if table is None:
+        kernel = em.spectrum.kernel(m_atom)
         # nodes at equal distance (every node, for a translation) share
         # their weights
         kappas, node_kappa = np.unique(kappa, return_inverse=True)
-        weights = [filon_moments(lv.n_mu_panels, kappas, kernel)[node_kappa]
-                   for lv in levels]
-    static = [filon_moments(lv.n_mu_panels, 0.0, kernel) for lv in levels]
+    else:
+        # a table's weights are per node of its energy rule, below
+        rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
+                 for j in range(len(levels))]
+        kernel, kappas, node_kappa = PHASE, np.zeros(0), np.zeros(0, int)
+    by_level = filon_moments([lv.n_mu_panels for lv in levels], kappas,
+                             kernel)
+    weights = [w[node_kappa] for w, _ in by_level]
+    static = [s for _, s in by_level]
 
     e1, e2 = frames(axis)
     mu = filon_grid(fine.n_mu_panels)

@@ -87,9 +87,6 @@ def surface_moment(quadrature: SurfaceQuadrature,
 class Sphere:
     radius: float
 
-    def area(self) -> float:
-        return 4.0 * np.pi * self.radius**2
-
 
 @dataclass(frozen=True)
 class Cylinder:
@@ -140,15 +137,21 @@ class BodySpec:
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
-        com = self.center_of_mass
-        if com is None:
-            com = _default_centroid(self.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sizes = _area_volume(self.shape)
+            com = self.center_of_mass
+            if com is None:
+                com = _default_centroid(self.shape)
+            inertia = self.inertia_body
+            if inertia is None:
+                inertia = _uniform_inertia(self.shape, self.mass)
         com = np.asarray(com, dtype=float)
-        object.__setattr__(self, "center_of_mass", com)
-        inertia = self.inertia_body
-        if inertia is None:
-            inertia = _uniform_inertia(self.shape, self.mass)
         inertia = np.asarray(inertia, dtype=float)
+        if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(com))
+                and np.all(np.isfinite(inertia))):
+            raise ValueError("area, volume, centroid and inertia must be "
+                             "finite")
+        object.__setattr__(self, "center_of_mass", com)
         if not np.allclose(inertia, inertia.T, rtol=0, atol=1e-12 * abs(inertia).max()):
             raise ValueError("inertia tensor must be symmetric")
         if np.any(np.linalg.eigvalsh(inertia) <= 0):
@@ -162,11 +165,28 @@ def _default_centroid(shape: Shape) -> np.ndarray:
     return np.zeros(3)
 
 
+def _area_volume(shape: Shape):
+    """Surface area [m^2] and enclosed volume [m^3] of a shape, in float64:
+    inf where they overflow."""
+    if isinstance(shape, Sphere):
+        r = np.float64(shape.radius)
+        return 4.0 * np.pi * r * r, (4.0 / 3.0) * np.pi * r * r * r
+    if isinstance(shape, Cylinder):
+        r, h = np.float64(shape.radius), np.float64(shape.half_length)
+        return (2.0 * np.pi * r * (2.0 * h + (r if shape.capped else 0.0)),
+                2.0 * np.pi * r * r * h)
+    if isinstance(shape, Box):
+        a, b, c = shape.half_extents
+        return 8.0 * (a * b + b * c + c * a), 8.0 * a * b * c
+    return (float(np.sum(_mesh_face_geometry(shape)[4])),
+            _mesh_volume_centroid(shape)[0])
+
+
 def _uniform_inertia(shape: Shape, mass: float) -> np.ndarray:
     if isinstance(shape, Sphere):
-        return (2.0 / 5.0) * mass * shape.radius**2 * np.eye(3)
+        return (2.0 / 5.0) * mass * np.float64(shape.radius)**2 * np.eye(3)
     if isinstance(shape, Cylinder):
-        r, h = shape.radius, shape.half_length
+        r, h = np.float64(shape.radius), np.float64(shape.half_length)
         ixx = mass * (3.0 * r**2 + 4.0 * h**2) / 12.0
         return np.diag([ixx, ixx, 0.5 * mass * r**2])
     if isinstance(shape, Box):

@@ -110,25 +110,110 @@ def phase_moments(t, tau):
     return np.where(small, series, direct)
 
 
-def filon_moments(n_panels: int, scale, panel_moments):
-    """Filon weights W with W @ f = int_{-1}^{1} f(mu) chi(scale mu) dmu.
+class PanelKernel:
+    """An oscillatory kernel chi for filon_moments, known through its panel
+    moments M[l] = int_{-1}^{1} s^l chi(t + tau s) ds, l = 0, 1, 2.
+    Calling it gives M, shape (3,) + the broadcast shape of t and tau.
 
-    f is taken as its panel-wise quadratic interpolant on
-    filon_grid(n_panels), so the rule is exact for quadratic f at any
-    scale. panel_moments(t, tau) gives int_{-1}^{1} s^l chi(t + tau s) ds
-    (leading axis l = 0, 1, 2) at panel centres t and half-width tau.
-    scale may be an array; W has shape scale.shape + (2 n_panels + 1,),
-    complex. With chi(0) = 1, scale 0 gives composite Simpson exactly.
+    at_centres(t, tau) gives the moments from the panel centre t and
+    half-width tau. A subclass may take the panels where edged(tau) holds
+    (which must then hold for every wider panel too) from its values at
+    the panel edges instead: from_edges(edges(t - tau), edges(t + tau),
+    tau), with the leading axis of edges(x) its own. Nested Filon levels
+    then share those values (filon_moments). This class takes every panel
+    at its centre.
     """
-    n = int(n_panels)
-    if n < 1:
-        raise ValueError("filon grid needs at least one panel")
-    scale = np.asarray(scale, dtype=float)[..., None]
-    h = 1.0 / n                                  # panel half-width
-    centres = -1.0 + h * (2.0 * np.arange(n) + 1.0)
-    m0, m1, m2 = panel_moments(scale * centres, scale * h)
-    w = np.zeros(scale.shape[:-1] + (2 * n + 1,), dtype=complex)
+
+    def __init__(self, at_centres):
+        self.at_centres = at_centres
+
+    def edged(self, tau):
+        return np.zeros(np.shape(tau), dtype=bool)
+
+    def __call__(self, t, tau):
+        t, tau = np.asarray(t, dtype=float), np.asarray(tau, dtype=float)
+        wide = np.broadcast_to(self.edged(tau),
+                               np.broadcast_shapes(t.shape, tau.shape))
+        if not wide.any():
+            return self.at_centres(t, tau)
+        if wide.all():
+            return self.from_edges(self.edges(t - tau), self.edges(t + tau),
+                                   tau)
+        t, tau = np.broadcast_arrays(t, tau)
+        out = np.empty((3,) + t.shape, dtype=complex)
+        out[:, wide] = self(t[wide], tau[wide])
+        out[:, ~wide] = self(t[~wide], tau[~wide])
+        return out
+
+
+#: the pure phase exp(i t), by phase_moments
+PHASE = PanelKernel(phase_moments)
+
+
+def _panel_centres(n: int):
+    return -1.0 + (1.0 / n) * (2.0 * np.arange(n) + 1.0)
+
+
+def _filon_weights(m, n: int):
+    """Weights on filon_grid(n) from the panel moments m (3, ..., n)."""
+    h = 1.0 / n
+    m0, m1, m2 = m
+    w = np.zeros(m0.shape[:-1] + (2 * n + 1,), dtype=complex)
     w[..., 0:-1:2] += 0.5 * h * (m2 - m1)
     w[..., 1::2] += h * (m0 - m2)
     w[..., 2::2] += 0.5 * h * (m2 + m1)
     return w
+
+
+def filon_moments(n_panels, scale, kernel):
+    """Filon weights W with W @ f = int_{-1}^{1} f(mu) chi(scale mu) dmu.
+
+    f is taken as its panel-wise quadratic interpolant on
+    filon_grid(n_panels), so the rule is exact for quadratic f at any
+    scale. kernel(t, tau) gives int_{-1}^{1} s^l chi(t + tau s) ds
+    (leading axis l = 0, 1, 2) at panel centres t and half-width tau.
+    scale may be an array; W has shape scale.shape + (2 n_panels + 1,),
+    complex. With chi(0) = 1, scale 0 gives composite Simpson exactly.
+
+    n_panels may instead list the panel counts of nested levels, coarse
+    to fine, each dividing the next. kernel is then a PanelKernel, scale
+    1D, and the result is [(W, static)] per level, static the rule at
+    scale 0. A scale's edge values are evaluated once, at the panel edges
+    of the finest level whose panels take them; a coarser level reads
+    every (n_fine / n)-th of them.
+    """
+    if np.ndim(n_panels) == 0:
+        n = int(n_panels)
+        if n < 1:
+            raise ValueError("filon grid needs at least one panel")
+        scale = np.asarray(scale, dtype=float)[..., None]
+        return _filon_weights(kernel(scale * _panel_centres(n),
+                                     scale * (1.0 / n)), n)
+    levels = [int(n) for n in n_panels]
+    if min(levels) < 1 or any(b % a for a, b in zip(levels, levels[1:])):
+        raise ValueError("filon levels need panels, each count dividing "
+                         "the next")
+    scale = np.asarray(scale, dtype=float)
+    wide = np.array([kernel.edged(scale * (1.0 / n)) for n in levels])
+    moments = []
+    for n, edged in zip(levels, wide):
+        m = np.empty((3, scale.size, n), dtype=complex)
+        s = scale[~edged, None]
+        if s.size:
+            m[:, ~edged] = kernel.at_centres(s * _panel_centres(n),
+                                             s * (1.0 / n))
+        moments.append(m)
+    # a coarser panel is wider, so a scale's edged levels are the coarsest
+    # ones: its edges come from the finest of them
+    finest = np.sum(wide, axis=0) - 1
+    for g, n in enumerate(levels):
+        rows = np.flatnonzero(finest == g)
+        if not rows.size:
+            continue
+        edges = kernel.edges(scale[rows, None] * np.linspace(-1.0, 1.0, n + 1))
+        for j in range(g + 1):
+            e = edges[..., ::n // levels[j]]
+            moments[j][:, rows] = kernel.from_edges(
+                e[..., :-1], e[..., 1:], scale[rows, None] * (1.0 / levels[j]))
+    return [(_filon_weights(m, n), filon_moments(n, 0.0, kernel))
+            for m, n in zip(moments, levels)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .constants import KB
 from .errors import NegativeEnergy, NonFinite
-from .quadrules import (SERIES_TAU, SERIES_TERMS, linear_draw,
+from .quadrules import (SERIES_TAU, SERIES_TERMS, PanelKernel, linear_draw,
                         phase_moments, segment_rule, series_moments)
 
 # J_n(t) switches from the J_0 recurrence to its asymptotic series
@@ -59,10 +59,14 @@ class Monoenergetic:
 
     def panel_moments(self, m_atom: float, t, tau):
         """int_{-1}^{1} s^l <exp(i p (t + tau s))> ds, l = 0, 1, 2, averaged
-        over the spectrum, p = sqrt(2 m E); t and tau per unit momentum.
-        The pure phase at the line's momentum here."""
+        over the spectrum, p = sqrt(2 m E); t and tau per unit momentum."""
+        return self.kernel(m_atom)(t, tau)
+
+    def kernel(self, m_atom: float) -> PanelKernel:
+        """The spectral average as a PanelKernel in t per unit momentum:
+        the pure phase at the line's momentum here."""
         p = np.sqrt(2.0 * m_atom * self.energy)
-        return phase_moments(p * np.asarray(t), p * np.asarray(tau))
+        return PanelKernel(lambda t, tau: phase_moments(p * t, p * tau))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.energy)
@@ -94,32 +98,13 @@ class MaxwellBoltzmannFlux:
                 4.0 * m_atom * self.kt)
 
     def panel_moments(self, m_atom: float, t, tau):
-        """Panel moments (see Monoenergetic.panel_moments), exact in energy.
+        """Panel moments (see Monoenergetic.panel_moments), exact in energy."""
+        return self.kernel(m_atom)(t, tau)
 
-        With p = sqrt(2 m kB T) x the spectral average is the closed form
-        chi(t) = 2 J_3(t), and chi^(k) = 2 i^k J_(3+k); since
-        d/dt J_n = i J_(n+1), the moments over a panel are differences of
-        the antiderivatives -i J_2, -i u J_2 + J_1 and
-        -i u^2 J_2 + 2 u J_1 + 2 i J_0 (u = t - centre). Narrow panels
-        take series_moments instead, as those differences cancel there.
-        """
-        p = np.sqrt(2.0 * m_atom * self.kt)
-        t, tau = np.broadcast_arrays(p * np.asarray(t, dtype=float),
-                                     p * np.asarray(tau, dtype=float))
-        small = np.abs(tau) < SERIES_TAU
-        u = np.where(small, 1.0, tau)
-        j0r, j1r, j2r = _gauss_fourier(t + u, 2)
-        j0l, j1l, j2l = _gauss_fourier(t - u, 2)
-        d2, s1 = j2r - j2l, j1r + j1l
-        direct = 2.0 * np.stack([
-            -1j * d2 / u,
-            (-1j * u * (j2r + j2l) + (j1r - j1l)) / u**2,
-            (-1j * u * u * d2 + 2.0 * u * s1 + 2j * (j0r - j0l)) / u**3])
-        if not np.any(small):
-            return direct
-        derivs = 2.0 * _gauss_fourier(t, 2 + SERIES_TERMS)[3:]
-        series = series_moments(np.where(small, tau, 0.0), derivs)
-        return np.where(small, series, direct)
+    def kernel(self, m_atom: float) -> PanelKernel:
+        """The spectral average as a PanelKernel (see Monoenergetic.kernel),
+        which takes wide panels from edge values."""
+        return _ThermalKernel(np.sqrt(2.0 * m_atom * self.kt))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         # Gamma(2) in units of kB T: sum of two exponentials
@@ -165,11 +150,16 @@ class TabulatedSpectrum:
     def panel_moments(self, m_atom: float, t, tau):
         """Panel moments (see Monoenergetic.panel_moments), summed over a
         3-point Gauss rule per segment in E."""
+        return self.kernel(m_atom)(t, tau)
+
+    def kernel(self, m_atom: float) -> PanelKernel:
+        """The spectral average as a PanelKernel (see Monoenergetic.kernel):
+        pure phases summed over a 3-point Gauss rule per segment in E."""
         e, w = segment_rule(self.energies, 0)
         w = w * self.density(e)
-        t, tau = np.asarray(t), np.asarray(tau)
-        return sum(wk * phase_moments(pk * t, pk * tau)
-                   for pk, wk in zip(np.sqrt(2.0 * m_atom * e), w))
+        p = np.sqrt(2.0 * m_atom * e)
+        return PanelKernel(lambda t, tau: sum(
+            wk * phase_moments(pk * t, pk * tau) for pk, wk in zip(p, w)))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         e = self.energies
@@ -184,6 +174,39 @@ class TabulatedSpectrum:
 
 
 Spectrum = Monoenergetic | MaxwellBoltzmannFlux | TabulatedSpectrum
+
+
+class _ThermalKernel(PanelKernel):
+    """The Maxwell-Boltzmann average as a PanelKernel in t per unit
+    momentum. In x = p t, p = sqrt(2 m kB T), it is the closed form
+    chi(x) = 2 J_3(x), and chi^(k) = 2 i^k J_(3+k); since
+    d/dx J_n = i J_(n+1), the moments over a panel are differences of the
+    antiderivatives -i J_2, -i u J_2 + J_1 and
+    -i u^2 J_2 + 2 u J_1 + 2 i J_0 (u = x - centre) between its edges,
+    so a wide panel reads J_0..J_2 there and nothing else. Narrow panels
+    take series_moments instead, as those differences cancel there."""
+
+    def __init__(self, p: float):
+        self.p = p
+
+    def edged(self, tau):
+        return np.abs(self.p * tau) >= SERIES_TAU
+
+    def edges(self, x):
+        return _gauss_fourier(self.p * x, 2)
+
+    def from_edges(self, left, right, tau):
+        (j0l, j1l, j2l), (j0r, j1r, j2r) = left, right
+        u = self.p * tau
+        d2, s1 = j2r - j2l, j1r + j1l
+        return 2.0 * np.stack([
+            -1j * d2 / u,
+            (-1j * u * (j2r + j2l) + (j1r - j1l)) / u**2,
+            (-1j * u * u * d2 + 2.0 * u * s1 + 2j * (j0r - j0l)) / u**3])
+
+    def at_centres(self, t, tau):
+        derivs = 2.0 * _gauss_fourier(self.p * t, 2 + SERIES_TERMS)[3:]
+        return series_moments(self.p * tau, derivs)
 
 
 def _dawson(x):
@@ -224,8 +247,9 @@ def _gauss_fourier(t, n_max: int):
     J_0 = sqrt(pi)/2 exp(-x^2) + i D(x), x = t/2, with Dawson's integral
     D (this is sqrt(pi)/2 w(x), w the Faddeeva function on the real
     line), then J_(n+1) = (delta_n0 + n J_(n-1) + i t J_n) / 2. Above it the
-    asymptotic series J_n ~ (i/t)^(n+1) sum_m (n+2m)!/m! t^(-2m); the
-    exp(-t^2/4) terms it omits are below 1e-30 there.
+    asymptotic series J_n ~ (i/t)^(n+1) sum_m (n+2m)!/m! t^(-2m), summed
+    in u = 1/t^2 by Horner's rule, elementwise (no matrix product, so no
+    BLAS call); the exp(-t^2/4) terms it omits are below 1e-30 there.
     """
     t = np.asarray(t, dtype=float)
     out = np.empty((n_max + 1,) + t.shape, dtype=complex)
@@ -239,8 +263,12 @@ def _gauss_fourier(t, n_max: int):
     out[:, ~far] = np.stack(j[:n_max + 1])
     tf = t[far]
     if tf.size:
-        u = np.power.outer(1.0 / (tf * tf), np.arange(_ASYMPTOTIC_TERMS))
-        sums = (u @ _ASYMPTOTIC_COEFFS[:n_max + 1].T).T
+        u = 1.0 / (tf * tf)
+        coeffs = _ASYMPTOTIC_COEFFS[:n_max + 1, :, None]
+        sums = np.repeat(coeffs[:, -1], tf.size, axis=1)
+        for c in coeffs[:, -2::-1].transpose(1, 0, 2):
+            sums *= u
+            sums += c
         z = 1j / tf
         z_n = z
         for n in range(n_max + 1):

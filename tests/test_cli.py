@@ -389,3 +389,43 @@ def test_metadata_header_in_outputs(tmp_path):
     assert meta["command"] == "tensors"
     assert len(meta["config_sha256"]) == 64
     assert meta["seed"] == 20240
+
+
+@pytest.mark.parametrize("extra", [
+    {"body": {"shape": "sphere", "radius_m": 1e300}},
+    {"body": {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e300}},
+    {"body": {"shape": "box", "half_extents_m": [1e-7, 1e300, 1e-7]}},
+], ids=["radius_m", "half_length_m", "half_extents_m"])
+def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, {**extra, "tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", "-"]) == 2
+    assert "body: " in capsys.readouterr().err
+
+
+def test_locmap_unbounded_random_count_exit2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"locmap": {"random": {
+        "count": 10**400, "delta_x_scale_m": 1e-9}}})
+    assert run(["locmap", "--config", cfg, "--out", "-"]) == 2
+    assert "locmap.random.count" in capsys.readouterr().err
+
+
+def test_locmap_output_does_not_depend_on_the_blas_pool(tmp_path):
+    # a rotation with a displacement at res 8, under one and two OpenBLAS
+    # threads, each in a fresh interpreter
+    cfg = write_config(tmp_path, {
+        "quadrature": {"surface_resolution": 8},
+        "locmap": {"pairs": [{"delta_x_m": [2e-12, 1e-12, 0.0],
+                              "w": [0.0, 0.0, 0.01]}]}})
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas_{threads}.csv"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-m", "desorb.cli", "locmap",
+                        "--config", cfg, "--out", str(out)],
+                       env=env, check=True, capture_output=True)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b"nan" not in outputs[0]

@@ -577,3 +577,41 @@ def test_schema_keys_match_readme():
             for keys, _ in value.kinds.values():
                 allowed |= keys
     assert allowed == documented
+
+
+@pytest.mark.parametrize("count", [10**400, 10**6 + 1],
+                         ids=["1e400", "1e6_plus_1"])
+def test_random_pair_count_is_bounded(count):
+    # the pairs are drawn one by one before any row: an unbounded count
+    # would never return
+    raw = base_raw()
+    raw["locmap"] = {"random": {"count": count, "delta_x_scale_m": 1e-9}}
+    cfg = parse_config(raw)
+    with pytest.raises(ConfigError,
+                       match=re.escape("'locmap.random.count' must be <= "
+                                       "1000000")):
+        parse_locmap_block(cfg)
+
+
+@pytest.mark.parametrize("body", [
+    {"shape": "sphere", "radius_m": 1e300},
+    {"shape": "sphere", "radius_m": 1e110},          # the volume overflows
+    {"shape": "cylinder", "radius_m": 1e300, "half_length_m": 1e-7},
+    {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e300},
+    {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e300,
+     "capped": False},
+    {"shape": "box", "half_extents_m": [1e300, 1e-7, 1e-7]},
+    {"shape": "box", "half_extents_m": [1e-7, 1e160, 1e160]},
+], ids=["sphere", "sphere_volume", "cylinder_radius", "cylinder_length",
+        "open_cylinder", "box", "box_area"])
+def test_body_sizes_that_overflow_are_config_errors(body):
+    raw = base_raw()
+    raw["body"] = body
+    with pytest.raises(ConfigError, match="^body: .*must be finite"):
+        parse_config(raw)
+
+
+def test_large_finite_body_sizes_still_parse():
+    raw = base_raw()
+    raw["body"] = {"shape": "box", "half_extents_m": [1e100, 1e-7, 1e-7]}
+    assert parse_config(raw).body.inertia_body[0, 0] > 0.0

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -580,3 +582,67 @@ def test_refined_arc_rule_nests_and_is_finer(n_azimuth):
     np.testing.assert_allclose(step * w_f[::step][1:-1], w_c[1:-1], rtol=1e-14)
     if n_azimuth == 64:
         assert (coarse - 1, fine - 1) == (7, 15)   # interior points per piece
+
+
+# ---------------------------------------------------------------------------
+# Both check levels' Filon weights from one edge pass
+# ---------------------------------------------------------------------------
+
+# with p = 1 (UNIT_MASS) a scale a has fine half-width a / 192 and coarse
+# a / 96: 6 takes the series at 192 panels and edge values at 96; 500 and
+# 4000 reach the asymptotic branch of J_n (|t| >= 20) at their edges
+LEVEL_SCALES = np.array([0.0, 1e-3, 6.0, 9.0, 9.7, 40.0, 500.0, 4000.0])
+
+
+@pytest.mark.parametrize("spectrum", [MB_300, Monoenergetic(0.25 * KB),
+                                      TabulatedSpectrum([0.0, 1e-21, 4e-21],
+                                                        [0.0, 1.0, 0.2])],
+                         ids=["mb", "mono", "tabulated"])
+def test_level_pass_matches_per_panel_weights(spectrum):
+    kernel = spectrum.kernel(UNIT_MASS)
+    levels = filon_moments([96, 192], LEVEL_SCALES, kernel)
+    for n, (w, static) in zip([96, 192], levels):
+        ref = filon_moments(n, LEVEL_SCALES,
+                            partial(spectrum.panel_moments, UNIT_MASS))
+        assert w.shape == ref.shape
+        assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
+        assert np.array_equal(static, filon_moments(n, 0.0, kernel))
+        assert np.array_equal(w[0], static)
+
+
+def test_level_scales_straddle_the_series_switch():
+    kernel = MB_300.kernel(UNIT_MASS)
+    fine, coarse = (kernel.edged(LEVEL_SCALES / n) for n in (192, 96))
+    assert fine.tolist() == [False] * 4 + [True] * 4
+    assert coarse.tolist() == [False] * 2 + [True] * 6
+
+
+def _count_direct_points(monkeypatch):
+    """Points at which J_0..J_2 alone (the edge values, not the series'
+    derivatives) are evaluated, counted through spectra._gauss_fourier."""
+    import desorb.spectra
+    counted = []
+    original = desorb.spectra._gauss_fourier
+
+    def counting(t, n_max):
+        if n_max == 2:
+            counted.append(np.size(t))
+        return original(t, n_max)
+    monkeypatch.setattr(desorb.spectra, "_gauss_fourier", counting)
+    return counted
+
+
+def test_level_pass_evaluates_each_fine_edge_once(monkeypatch):
+    counted = _count_direct_points(monkeypatch)
+    scales = np.array([10.0, 40.0, 500.0, 4000.0, 9e4])   # edged at 192
+    filon_moments([96, 192], scales, MB_300.kernel(UNIT_MASS))
+    assert sum(counted) == 193 * len(scales)
+
+
+def test_checked_translation_costs_one_edge_pass(monkeypatch, q_small):
+    # every node of a translation shares one phase scale, edged at both
+    # levels: 193 edge values, where two per panel and level would be 576
+    counted = _count_direct_points(monkeypatch)
+    model = CosineLaw(MB_300, RATE)
+    localization_rate(PosePair([1e-9, 0.0, 0.0]), model, q_small, N2_MASS)
+    assert sum(counted) == 193

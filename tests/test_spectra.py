@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special, stats
@@ -213,6 +214,31 @@ def test_gauss_fourier_matches_faddeeva():
     # either side's pointwise error there is about t^2 eps
     scale = np.abs(_faddeeva_j(np.zeros(1)))[1:]
     assert np.max(np.abs(got[1:] - ref[1:]) / scale) <= 2e-14
+
+
+def _mp_gauss_fourier(t):
+    """J_0..J_2 at 60 digits: J_0 = sqrt(pi)/2 exp(-z^2) erfc(-i z),
+    z = t/2, then the upward recurrence, whose cancellation at large |t|
+    the working precision absorbs."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(float(t))
+        z = t / 2
+        j0 = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-z * z) \
+            * mpmath.erfc(-1j * z)
+        j1 = (1 + 1j * t * j0) / 2
+        j2 = (j0 + 1j * t * j1) / 2
+        return [complex(j) for j in (j0, j1, j2)]
+
+
+def test_gauss_fourier_asymptotic_branch_matches_mpmath():
+    # |t| >= 20 takes the asymptotic series: geometric from the switch
+    # to 1e6, on both signs
+    t = np.concatenate([[20.0, np.nextafter(20.0, np.inf)],
+                        np.geomspace(20.0, 1e6, 121)[1:]])
+    t = np.concatenate([t, -t])
+    got = _gauss_fourier(t, 2)
+    ref = np.array([_mp_gauss_fourier(x) for x in t]).T
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
 
 
 def test_gauss_fourier_zero_argument():
