@@ -351,11 +351,10 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
         # a table's weights are per node of its energy rule, below
         rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
                  for j in range(len(levels))]
-        kernel, kappas, node_kappa = PHASE, np.zeros(0), np.zeros(0, int)
-    by_level = filon_moments([lv.n_mu_panels for lv in levels], kappas,
-                             kernel)
-    weights = [w[node_kappa] for w, _ in by_level]
-    static = [s for _, s in by_level]
+        kernel, kappas = PHASE, np.zeros(0)
+    # weights per distinct kappa, and the rule at zero phase, per level
+    weights, static = zip(*filon_moments([lv.n_mu_panels for lv in levels],
+                                         kappas, kernel))
 
     e1, e2 = frames(axis)
     mu = filon_grid(fine.n_mu_panels)
@@ -369,7 +368,8 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
         g2 = em.law.ring(*rings[0][:2])
         for j, lv in enumerate(levels):
             step = fine.n_mu_panels // lv.n_mu_panels
-            re, im = _profile_terms(g2[:, ::step], static[j], weights[j])
+            re, im = _profile_terms(g2[:, ::step], static[j],
+                                    weights[j][node_kappa])
             out[j] = node_weights @ re, node_weights @ im
         return [tuple(row) for row in out]
 
@@ -393,7 +393,7 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
                 law = (em.law.inside, em.law.arc)
                 for j, terms in enumerate(_ring_terms(law, whole, ra, rb,
                                                       arcs, steps)):
-                    yield j, 1.0, weights[j][idx], terms
+                    yield j, 1.0, weights[j][node_kappa[idx]], terms
                 return
             for j, lv in enumerate(levels):
                 for ek, wk in zip(*rules[j]):
