@@ -33,14 +33,22 @@ pieces where both emit it takes the arc rule (arc_rule), an end-corrected
 Chebyshev rule with max(2, n_azimuth // 8) intervals per piece, so
 n_azimuth sets the rule's size for R != R' and nothing else. Every term
 of the incoherent part is >= 0, and it is exactly 0 where the two rings
-coincide. A tabulated flux is not separable; it is integrated node by
-node of its energy rule with pure-phase moments. The smooth and
-oscillatory parts share one mu grid, so the rate vanishes identically
-(to the last bit) for identical poses.
+coincide. The smooth and oscillatory parts share one mu grid, so the
+rate vanishes identically (to the last bit) for identical poses.
 
-The 2x self-check samples once, at the refined level, and takes the
-coarse level as every other sample in mu and every other node of the
-arc rule, whose refined level doubles the intervals per piece. The
+F is a sum over parts of the emitters (_parts), each a profile read on
+rings through the law protocol (edge, ring, arc, inside) with its
+spectral kernel. A separable model is one part: its law and its
+spectrum's chi. A tabulated flux is not separable; it is a part per node
+E of its energy rule: the table at E (TabulatedFlux.at) with the pure
+phase at p(E). Every part of every pose pair takes one path: its Filon
+weights once per distinct phase scale, then its rings, arc samples and
+terms node_chunk nodes at a time.
+
+The 2x self-check samples a part that feeds both levels (a law) once,
+at the refined level, and takes the coarse level as every other sample
+in mu and every other node of the arc rule, whose refined level doubles
+the intervals per piece; a table's parts each feed one level. The
 Filon weights of both levels come from one filon_moments call too: a
 kernel that takes wide panels from edge values (the thermal one) is
 evaluated once per distinct phase scale, at the refined panel edges,
@@ -51,6 +59,7 @@ Re F and Im F and returns the refined values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -60,8 +69,9 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import PHASE, filon_grid, filon_moments, frames, segment_rule
+from .quadrules import filon_grid, filon_moments, frames, segment_rule
 from .rotations import check_rotation, w_from_rotations
+from .spectra import Monoenergetic
 
 
 @dataclass(frozen=True)
@@ -73,7 +83,12 @@ class PosePair:
     rotation_prime: np.ndarray = field(default_factory=lambda: np.eye(3))
 
     def __post_init__(self):
-        object.__setattr__(self, "delta_x", np.asarray(self.delta_x, dtype=float))
+        dx = np.asarray(self.delta_x, dtype=float)
+        if dx.shape != (3,):
+            raise ValueError(f"delta_x must have shape (3,), not {dx.shape}")
+        if not np.all(np.isfinite(dx)):
+            raise NonFinite("delta_x holds NaN or infinity")
+        object.__setattr__(self, "delta_x", dx)
         object.__setattr__(self, "rotation", check_rotation(self.rotation))
         object.__setattr__(self, "rotation_prime", check_rotation(self.rotation_prime))
 
@@ -124,7 +139,7 @@ class DecoherenceQuadrature:
     energy_nodes: int = 40
     check_convergence: bool = True
     convergence_tol: float = 1e-3   # relative to the total emission rate
-    node_chunk: int = 16           # nodes per batch of the refined samples
+    node_chunk: int = 16           # nodes per batch of rings, every pair
 
     def refined(self) -> "DecoherenceQuadrature":
         return replace(self, n_mu_panels=2 * self.n_mu_panels,
@@ -150,14 +165,13 @@ def _pair_geometry(pair: PosePair, points: np.ndarray):
 _TWO_PI = 2.0 * np.pi
 
 
-def _ring_params(axis, e1, e2, nu, mu, sin_t):
-    """n(mu, phi) . nu = A + B cos(phi - phase) on every mu ring of every
-    node's frame: A, B of shape (nodes, n_mu), phase of shape (nodes, 1)."""
-    c0 = np.einsum("ia,ia->i", axis, nu)
+def _ring_coeffs(axis, e1, e2, nu):
+    """n(mu, phi) . nu = c0 mu + c sin(theta) cos(phi - phase) in each
+    node's frame: (c0, c, phase), one value per node."""
     c1 = np.einsum("ia,ia->i", e1, nu)
     c2 = np.einsum("ia,ia->i", e2, nu)
-    return (c0[:, None] * mu, np.hypot(c1, c2)[:, None] * sin_t,
-            np.arctan2(c2, c1)[:, None])
+    return (np.einsum("ia,ia->i", axis, nu), np.hypot(c1, c2),
+            np.arctan2(c2, c1))
 
 
 def arc_rule(slots: int):
@@ -192,7 +206,7 @@ def _arc_samples(ra, rb, ha, hb, x):
     the one across phi = +-pi; a full ring's arc ends at its minimum, so
     a piece never holds one. The pieces are the same sets in either pose
     order. Returns the flat ring index and half length of each nonempty
-    piece, c_a and c_b there, and ha and hb.
+    piece, and c_a and c_b there.
     """
     d = _wrap(rb[2] - ra[2])
     centre = np.stack(np.broadcast_arrays(
@@ -212,7 +226,7 @@ def _arc_samples(ra, rb, ha, hb, x):
         c *= b.ravel()[ring][:, None]
         c += a.ravel()[ring][:, None]
         out.append(c)
-    return out + [ha, hb]
+    return out
 
 
 def _one_sided(arc, r, h, h_other, phase_other):
@@ -232,38 +246,25 @@ def _one_sided(arc, r, h, h_other, phase_other):
     return total
 
 
-def _law_rings(law, ra, rb, x):
-    """A law's _arc_samples for rings ra, rb and its integral over each
-    whole ring, from one edge per ring."""
-    ea, eb = law.edge(*ra[:2]), law.edge(*rb[:2])
-    return (_arc_samples(ra, rb, ea[0], eb[0], x),
-            (law.ring(*ra[:2], ea), law.ring(*rb[:2], eb)))
-
-
-def _table_profile(table, e, idx, arcs, n_mu, rings):
-    """A table's (inside, arc) at energy e on the nodes idx, and its
-    integral over each whole ring of rings, as _ring_terms takes them."""
-    knot, node = table.knot, idx[:, None]
-    piece_node = None if arcs is None else idx[arcs[0] // n_mu][:, None]
-    return ((lambda c: table.interp(np.maximum(c, knot), e, piece_node),
-             lambda a, b, lo, hi: table.arc(a, b, lo, hi, e, node)),
-            [table.arc(*r[:2], -np.pi, np.pi, e, node) for r in rings])
-
-
-def _ring_terms(profile, whole, ra, rb, arcs, steps):
+def _ring_terms(profile, nodes, ra, rb, x, steps):
     """[(g2, gdiff)] per (slot step, mu step, slots) of steps, each of
-    shape (chunk, n_mu of the level): g2 = int sqrt(a b) dphi and gdiff
-    its incoherent part, (int a + int b) / 2 - g2 (None for one pose, rb
-    None). profile holds (inside, arc): the profile on its support and
-    on an arc; whole holds int a and int b over the whole rings; arcs is
-    what _arc_samples returns."""
-    inside, arc = profile
+    shape (chunk, n_mu of the level), on the rings ra and rb (rb None for
+    one pose) of the nodes: g2 = int sqrt(a b) dphi and gdiff its
+    incoherent part, (int a + int b) / 2 - g2 (None for one pose).
+    profile(nodes) reads the profile on those nodes' rings, and x holds
+    the arc rule's nodes of the last step; an arc piece sees its node's
+    profile."""
+    at = profile(nodes[:, None])
+    ea = at.edge(*ra[:2])
     if rb is None:
-        return [(whole[0][:, ::m], None) for _, m, _ in steps]
-    full = 0.5 * (whole[0] + whole[1])
-    ring_idx, half, ca, cb, ha, hb = arcs
-    one_sided = (_one_sided(arc, ra, ha, hb, rb[2])
-                 + _one_sided(arc, rb, hb, ha, ra[2]))
+        g2 = at.ring(*ra[:2], ea)
+        return [(g2[:, ::m], None) for _, m, _ in steps]
+    eb = at.edge(*rb[:2])
+    full = 0.5 * (at.ring(*ra[:2], ea) + at.ring(*rb[:2], eb))
+    ring_idx, half, ca, cb = _arc_samples(ra, rb, ea[0], eb[0], x)
+    inside = profile(nodes[ring_idx // ra[0].shape[1]][:, None]).inside
+    one_sided = (_one_sided(at.arc, ra, ea[0], eb[0], rb[2])
+                 + _one_sided(at.arc, rb, eb[0], ea[0], ra[2]))
     s0 = steps[-1][0]
     h = np.sqrt(inside(ca[:, ::s0]))
     h -= np.sqrt(inside(cb[:, ::s0]))
@@ -285,21 +286,9 @@ def ring_overlap(law, ring_a, ring_b, slots: int = 16):
     incoherent part _pair_terms takes."""
     ra, rb = ([np.asarray(v, dtype=float).reshape(-1, 1) for v in r]
               for r in (ring_a, ring_b))
-    arcs, whole = _law_rings(law, ra, rb, arc_rule(slots)[0])
-    (g2, _), = _ring_terms((law.inside, law.arc), whole, ra, rb, arcs,
-                           [(1, 1, slots)])
+    (g2, _), = _ring_terms(lambda nodes: law, np.arange(len(ra[0])), ra, rb,
+                           arc_rule(slots)[0], [(1, 1, slots)])
     return g2.ravel()
-
-
-def _profile_terms(g2, static, weights):
-    """Per-node (re, im) of the phi-integrated sqrt(a b) profile g2.
-
-    static is the rule at zero phase and weights the Filon weights per
-    node. Re F takes g2 on static - Re(weights), which is exactly zero at
-    zero phase: identical poses give 0 to the last bit.
-    """
-    return (np.einsum("im,im->i", g2, static.real - weights.real),
-            np.einsum("im,im->i", g2, weights.imag))
 
 
 def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
@@ -327,91 +316,75 @@ def _arc_levels(levels):
              base << j) for j, lv in enumerate(levels)]
 
 
-def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
-    """[(re, im)] per quadrature level, coarse to fine.
+def _parts(em: Emitters, m_atom, levels):
+    """(weight, profile, kernel, js) per part of the emitters, the parts'
+    rates adding up to F at each level of js (indices into levels).
 
-    The levels nest (each doubles the last), so the rings and the arc
-    rule's samples are evaluated once, on the finest level.
+    weight is per node, profile(nodes) reads the part on those nodes'
+    rings as an AxialLaw does (edge, ring, arc, inside), and kernel is
+    its spectral average of the phase for filon_moments. A separable
+    model is one part at every level: its law and spectrum. A table is a
+    part per node E of each level's energy rule: its profile at E with
+    the pure phase at p(E), weighted by the node areas.
     """
     table = em.table
-    if table is None and em.law.delta:
-        return [_fixed_direction_terms(pair, em, m_atom)] * len(levels)
-    rotated_alike = np.array_equal(pair.rotation, pair.rotation_prime)
-    points, axes = em.points, em.axes
-    node_weights = em.weights if table is None else em.areas
-    fine = levels[-1]
-    length, axis = _pair_geometry(pair, points)
-    kappa = length / HBAR   # phase per unit momentum and unit mu
     if table is None:
-        kernel = em.spectrum.kernel(m_atom)
-        # nodes at equal distance (every node, for a translation) share
-        # their weights
-        kappas, node_kappa = np.unique(kappa, return_inverse=True)
-    else:
-        # a table's weights are per node of its energy rule, below
-        rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
-                 for j in range(len(levels))]
-        kernel, kappas = PHASE, np.zeros(0)
-    # weights per distinct kappa, and the rule at zero phase, per level
-    weights, static = zip(*filon_moments([lv.n_mu_panels for lv in levels],
-                                         kappas, kernel))
+        yield (em.weights, lambda nodes: em.law, em.spectrum.kernel(m_atom),
+               list(range(len(levels))))
+        return
+    for j in range(len(levels)):
+        for e, w in zip(*segment_rule(table.energy_grid,
+                                      levels[0].energy_nodes, j > 0)):
+            yield (w * em.areas, partial(table.at, e),
+                   Monoenergetic(e).kernel(m_atom), [j])
 
+
+def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
+    """[(re, im)] per quadrature level, coarse to fine, summed over the
+    parts of the emitters.
+
+    A part's levels nest (each doubles the last), so its rings and the
+    arc rule's samples are evaluated once, on its finest level, a chunk
+    of nodes at a time.
+    """
+    if em.law is not None and em.law.delta:
+        return [_fixed_direction_terms(pair, em, m_atom)] * len(levels)
+    length, axis = _pair_geometry(pair, em.points)
+    # nodes at equal distance (every node, for a translation) share their
+    # Filon weights
+    kappas, node_kappa = np.unique(length / HBAR, return_inverse=True)
     e1, e2 = frames(axis)
-    mu = filon_grid(fine.n_mu_panels)
-    sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    poses = [pair.rotation] + ([] if rotated_alike else [pair.rotation_prime])
-    rings = [_ring_params(axis, e1, e2, axes @ rot.T, mu, sin_t)
-             for rot in poses]
+    poses = [pair.rotation]
+    if not np.array_equal(pair.rotation, pair.rotation_prime):
+        poses.append(pair.rotation_prime)
+    coeffs = [_ring_coeffs(axis, e1, e2, em.axes @ rot.T) for rot in poses]
+    n, chunk = len(axis), levels[-1].node_chunk
     out = np.zeros((len(levels), 2))
-    if table is None and rotated_alike:
-        # n . R nu = A + B cos(phi - phi'): the law's phi integral in closed form
-        g2 = em.law.ring(*rings[0][:2])
-        for j, lv in enumerate(levels):
-            step = fine.n_mu_panels // lv.n_mu_panels
-            re, im = _profile_terms(g2[:, ::step], static[j],
-                                    weights[j][node_kappa])
-            out[j] = node_weights @ re, node_weights @ im
-        return [tuple(row) for row in out]
-
-    steps = _arc_levels(levels)
-    x = arc_rule(steps[-1][2])[0]
-    for lo in range(0, len(points), fine.node_chunk):
-        idx = np.arange(lo, min(lo + fine.node_chunk, len(points)))
-        ra = tuple(v[idx] for v in rings[0])
-        rb = arcs = None
-        if not rotated_alike:
-            rb = tuple(v[idx] for v in rings[1])
-            if table is None:
-                arcs, whole = _law_rings(em.law, ra, rb, x)
-            else:
-                arcs = _arc_samples(ra, rb, table.half_width(*ra[:2]),
-                                    table.half_width(*rb[:2]), x)
-
-        def parts():
-            """(level, energy weight, Filon weights, (g2, gdiff))."""
-            if table is None:
-                law = (em.law.inside, em.law.arc)
-                for j, terms in enumerate(_ring_terms(law, whole, ra, rb,
-                                                      arcs, steps)):
-                    yield j, 1.0, weights[j][node_kappa[idx]], terms
-                return
-            for j, lv in enumerate(levels):
-                for ek, wk in zip(*rules[j]):
-                    p_k = np.sqrt(2.0 * m_atom * ek)
-                    w_e = filon_moments(lv.n_mu_panels, kappa[idx] * p_k,
-                                        kernel)
-                    prof = _table_profile(
-                        table, ek, idx, arcs, len(mu),
-                        [r for r in (ra, rb) if r is not None])
-                    yield j, wk, w_e, _ring_terms(*prof, ra, rb, arcs,
-                                                  [steps[j]])[0]
-
-        w_nodes = node_weights[idx]
-        for j, wk, w_e, (g2, gdiff) in parts():
-            re, im = _profile_terms(g2, static[j], w_e)
-            if gdiff is not None:
-                re += gdiff @ static[j].real
-            out[j] += wk * (w_nodes @ re), wk * (w_nodes @ im)
+    for weight, profile, kernel, js in _parts(em, m_atom, levels):
+        # weights per distinct kappa, and the rule at zero phase, per level
+        filon = filon_moments([levels[j].n_mu_panels for j in js], kappas,
+                              kernel)
+        # the arc rule and mu grid of the part's finest level
+        steps = [_arc_levels(levels[:js[-1] + 1])[j] for j in js]
+        x = arc_rule(steps[-1][2])[0]
+        mu = filon_grid(levels[js[-1]].n_mu_panels)
+        sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
+        for lo in range(0, n, chunk):
+            idx = np.arange(lo, min(lo + chunk, n))
+            ra, rb = ([(c0[idx, None] * mu, c[idx, None] * sin_t,
+                        phase[idx, None]) for c0, c, phase in coeffs]
+                      + [None])[:2]
+            terms = _ring_terms(profile, idx, ra, rb, x, steps)
+            w_nodes = weight[idx]
+            for j, (w, static), (g2, gdiff) in zip(js, filon, terms):
+                w = w[node_kappa[idx]]
+                # Re F takes g2 on static - Re(w), exactly 0 at zero phase:
+                # identical poses give 0 to the last bit
+                re = np.einsum("im,im->i", g2, static.real - w.real)
+                if gdiff is not None:
+                    re += gdiff @ static.real
+                out[j] += (w_nodes @ re,
+                           w_nodes @ np.einsum("im,im->i", g2, w.imag))
     return [tuple(row) for row in out]
 
 

@@ -320,7 +320,7 @@ class TabulatedFlux:
     def __post_init__(self):
         c = np.asarray(self.cos_grid, dtype=float)
         e = np.asarray(self.energy_grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        v = np.ascontiguousarray(self.values, dtype=float)
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))
                 and np.all(np.isfinite(v))):
             raise NonFinite("flux table grids and values must be finite")
@@ -337,23 +337,25 @@ class TabulatedFlux:
 
     def interp(self, mu, e, node_idx):
         """Bilinear interpolation, zero outside the grid (vectorized)."""
+        # each axis is located before broadcasting, so a scalar energy is
+        # searched once, not once per cosine
         mu = np.asarray(mu, dtype=float)
         e = np.asarray(e, dtype=float)
-        mu_b, e_b, idx_b = np.broadcast_arrays(mu, e, node_idx)
         c, eg = self.cos_grid, self.energy_grid
-        ic = np.clip(np.searchsorted(c, mu_b) - 1, 0, len(c) - 2)
-        ie = np.clip(np.searchsorted(eg, e_b) - 1, 0, len(eg) - 2)
-        tc = (mu_b - c[ic]) / (c[ic + 1] - c[ic])
-        te = (e_b - eg[ie]) / (eg[ie + 1] - eg[ie])
-        inside = ((mu_b >= c[0]) & (mu_b <= c[-1])
-                  & (e_b >= eg[0]) & (e_b <= eg[-1]))
+        ic = np.clip(np.searchsorted(c, mu) - 1, 0, len(c) - 2)
+        ie = np.clip(np.searchsorted(eg, e) - 1, 0, len(eg) - 2)
+        tc = (mu - c[ic]) / (c[ic + 1] - c[ic])
+        te = (e - eg[ie]) / (eg[ie + 1] - eg[ie])
+        inside = ((mu >= c[0]) & (mu <= c[-1])
+                  & (e >= eg[0]) & (e <= eg[-1]))
         tc = np.clip(tc, 0.0, 1.0)
         te = np.clip(te, 0.0, 1.0)
-        v = self.values
-        f00 = v[idx_b, ic, ie]
-        f01 = v[idx_b, ic, ie + 1]
-        f10 = v[idx_b, ic + 1, ie]
-        f11 = v[idx_b, ic + 1, ie + 1]
+        # one flat index per point; the four corners are offsets from it
+        n_c, n_e = self.values.shape[1:]
+        v = self.values.ravel()
+        at = (np.asarray(node_idx) * n_c + ic) * n_e + ie
+        f00, f01 = v[at], v[at + 1]
+        f10, f11 = v[at + n_e], v[at + n_e + 1]
         out = ((1 - tc) * (1 - te) * f00 + (1 - tc) * te * f01
                + tc * (1 - te) * f10 + tc * te * f11)
         return np.where(inside, out, 0.0)
@@ -370,9 +372,11 @@ class TabulatedFlux:
             return float(c[first - 1])
         return float(c[0]) if c[0] > -1.0 else -np.inf
 
-    def half_width(self, a, b):
-        """phi0 of the arc |phi| < phi0 where a + b cos phi > knot."""
-        return np.arccos(_edge_cos(a, b, self.knot))
+    def at(self, e, nodes) -> "_TableProfile":
+        """The table at energy e on the nodes, read on rings the way an
+        AxialLaw is (edge, ring, arc, inside); nodes broadcasts against
+        every argument."""
+        return _TableProfile(self, e, nodes)
 
     def arc(self, a, b, lo, hi, e, node_idx):
         """int_lo^hi interp(a + b cos phi, e, node) dphi for b >= 0 and
@@ -415,6 +419,29 @@ class TabulatedFlux:
     def emitters(self, points, normals, areas) -> Emitters:
         return Emitters(points, normals, areas, self.node_spectral_rate(),
                         table=self)
+
+
+@dataclass(frozen=True)
+class _TableProfile:
+    """TabulatedFlux.at: one energy's profile, read on rings as a law is;
+    it is 0 outside the edge |phi| < phi0, where a + b cos phi > knot."""
+
+    flux: TabulatedFlux
+    e: float
+    nodes: np.ndarray
+
+    def edge(self, a, b):
+        return np.arccos(_edge_cos(a, b, self.flux.knot)), None
+
+    def ring(self, a, b, edge=None):
+        return self.arc(a, b, -np.pi, np.pi)
+
+    def arc(self, a, b, lo, hi):
+        return self.flux.arc(a, b, lo, hi, self.e, self.nodes)
+
+    def inside(self, c):
+        return self.flux.interp(np.maximum(c, self.flux.knot), self.e,
+                                self.nodes)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:

@@ -146,10 +146,6 @@ class PanelKernel:
         return out
 
 
-#: the pure phase exp(i t), by phase_moments
-PHASE = PanelKernel(phase_moments)
-
-
 def _panel_centres(n: int):
     return -1.0 + (1.0 / n) * (2.0 * np.arange(n) + 1.0)
 

@@ -406,7 +406,15 @@ def test_indistinguishable_rotation_exactly_zero(q_small, spectrum):
     assert rate.re == 0.0 and rate.im == 0.0
 
 
-def test_tabulated_flux_matches_cosine_law(q_tiny):
+_TURN = rotation_from_w([0.3, -0.5, 0.2])
+
+
+@pytest.mark.parametrize("pair", [
+    PosePair([2e-12, 1e-12, 0.0]),
+    PosePair([2e-12, 1e-12, 0.0], _TURN, _TURN),
+    PosePair([2e-12, 1e-12, 0.0], rotation_from_w([0.0, 0.2, 0.0])),
+], ids=["translation", "rotated_alike", "rotation"])
+def test_tabulated_flux_matches_cosine_law(q_tiny, pair):
     # a table that is exactly cos-law x piecewise-linear spectrum, through
     # the per-energy-node path with its checked energy rule
     energies = np.array([0.0, 1.0, 3.0, 8.0]) * KB * 300.0
@@ -417,12 +425,61 @@ def test_tabulated_flux_matches_cosine_law(q_tiny):
     cosine = CosineLaw(spec, RATE)
     quad_small = DecoherenceQuadrature(n_mu_panels=24, n_azimuth=16,
                                        energy_nodes=12)
-    pair = PosePair([2e-12, 1e-12, 0.0], rotation_from_w([0.0, 0.2, 0.0]))
     a = localization_rate(pair, cosine, q_tiny, N2_MASS, quad_small)
     b = localization_rate(pair, table, q_tiny, N2_MASS, quad_small)
     assert a.total_rate == pytest.approx(b.total_rate, rel=1e-14)
     assert abs(a.re - b.re) < 1e-6 * a.total_rate
     assert abs(a.im - b.im) < 1e-9 * a.total_rate
+
+
+def _random_table(q):
+    # non-separable: independent values per (node, cos, E), zero below 0
+    rng = stream(2031, "chunk-table")
+    cos_grid = np.array([-0.5, 0.0, 0.4, 1.0])
+    values = rng.uniform(0.2, 1.0, (q.n_nodes, 4, 3))
+    values[:, 0, :] = 0.0
+    return TabulatedFlux(cos_grid, KB * 300.0 * np.linspace(0.0, 8.0, 3),
+                         RATE * values / (KB * 300.0))
+
+
+@pytest.mark.parametrize("pair", [
+    PosePair([2e-12, -1e-12, 1e-12]),
+    PosePair([1e-12, 0.0, 0.0], rotation_from_w([0.0, 2e-5, 1e-5])),
+    PosePair(np.zeros(3), _TURN, _TURN),
+], ids=["translation", "rotation", "identical"])
+@pytest.mark.parametrize("kind", ["cosine", "table"])
+def test_rate_does_not_depend_on_node_chunk(q_tiny, kind, pair):
+    # the node chunks only batch the sum over nodes
+    model = (CosineLaw(MB_300, RATE) if kind == "cosine"
+             else _random_table(q_tiny))
+    rates = [localization_rate(pair, model, q_tiny, N2_MASS,
+                               DecoherenceQuadrature(
+                                   n_mu_panels=24, n_azimuth=16,
+                                   energy_nodes=4, node_chunk=chunk))
+             for chunk in (1, 5, 16, 10**6)]
+    gamma = rates[0].total_rate
+    re = np.array([r.re for r in rates])
+    im = np.array([r.im for r in rates])
+    if np.array_equal(pair.rotation, pair.rotation_prime) and \
+            not pair.delta_x.any():
+        assert not re.any() and not im.any()
+    else:
+        assert re.min() > 1e-6 * gamma
+    assert np.ptp(re) <= 1e-14 * gamma
+    assert np.ptp(im) <= 1e-14 * gamma
+
+
+@pytest.mark.parametrize("dx,error", [
+    ([np.nan, 0.0, 0.0], NonFinite),
+    ([np.inf, 0.0, 0.0], NonFinite),
+    ([0.0, -np.inf, 0.0], NonFinite),
+    ([1e-12, 0.0], ValueError),
+    ([[1e-12, 0.0, 0.0]], ValueError),
+    (1e-12, ValueError),
+], ids=["nan", "inf", "minus_inf", "two", "row", "scalar"])
+def test_pose_pair_rejects_bad_displacement(dx, error):
+    with pytest.raises(error):
+        PosePair(dx)
 
 
 @pytest.mark.parametrize("dx", [1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8])

@@ -123,3 +123,17 @@ def test_consumers_name_no_model_class(module):
         elif isinstance(node, ast.Attribute):
             named.add(node.attr)
     assert not named & _MODEL_CLASSES
+
+
+def test_decoherence_reads_the_table_only_in_parts():
+    # a table differs from a law only in how _parts splits it; every other
+    # function of decoherence sees parts, never the table
+    tree = ast.parse((Path(desorb.__file__).parent / "decoherence.py")
+                     .read_text(encoding="utf-8"))
+    def reads(top):
+        return [node for node in ast.walk(top)
+                if isinstance(node, ast.Attribute) and node.attr == "table"]
+
+    parts, = [fn for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_parts"]
+    assert reads(parts) and len(reads(tree)) == len(reads(parts))
