@@ -18,7 +18,8 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from .decoherence import DecoherenceQuadrature, PosePair
-from .errors import AngleOutOfRange, ConfigError, NegativeEnergy, NotUnit
+from .errors import (AngleOutOfRange, ConfigError, NegativeEnergy, NonFinite,
+                     NotUnit)
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    Isotropic, IsotropicDirection, SingleSite, read_flux_csv)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
@@ -391,12 +392,16 @@ def parse_locmap_block(cfg: RunConfig):
     ray = b("ray", _Block, _RAY_KEYS, default=None)
     if ray is not None:
         direction = ray("direction", _vector3)
-        norm = np.linalg.norm(direction)
-        if norm == 0:
+        big = np.max(np.abs(direction))
+        if big == 0:
             raise ConfigError("'locmap.ray.direction' must be nonzero")
-        direction = direction / norm
-        for length in ray("lengths_m", _each, _number):
-            pairs.append(PosePair(length * direction))
+        # a power-of-two scaling is exact: the norm cannot overflow, and
+        # the unit vector is the one of the unscaled direction
+        direction = np.ldexp(direction, -np.frexp(big)[1])
+        direction = direction / np.linalg.norm(direction)
+        for i, length in enumerate(ray("lengths_m", _each, _number)):
+            pairs.append(_pose_pair(length * direction, np.eye(3), np.eye(3),
+                                    f"locmap.ray.lengths_m[{i}]"))
     rnd = b("random", _Block, _RANDOM_KEYS, default=None)
     if rnd is not None:
         count = rnd("count", _integer, 0, _MAX_RANDOM_PAIRS)
@@ -404,7 +409,8 @@ def parse_locmap_block(cfg: RunConfig):
         max_angle = rnd("max_angle_rad", _nonnegative, default=3.0)
         rng = stream(cfg.seed, "locmap-pairs")
         for k in range(count):
-            dx = scale * rng.standard_normal(3)
+            with np.errstate(over="ignore"):    # inf, which PosePair refuses
+                dx = scale * rng.standard_normal(3)
             pairs.append(_pose_pair(dx, _random_small_rotation(rng, max_angle),
                                     _random_small_rotation(rng, max_angle),
                                     f"locmap.random pair {k}"))
@@ -434,9 +440,10 @@ def _rotation(value, path: str) -> np.ndarray:
 
 
 def _pose_pair(dx, rot, rot_prime, name: str) -> PosePair:
-    """A pose pair whose relative rotation the locmap CSV can encode (a
-    ray's pairs need no check: R = R' = I)."""
-    pair = PosePair(dx, rot, rot_prime)
+    """A pose pair with a displacement that PosePair takes and a relative
+    rotation that the locmap CSV can encode."""
+    pair = _named(f"'{name}'", (ValueError, NonFinite), PosePair, dx, rot,
+                  rot_prime)
     _named(f"'{name}'", AngleOutOfRange, pair.relative_angle_vector)
     return pair
 

@@ -74,6 +74,12 @@ from .rotations import check_rotation, w_from_rotations
 from .spectra import Monoenergetic
 
 
+#: largest displacement component [m], far past the saturation of F at any
+#: thermal recoil; a 1e100 m pair overflowed in the Filon moments, and a
+#: 1e300 m one in the ring geometry
+MAX_DISPLACEMENT_M = 1e30
+
+
 @dataclass(frozen=True)
 class PosePair:
     """Displacement dX = X - X' [m] and the two orientation tensors."""
@@ -88,6 +94,9 @@ class PosePair:
             raise ValueError(f"delta_x must have shape (3,), not {dx.shape}")
         if not np.all(np.isfinite(dx)):
             raise NonFinite("delta_x holds NaN or infinity")
+        if np.max(np.abs(dx)) > MAX_DISPLACEMENT_M:
+            raise ValueError(f"delta_x components must be within "
+                             f"{MAX_DISPLACEMENT_M:g} m")
         object.__setattr__(self, "delta_x", dx)
         object.__setattr__(self, "rotation", check_rotation(self.rotation))
         object.__setattr__(self, "rotation_prime", check_rotation(self.rotation_prime))

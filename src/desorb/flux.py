@@ -135,9 +135,11 @@ class AxialLaw:
         alpha, beta, half = self._linear
         return alpha + beta * (np.maximum(c, 0.0) if half else c)
 
-    def directions(self, axes: np.ndarray, rng: np.random.Generator):
-        """One direction per row of axes: mu from the law, then phi."""
-        return _directions_about(axes, self._mu_of(rng.random(len(axes))), rng)
+    def directions(self, axes: np.ndarray, frame, rng: np.random.Generator):
+        """One direction per row of axes, whose frame (e1, e2) completes
+        it: mu from the law, then phi."""
+        mu = self._mu_of(rng.random(len(axes)))
+        return _directions_about(axes, frame, mu, rng)
 
 
 class _Delta(AxialLaw):
@@ -151,7 +153,7 @@ class _Delta(AxialLaw):
     def density(self, mu):
         raise ValueError("fixed-direction site has no pointwise angular density")
 
-    def directions(self, axes: np.ndarray, rng: np.random.Generator):
+    def directions(self, axes: np.ndarray, frame, rng: np.random.Generator):
         return axes
 
 
@@ -521,15 +523,19 @@ def outgas_rate(specific_rate: float, area: float, gas_temperature: float,
 # Sampling
 # ---------------------------------------------------------------------------
 
-def _directions_about(axis: np.ndarray, mu: np.ndarray, rng: np.random.Generator):
-    """Directions at polar cosines mu about per-row axes (n, 3), with a
-    uniform azimuth drawn per row."""
+def _directions_about(axis: np.ndarray, frame, mu: np.ndarray,
+                      rng: np.random.Generator):
+    """Directions at polar cosines mu about per-row axes (n, 3), whose
+    frames (e1, e2) complete them, with a uniform azimuth drawn per row."""
     phi = 2.0 * np.pi * rng.random(len(mu))
-    e1, e2 = frames(axis)
+    e1, e2 = frame
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-    return (mu[:, None] * axis
-            + sin_t[:, None] * (np.cos(phi)[:, None] * e1
-                                + np.sin(phi)[:, None] * e2))
+    # mu axis + sin_t (cos phi e1 + sin phi e2), summed in place
+    out = np.cos(phi)[:, None] * e1
+    out += np.sin(phi)[:, None] * e2
+    out *= sin_t[:, None]
+    out += mu[:, None] * axis
+    return out
 
 
 @dataclass(frozen=True)
@@ -544,7 +550,9 @@ class EmissionSample:
 
 class EventSampler:
     """Reusable sampler of a model's emitters, with the per-point emission
-    CDF precomputed."""
+    CDF and the frame (e1, e2) of each point's axis precomputed. `frames`
+    works row by row, so an event's frame, gathered from its point, has
+    the bits of one computed from the event's own axis."""
 
     def __init__(self, model: FluxModel, q: SurfaceQuadrature):
         self.emitters = em = split(model, q)
@@ -553,6 +561,7 @@ class EventSampler:
         if self.total <= 0:
             raise ValueError("flux model has zero total rate on this surface")
         self._cdf = np.cumsum(lam) / self.total
+        self._frames = frames(em.axes)
         if em.table is not None:
             self._cells = _TableCells(em.table)
 
@@ -567,12 +576,13 @@ class EventSampler:
             idx = np.searchsorted(self._cdf, rng.random(size), side="right")
             idx = np.clip(idx, 0, len(self._cdf) - 1)
         axes = em.axes[idx]
+        frame = [e[idx] for e in self._frames]
         if em.table is None:
-            dirs = em.law.directions(axes, rng)
+            dirs = em.law.directions(axes, frame, rng)
             energies = em.spectrum.sample(rng, size)
         else:
             mu, energies = _sample_table(em.table, self._cells, idx, rng)
-            dirs = _directions_about(axes, mu, rng)
+            dirs = _directions_about(axes, frame, mu, rng)
         return EmissionSample(dirs, em.points[idx], energies, idx)
 
 

@@ -151,12 +151,31 @@ class BodySpec:
                 and np.all(np.isfinite(inertia))):
             raise ValueError("area, volume, centroid and inertia must be "
                              "finite")
+        # the centre of mass of a nonnegative density lies in the body's
+        # convex hull, so in its bounding box
+        lo, hi = _bounds(self.shape)
+        if np.any(com < lo) or np.any(com > hi):
+            raise ValueError("center of mass must lie within the body's "
+                             "bounding box")
         object.__setattr__(self, "center_of_mass", com)
         if not np.allclose(inertia, inertia.T, rtol=0, atol=1e-12 * abs(inertia).max()):
             raise ValueError("inertia tensor must be symmetric")
         if np.any(np.linalg.eigvalsh(inertia) <= 0):
             raise ValueError("inertia tensor must be positive definite")
         object.__setattr__(self, "inertia_body", inertia)
+
+
+def _bounds(shape: Shape):
+    """Corners (lo, hi) of the shape's axis-aligned bounding box [m]."""
+    if isinstance(shape, Sphere):
+        hi = np.full(3, float(shape.radius))
+    elif isinstance(shape, Cylinder):
+        hi = np.array([shape.radius, shape.radius, shape.half_length], float)
+    elif isinstance(shape, Box):
+        hi = shape.half_extents
+    else:
+        return shape.vertices.min(axis=0), shape.vertices.max(axis=0)
+    return -hi, hi
 
 
 def _default_centroid(shape: Shape) -> np.ndarray:

@@ -78,7 +78,8 @@ def rotation_from_w(w: np.ndarray) -> np.ndarray:
     back onto the orthogonal group to keep long composition chains clean.
     """
     w = np.asarray(w, dtype=float)
-    theta = float(np.linalg.norm(w))
+    with np.errstate(over="ignore"):     # a huge w has |w| = inf
+        theta = float(np.linalg.norm(w))
     if theta >= np.pi:
         raise AngleOutOfRange(f"|w| = {theta:.6g} not below pi")
     k = skew(w)

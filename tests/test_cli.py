@@ -402,6 +402,24 @@ def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
     assert "body: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,extra,key", [
+    ("locmap", {"locmap": {"pairs": [{"delta_x_m": [1e-12, 0, 0],
+                                      "w": [0, 0, 1e300]}]}},
+     "locmap.pairs[0].w"),
+    ("locmap", {"locmap": {"random": {"count": 2, "delta_x_scale_m": 1e300}}},
+     "locmap.random pair 0"),
+    ("tensors", {"body": {"shape": "sphere", "radius_m": 7.5e-8,
+                          "center_of_mass_m": [1e300, 0, 0]}, "tensors": {}},
+     "body: center of mass"),
+], ids=["w", "delta_x_scale_m", "center_of_mass_m"])
+def test_extreme_finite_magnitudes_exit2(tmp_path, capsys, command, extra, key):
+    # these overflowed (exit 1 under -W error) or stopped as NonFinite
+    # (exit 4); warnings are errors in this suite
+    cfg = write_config(tmp_path, extra)
+    assert run([command, "--config", cfg, "--out", "-"]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_locmap_unbounded_random_count_exit2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"locmap": {"random": {
         "count": 10**400, "delta_x_scale_m": 1e-9}}})

@@ -523,21 +523,36 @@ def _json_values(numbers):
 
 
 SMALL_NUMBERS = st.integers(-3, 12) | st.floats(-12.0, 12.0)
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), -float("inf"),
+                              10**400])
 # Finite magnitudes stay within 1e+-30: beyond that the geometry and
-# rotation code overflows (ROADMAP item 6). NaN, infinities and integers
-# that no float holds are config errors and are drawn too.
+# rotation code overflows (ROADMAP item 8). The leaves below WIDE take any
+# finite double. NaN, infinities and integers that no float holds are
+# config errors and are drawn too.
 NUMBERS = (SMALL_NUMBERS
            | st.floats(-1e30, 1e30).filter(lambda x: x == 0 or abs(x) >= 1e-30)
-           | st.sampled_from([float("nan"), float("inf"), -float("inf"),
-                              10**400]))
+           | NON_FINITE)
+WIDE_NUMBERS = (SMALL_NUMBERS
+                | st.floats(allow_nan=False, allow_infinity=False)
+                | NON_FINITE)
+WIDE = [("body", "center_of_mass_m"), ("locmap", "pairs", 0, "delta_x_m"),
+        ("locmap", "pairs", 0, "w"), ("locmap", "pairs", 0, "w_prime"),
+        ("locmap", "ray"), ("locmap", "random", "delta_x_scale_m")]
 SMALL_JSON, ANY_JSON = _json_values(SMALL_NUMBERS), _json_values(NUMBERS)
+WIDE_JSON = _json_values(WIDE_NUMBERS)
+
+
+def _json_for(path):
+    if path[-1] in SIZE_KEYS:
+        return SMALL_JSON
+    return WIDE_JSON if any(path[:len(w)] == w for w in WIDE) else ANY_JSON
 
 
 @st.composite
 def leaf_values(draw):
     """A leaf of one of the full configs and a JSON value for it."""
     name, path = draw(st.sampled_from(LEAVES))
-    value = draw(SMALL_JSON if path[-1] in SIZE_KEYS else ANY_JSON)
+    value = draw(_json_for(path))
     # a path leaf never takes a string, so no random path is opened
     assume(not (path[-1] in PATH_KEYS and isinstance(value, str)))
     return name, path, value
@@ -552,6 +567,9 @@ TABLE = ("flux", "spectrum")
 @example(("full", TABLE + ("values", 1), float("nan")))
 @example(("full", TABLE + ("energies_j", 0), -1.0))
 @example(("mesh", ("flux", "direction", "direction"), [1, 1, 0]))
+@example(("full", ("locmap", "pairs", 0, "w", 2), 1e300))
+@example(("full", ("locmap", "random", "delta_x_scale_m"), 1e300))
+@example(("full", ("body", "center_of_mass_m", 0), 1e300))
 def test_any_json_value_at_a_leaf_parses_or_is_a_config_error(
         full_configs, leaf):
     name, path, value = leaf
@@ -609,6 +627,53 @@ def test_body_sizes_that_overflow_are_config_errors(body):
     raw["body"] = body
     with pytest.raises(ConfigError, match="^body: .*must be finite"):
         parse_config(raw)
+
+
+@pytest.mark.parametrize("block,message", [
+    ({"locmap": {"pairs": [{"delta_x_m": [1e-9, 0, 0], "w": [0, 0, 1e300]}]}},
+     "'locmap.pairs[0].w': |w| = inf not below pi"),
+    ({"locmap": {"pairs": [{"delta_x_m": [0, 1e300, 0]}]}},
+     "'locmap.pairs[0]': delta_x components must be within 1e+30 m"),
+    ({"locmap": {"random": {"count": 2, "delta_x_scale_m": 1e300}}},
+     "'locmap.random pair 0': delta_x"),
+    ({"locmap": {"ray": {"direction": [0, 0, 1], "lengths_m": [1e-9, 1e31]}}},
+     "'locmap.ray.lengths_m[1]': delta_x components must be within"),
+    ({"body": {"shape": "sphere", "radius_m": 7.5e-8,
+               "center_of_mass_m": [1e300, 0, 0]}},
+     "body: center of mass must lie within the body's bounding box"),
+    ({"body": {"shape": "box", "half_extents_m": [1e-7, 2e-7, 3e-7],
+               "center_of_mass_m": [0, 0, -3.5e-7]}},
+     "body: center of mass must lie within the body's bounding box"),
+], ids=["w", "delta_x", "random_scale", "ray_length", "center_of_mass",
+        "center_of_mass_outside_box"])
+def test_extreme_magnitudes_are_config_errors(block, message):
+    # each overflowed with a RuntimeWarning, or stopped as NonFinite in
+    # the diffusion tensor, before it reached a named check
+    raw = base_raw()
+    raw.update(block)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_locmap_block(parse_config(raw))
+
+
+def test_huge_ray_direction_keeps_the_unit_vector():
+    # the direction is scaled by a power of two before its norm is taken
+    rows = []
+    for direction in ([1, -2, 0.5], [2e300, -4e300, 1e300], [1e-310, -2e-310,
+                                                            5e-311]):
+        raw = base_raw()
+        raw["locmap"] = {"ray": {"direction": direction, "lengths_m": [3e-9]}}
+        rows.append(parse_locmap_block(parse_config(raw))[0][0].delta_x)
+    assert rows[0].tobytes() == rows[1].tobytes()
+    # a subnormal input holds only about 40 significant bits
+    np.testing.assert_allclose(rows[2], rows[0], rtol=1e-12)
+
+
+def test_center_of_mass_on_the_bounding_box_parses():
+    raw = base_raw()
+    raw["body"] = {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e-7,
+                   "center_of_mass_m": [-5e-8, 5e-8, 1e-7]}
+    assert np.array_equal(parse_config(raw).body.center_of_mass,
+                          [-5e-8, 5e-8, 1e-7])
 
 
 def test_large_finite_body_sizes_still_parse():

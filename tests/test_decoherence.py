@@ -144,7 +144,7 @@ def test_single_site_isotropic_sinc_oracle(q_small):
     pytest.param(30.0, marks=pytest.mark.xfail(
         strict=True, reason="the 3-point per-segment energy rule of a "
         "tabulated spectrum is used at both check levels and does not "
-        "resolve the phase at large recoil (ROADMAP item 1)"))])
+        "resolve the phase at large recoil (ROADMAP item 3)"))])
 def test_tabulated_spectrum_site_sinc_oracle(q_small, scale):
     # Re F = Gamma int sigma (1 - sinc(p dx / hbar)) dE for an isotropic site,
     # with sigma the thermal flux sampled on 13 points up to 12 kB T; the
@@ -476,7 +476,8 @@ def test_rate_does_not_depend_on_node_chunk(q_tiny, kind, pair):
     ([1e-12, 0.0], ValueError),
     ([[1e-12, 0.0, 0.0]], ValueError),
     (1e-12, ValueError),
-], ids=["nan", "inf", "minus_inf", "two", "row", "scalar"])
+    ([0.0, 0.0, -2e30], ValueError),
+], ids=["nan", "inf", "minus_inf", "two", "row", "scalar", "beyond_bound"])
 def test_pose_pair_rejects_bad_displacement(dx, error):
     with pytest.raises(error):
         PosePair(dx)

@@ -5,10 +5,11 @@ from scipy import stats
 from desorb.constants import KB, TORR_L_PER_CM2_S
 from desorb.decoherence import PosePair, localization_rate
 from desorb.errors import ConfigError, DesorbError, NonFinite, NotUnit
-from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineLaw, EventSampler,
-                         FixedDirection, Isotropic, IsotropicDirection,
-                         SingleSite, TabulatedFlux, flux_eval,
-                         node_emission_rates, outgas_rate, total_rate)
+from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
+                         CosineLaw, EventSampler, FixedDirection, Isotropic,
+                         IsotropicDirection, SingleSite, TabulatedFlux,
+                         _sample_table, _TableCells, flux_eval,
+                         node_emission_rates, outgas_rate, split, total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor, force_torque
 from desorb.quadrules import frames, gauss_legendre
@@ -382,6 +383,76 @@ def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):
     cell = cells.draw(node, u)
     np.testing.assert_array_equal(cell, expected)
     assert np.all(flat[node, cell] > 0.0)
+
+
+def _stream_model(kind, q):
+    """One model of each kind, with a rate gradient on the surface kinds."""
+    mb = MaxwellBoltzmannFlux(T_ROOM)
+    rate = lambda pts: 1e3 * (1.0 + 0.8 * pts[:, 2] / 75e-9)
+    site = np.array([1e-8, -2e-8, 7e-8])
+    if kind == "cosine":
+        return CosineLaw(mb, rate)
+    if kind == "isotropic":
+        return Isotropic(mb, rate)
+    if kind == "site_isotropic":
+        return SingleSite(site, IsotropicDirection(), mb, 5.0)
+    if kind == "site_fixed":
+        return SingleSite(site, FixedDirection([0.0, 0.6, 0.8]), mb, 5.0)
+    if kind == "site_cosine":
+        return SingleSite(site, CosineDirection(np.array([0.8, 0.0, -0.6])),
+                          mb, 5.0)
+    cos_grid = np.linspace(-0.5, 1.0, 4)
+    e_grid = np.linspace(0.0, 10 * KB * T_ROOM, 5)
+    values = stream(108, "test-stream-table").uniform(
+        0.0, 2.0, (q.n_nodes, 4, 5))
+    values[::4] = 0.0
+    return TabulatedFlux(cos_grid, e_grid, values)
+
+
+_MU_OF = {COSINE: np.sqrt, HEMISPHERE: lambda u: u,
+          SPHERE: lambda u: 2.0 * u - 1.0}
+
+
+@pytest.mark.parametrize("kind", ["cosine", "isotropic", "site_isotropic",
+                                  "site_fixed", "site_cosine", "table"])
+def test_sampler_stream_matches_per_event_formula(sphere_quad_coarse, kind):
+    # the stream's order and every event's bits: node, then mu and phi
+    # about the frame of that event's own axis, then the energy (a table
+    # draws its (mu, E) before phi)
+    q = sphere_quad_coarse
+    model = _stream_model(kind, q)
+    size = 3001
+    drawn = stream(109, f"test-stream-{kind}")
+    ev = EventSampler(model, q).draw(drawn, size)
+    em = split(model, q)
+    rng = stream(109, f"test-stream-{kind}")
+    cdf = np.cumsum(em.node_rates) / em.node_rates.sum()
+    if len(cdf) == 1:
+        idx = np.zeros(size, dtype=np.intp)
+    else:
+        idx = np.minimum(np.searchsorted(cdf, rng.random(size), side="right"),
+                         len(cdf) - 1)
+    axes = em.axes[idx]
+    if em.table is not None:
+        mu, energies = _sample_table(em.table, _TableCells(em.table), idx, rng)
+    elif not em.law.delta:
+        mu = _MU_OF[em.law](rng.random(size))
+    if em.table is None and em.law.delta:
+        dirs = axes
+    else:
+        phi = 2.0 * np.pi * rng.random(size)
+        e1, e2 = frames(axes)
+        sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
+        dirs = (mu[:, None] * axes
+                + sin_t[:, None] * (np.cos(phi)[:, None] * e1
+                                    + np.sin(phi)[:, None] * e2))
+    if em.table is None:
+        energies = em.spectrum.sample(rng, size)
+    np.testing.assert_array_equal(ev.node_index, idx)
+    for got, want in ((ev.directions, dirs), (ev.sites, em.points[idx]),
+                      (ev.energies, energies)):
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+    assert drawn.random() == rng.random()    # both read the same stream
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -16,6 +16,7 @@ from desorb.montecarlo import (_BLOCK, _jackknife_moments, _simulate_block,
                                chi2_tail, compare_to_prediction,
                                simulate_ensemble)
 from desorb.rng import stream
+from desorb.rotations import momentum_from_energy
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
 
 E0 = 4.141947e-21
@@ -67,6 +68,57 @@ def test_jackknife_closed_form_matches_delete_one():
                                / np.sqrt(40), rtol=1e-12)
     np.testing.assert_allclose(se_cov, _explicit_jackknife_cov_stderr(samples),
                                rtol=1e-12)
+
+
+def test_jackknife_matches_strided_einsum():
+    # the sums over trajectories agree with the (n, t, a) einsum to
+    # rounding; the mean is the same reduction and keeps every bit
+    rng = stream(42, "test-jackknife-layout")
+    mix = rng.normal(size=(6, 6)) * np.array([1e-22] * 3 + [1e-29] * 3)
+    samples = rng.standard_exponential((4096, 16, 6)) @ mix.T + 3e-23
+    n = len(samples)
+    mean = samples.mean(axis=0)
+    y = samples - mean
+    s = np.einsum("nta,ntb->tab", y, y)
+    y *= y
+    q = np.einsum("nta,ntb->tab", y, y)
+    cov = s / (n - 1)
+    se_mean = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
+    se_cov = np.sqrt(n / ((n - 1) * (n - 2) ** 2)
+                     * np.maximum(q - s * s / n, 0.0))
+    got = _jackknife_moments(samples)
+    assert got[0].tobytes() == mean.tobytes()
+    for g, want in zip(got[1:], (cov, se_mean, se_cov)):
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "site", "table"])
+def test_block_matches_stacked_kicks(sphere_quad_coarse, kind):
+    # the bits of one block: kicks stacked as -(p n, s x p n), binned per
+    # column, and summed over the report times without the last slot
+    sampler = EventSampler(_bookkeeping_model(kind, sphere_quad_coarse),
+                           sphere_quad_coarse)
+    n, duration = 300, 1.0
+    report_times = duration * np.arange(1, 5) / 4
+    got, counts = _simulate_block(sampler, N2_MASS, duration, report_times,
+                                  17, 3, n)
+    rng = stream(17, "trajectory", 3)
+    counts_ref = rng.poisson(sampler.total * duration, n)
+    t_ev = rng.uniform(0.0, duration, counts_ref.sum())
+    ev = sampler.draw(rng, int(counts_ref.sum()))
+    atom_p = momentum_from_energy(ev.energies, N2_MASS)[:, None] * ev.directions
+    kicks = -np.hstack([atom_p, np.cross(ev.sites, atom_p)])
+    width = len(report_times) + 1
+    bins = (np.repeat(np.arange(n) * width, counts_ref)
+            + np.searchsorted(report_times, t_ev, side="left"))
+    out = np.empty((n * width, 6))
+    for c in range(6):
+        out[:, c] = np.bincount(bins, weights=kicks[:, c],
+                                minlength=n * width)
+    want = np.cumsum(out.reshape(n, width, 6)[:, :-1], axis=1)
+    assert np.array_equal(counts, counts_ref)
+    assert got.shape == want.shape
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
 
 def test_ensemble_size_not_multiple_of_block(sphere_quad_coarse):
