@@ -273,17 +273,27 @@ def _surface_law(b: _Block, q: SurfaceQuadrature, cls) -> FluxModel:
     return built
 
 
+def _site(value, path: str, body: BodySpec) -> np.ndarray:
+    """A site in the body's bounding box, measured from its center of
+    mass (a site on the surface lies there)."""
+    site = _vector3(value, path)
+    lo, hi = body.box
+    if np.any(site < lo) or np.any(site > hi):
+        raise ConfigError(f"'{path}' must lie within the body's bounding box")
+    return site
+
+
 _SURFACE_LAW_KEYS = frozenset({"rate_per_area_hz_m2", "spectrum"})
 _FLUX_MODELS = _Kinds("model", {
     "cosine": (_SURFACE_LAW_KEYS,
-               lambda b, q: _surface_law(b, q, CosineLaw)),
+               lambda b, q, body: _surface_law(b, q, CosineLaw)),
     "isotropic": (_SURFACE_LAW_KEYS,
-                  lambda b, q: _surface_law(b, q, Isotropic)),
+                  lambda b, q, body: _surface_law(b, q, Isotropic)),
     "single_site": (frozenset({"site_m", "rate_hz", "direction", "spectrum"}),
-                    lambda b, q: SingleSite(
-                        b("site_m", _vector3), b("direction", _DIRECTIONS),
+                    lambda b, q, body: SingleSite(
+                        b("site_m", _site, body), b("direction", _DIRECTIONS),
                         b("spectrum", _SPECTRA), b("rate_hz", _positive))),
-    "tabulated": (frozenset({"csv_path"}), lambda b, q: _named(
+    "tabulated": (frozenset({"csv_path"}), lambda b, q, body: _named(
         "flux.csv_path", (ValueError, OSError), read_flux_csv,
         b("csv_path", _string), q)),
 })
@@ -348,7 +358,7 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
 
     quadrature = build_quadrature(body, resolution)
-    flux = top("flux", _FLUX_MODELS, quadrature, default=None)
+    flux = top("flux", _FLUX_MODELS, quadrature, body, default=None)
 
     top("tensors", _Block, frozenset(), default=None)
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",

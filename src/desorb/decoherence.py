@@ -24,7 +24,7 @@ Filon-type panel moments, so the accuracy is uniform in the recoil
 phase. On each mu ring a pose sees n . R nu = A + B cos(phi - phase),
 so the phi integral of a law over a whole ring is closed form
 (AxialLaw.ring), and so is that of a table, whose interpolant is
-piecewise linear in cos (TabulatedFlux.arc). That is all a translation
+piecewise linear in cos (TabulatedFlux.span). That is all a translation
 (R = R') needs. For R != R', Re F and Im F need g2 = int sqrt(a b) dphi
 of the two poses' profiles a and b, taken as (int a + int b) / 2 minus
 the incoherent part 1/2 int (sqrt a - sqrt b)^2 dphi. The latter is
@@ -36,20 +36,20 @@ of the incoherent part is >= 0, and it is exactly 0 where the two rings
 coincide. The smooth and oscillatory parts share one mu grid, so the
 rate vanishes identically (to the last bit) for identical poses.
 
-F is a sum over parts of the emitters (_parts), each a profile read on
-rings through the law protocol (edge, ring, arc, inside) with its
-spectral kernel. A separable model is one part: its law and its
-spectrum's chi. A tabulated flux is not separable; it is a part per node
-E of its energy rule: the table at E (TabulatedFlux.at) with the pure
-phase at p(E). Every part of every pose pair takes one path: its Filon
-weights once per distinct phase scale, then its rings, arc samples and
-terms node_chunk nodes at a time.
+F is taken over one part of the emitters (_parts): a profile read on
+rings (edge, ring, span, inside) with its spectral kernel, a law with
+its spectrum's chi or a table with the pure phase at each node p(E) of
+its energy rule. A table's readings are linear in its columns on the
+cos knots, so its rings, arc pieces and arc samples are taken once per
+chunk of node_chunk nodes, as a law's are; only the contraction with
+the columns and the square roots at the arc samples carry energy, in
+blocks of at most _BLOCK values.
 
-The 2x self-check samples a part that feeds both levels (a law) once,
-at the refined level, and takes the coarse level as every other sample
-in mu and every other node of the arc rule, whose refined level doubles
-the intervals per piece; a table's parts each feed one level. The
-Filon weights of both levels come from one filon_moments call too: a
+The 2x self-check samples the rings once, at the refined level, and
+takes the coarse level as every other sample in mu and every other
+node of the arc rule, whose refined level doubles the intervals per
+piece; each level weights only the nodes of its own energy rule. A
+law's Filon weights of both levels come from one filon_moments call: a
 kernel that takes wide panels from edge values (the thermal one) is
 evaluated once per distinct phase scale, at the refined panel edges,
 and a coarse panel reads every other edge. The check compares both
@@ -59,7 +59,6 @@ Re F and Im F and returns the refined values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -69,15 +68,19 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import filon_grid, filon_moments, frames, segment_rule
+from .quadrules import (PanelKernel, filon_grid, filon_moments, frames,
+                        phase_moments, segment_rule)
 from .rotations import check_rotation, w_from_rotations
-from .spectra import Monoenergetic
 
 
 #: largest displacement component [m], far past the saturation of F at any
 #: thermal recoil; a 1e100 m pair overflowed in the Filon moments, and a
 #: 1e300 m one in the ring geometry
 MAX_DISPLACEMENT_M = 1e30
+
+#: most values an array of a table's energy block holds: its energy nodes
+#: times the values one node holds there (arc samples or rings of a chunk)
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,8 @@ def _arc_samples(ra, rb, ha, hb, x):
     a's phase the two arcs meet in at most two pieces, the direct one and
     the one across phi = +-pi; a full ring's arc ends at its minimum, so
     a piece never holds one. The pieces are the same sets in either pose
-    order. Returns the flat ring index and half length of each nonempty
-    piece, and c_a and c_b there.
+    order. Returns the flat index of each nonempty piece in (ring, 2),
+    its half length, and c_a and c_b there.
     """
     d = _wrap(rb[2] - ra[2])
     centre = np.stack(np.broadcast_arrays(
@@ -229,7 +232,7 @@ def _arc_samples(ra, rb, ha, hb, x):
     phi = np.multiply(half[:, None], x)
     phi += (0.5 * (lo + hi)).ravel()[keep][:, None]
     shifted = phi - np.broadcast_to(d, ha.shape).ravel()[ring][:, None]
-    out = [ring, half]
+    out = [keep, half]
     for (a, b, _), arg in ((ra, phi), (rb, shifted)):
         c = np.cos(arg, out=arg)
         c *= b.ravel()[ring][:, None]
@@ -238,54 +241,64 @@ def _arc_samples(ra, rb, ha, hb, x):
     return out
 
 
-def _one_sided(arc, r, h, h_other, phase_other):
-    """int over the part of r's arc where the other ring does not emit,
-    of r's profile; arc(A, B, lo, hi) integrates it from r's phase. The
-    other ring's gap runs from d + h_other to d - h_other + 2 pi, d the
-    phase difference; written so, it is exactly empty for a ring equal to
-    r, and it is empty for a full other ring."""
+def _one_sided(span, r, h, h_other, phase_other):
+    """The readings of the profile over the two parts of r's arc where
+    the other ring does not emit; span(A, B, lo, hi) reads it from r's
+    phase. The other ring's gap runs from d + h_other to
+    d - h_other + 2 pi, d the phase difference; written so, it is exactly
+    empty for a ring equal to r, and it is empty for a full other ring."""
     d = _wrap(phase_other - r[2])
     gap = h_other < np.pi
-    total = 0.0
+    out = []
     for lo, hi in ((d + h_other, (d + _TWO_PI) - h_other),
                    ((d - _TWO_PI) + h_other, d - h_other)):
         lo = np.maximum(-h, lo)
         hi = np.where(gap, np.maximum(np.minimum(h, hi), lo), lo)
-        total = total + np.maximum(arc(r[0], r[1], lo, hi), 0.0)
-    return total
-
-
-def _ring_terms(profile, nodes, ra, rb, x, steps):
-    """[(g2, gdiff)] per (slot step, mu step, slots) of steps, each of
-    shape (chunk, n_mu of the level), on the rings ra and rb (rb None for
-    one pose) of the nodes: g2 = int sqrt(a b) dphi and gdiff its
-    incoherent part, (int a + int b) / 2 - g2 (None for one pose).
-    profile(nodes) reads the profile on those nodes' rings, and x holds
-    the arc rule's nodes of the last step; an arc piece sees its node's
-    profile."""
-    at = profile(nodes[:, None])
-    ea = at.edge(*ra[:2])
-    if rb is None:
-        g2 = at.ring(*ra[:2], ea)
-        return [(g2[:, ::m], None) for _, m, _ in steps]
-    eb = at.edge(*rb[:2])
-    full = 0.5 * (at.ring(*ra[:2], ea) + at.ring(*rb[:2], eb))
-    ring_idx, half, ca, cb = _arc_samples(ra, rb, ea[0], eb[0], x)
-    inside = profile(nodes[ring_idx // ra[0].shape[1]][:, None]).inside
-    one_sided = (_one_sided(at.arc, ra, ea[0], eb[0], rb[2])
-                 + _one_sided(at.arc, rb, eb[0], ea[0], ra[2]))
-    s0 = steps[-1][0]
-    h = np.sqrt(inside(ca[:, ::s0]))
-    h -= np.sqrt(inside(cb[:, ::s0]))
-    h *= h
-    out = []
-    for s, m, slots in steps:
-        # every term is >= 0, and 0 where the two rings coincide
-        q = half * (h[:, ::s // s0] @ arc_rule(slots)[1])
-        gdiff = 0.5 * (np.bincount(ring_idx, q, minlength=one_sided.size)
-                       .reshape(one_sided.shape) + one_sided)[:, ::m]
-        out.append((full[:, ::m] - gdiff, gdiff))
+        out.append(span(r[0], r[1], lo, hi))
     return out
+
+
+def _ring_terms(at, blocks, idx, ra, rb, x, steps):
+    """(j, g2, gdiff, weights) per level j of each energy block of the
+    nodes idx (see _parts) on their rings ra and rb (rb None for one
+    pose), on level j's mu grid: g2 = int sqrt(a b) dphi and gdiff its
+    incoherent part, (int a + int b) / 2 - g2 (None for one pose). The
+    profile is read once, on the samples of the finest level of steps
+    (x the nodes of its arc rule); only the values a block takes from the
+    readings hold an energy axis. An arc piece reads its ring's row."""
+    ea = at.edge(*ra[:2])
+    # what one energy node holds in a block's largest array: the complex
+    # Filon weights on the rings, or the arc samples
+    rings, size = [at.ring(*ra[:2], ea)], 2 * ra[0].size
+    if rb is not None:
+        eb = at.edge(*rb[:2])
+        rings.append(at.ring(*rb[:2], eb))
+        keep, half, ca, cb = _arc_samples(ra, rb, ea[0], eb[0], x)
+        rows = keep // (2 * ra[0].shape[1])
+        inside = [at.inside(ca, rows), at.inside(cb, rows)]
+        size = max(size, ca.size)
+        del ca, cb   # only inside reads them: free them before the blocks
+        sided = (_one_sided(at.span, ra, ea[0], eb[0], rb[2]),
+                 _one_sided(at.span, rb, eb[0], ea[0], ra[2]))
+    for js, read, weights in blocks(idx, size):
+        full = sum(read(r) for r in rings) / len(rings)
+        if rb is not None:
+            one_sided = sum(sum(np.maximum(read(s), 0.0) for s in pose)
+                            for pose in sided)
+            h = np.sqrt(read(inside[0]))
+            h -= np.sqrt(read(inside[1]))
+            h *= h
+        for j, w in zip(js, weights):
+            s, m, slots = steps[j]
+            if rb is None:
+                yield j, full[..., ::m], None, w
+                continue
+            # every term is >= 0, and 0 where the two rings coincide
+            pieces = np.zeros(one_sided.shape + (2,))
+            pieces.reshape(one_sided.shape[:-2] + (-1,))[..., keep] = \
+                half * (h[..., ::s] @ arc_rule(slots)[1])
+            gdiff = 0.5 * (pieces.sum(axis=-1) + one_sided)[..., ::m]
+            yield j, full[..., ::m] - gdiff, gdiff, w
 
 
 def ring_overlap(law, ring_a, ring_b, slots: int = 16):
@@ -295,8 +308,9 @@ def ring_overlap(law, ring_a, ring_b, slots: int = 16):
     incoherent part _pair_terms takes."""
     ra, rb = ([np.asarray(v, dtype=float).reshape(-1, 1) for v in r]
               for r in (ring_a, ring_b))
-    (g2, _), = _ring_terms(lambda nodes: law, np.arange(len(ra[0])), ra, rb,
-                           arc_rule(slots)[0], [(1, 1, slots)])
+    (_, g2, _, _), = _ring_terms(
+        law, lambda idx, size: [([0], lambda x: x, [None])], None, ra, rb,
+        arc_rule(slots)[0], [(1, 1, slots)])
     return g2.ravel()
 
 
@@ -325,36 +339,51 @@ def _arc_levels(levels):
              base << j) for j, lv in enumerate(levels)]
 
 
-def _parts(em: Emitters, m_atom, levels):
-    """(weight, profile, kernel, js) per part of the emitters, the parts'
-    rates adding up to F at each level of js (indices into levels).
-
-    weight is per node, profile(nodes) reads the part on those nodes'
-    rings as an AxialLaw does (edge, ring, arc, inside), and kernel is
-    its spectral average of the phase for filon_moments. A separable
-    model is one part at every level: its law and spectrum. A table is a
-    part per node E of each level's energy rule: its profile at E with
-    the pure phase at p(E), weighted by the node areas.
+def _parts(em: Emitters, m_atom, levels, kappas, node_kappa):
+    """The emitters' one part: (profile, blocks). profile reads it on
+    rings (edge, ring, span, inside); blocks(idx, size) yields (js, read,
+    weights) per energy block of the nodes idx: the levels js it feeds,
+    read, which takes values from the profile's readings, and per level
+    of js the node weights, each node's Filon weights and the rule at
+    zero phase. A law is one block at every level, read as is, with its
+    spectrum's kernel. A table's blocks feed one level each: at most
+    _BLOCK // size nodes of its energy rule (size the values a node holds
+    in a block's largest array) read from its columns, with the pure
+    phase at p(E) kappa.
     """
     table = em.table
+    panels = [lv.n_mu_panels for lv in levels]
     if table is None:
-        yield (em.weights, lambda nodes: em.law, em.spectrum.kernel(m_atom),
-               list(range(len(levels))))
-        return
-    for j in range(len(levels)):
-        for e, w in zip(*segment_rule(table.energy_grid,
-                                      levels[0].energy_nodes, j > 0)):
-            yield (w * em.areas, partial(table.at, e),
-                   Monoenergetic(e).kernel(m_atom), [j])
+        filon = filon_moments(panels, kappas, em.spectrum.kernel(m_atom))
+        return em.law, lambda idx, size: [(
+            range(len(levels)), lambda x: x,
+            [(em.weights[idx], w[node_kappa[idx]], static)
+             for w, static in filon])]
+    phase = PanelKernel(phase_moments)
+    rules = [segment_rule(table.energy_grid, levels[0].energy_nodes, j > 0)
+             for j in range(len(levels))]
+    statics = [filon_moments(n, 0.0, phase) for n in panels]
+
+    def table_blocks(idx, size):
+        scales, local = np.unique(node_kappa[idx], return_inverse=True)
+        step = max(1, _BLOCK // size)
+        for j, (e, w) in enumerate(rules):
+            for sl in (slice(lo, lo + step) for lo in range(0, len(e), step)):
+                v = table.interp(table.cos_grid, e[sl, None, None, None],
+                                 idx[:, None, None])
+                p = np.sqrt(2.0 * m_atom * e[sl, None])
+                filon = filon_moments(panels[j], p * kappas[scales], phase)
+                yield ([j], lambda x, v=v: x(v), [(
+                    w[sl, None] * em.areas[idx], filon[:, local], statics[j])])
+    return table, table_blocks
 
 
 def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
-    """[(re, im)] per quadrature level, coarse to fine, summed over the
-    parts of the emitters.
+    """[(re, im)] per quadrature level, coarse to fine.
 
-    A part's levels nest (each doubles the last), so its rings and the
-    arc rule's samples are evaluated once, on its finest level, a chunk
-    of nodes at a time.
+    The levels nest (each doubles the last), so the rings and the arc
+    rule's samples are taken once, on the finest level, a chunk of nodes
+    at a time, and read per energy block of the emitters' part.
     """
     if em.law is not None and em.law.delta:
         return [_fixed_direction_terms(pair, em, m_atom)] * len(levels)
@@ -367,33 +396,26 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     if not np.array_equal(pair.rotation, pair.rotation_prime):
         poses.append(pair.rotation_prime)
     coeffs = [_ring_coeffs(axis, e1, e2, em.axes @ rot.T) for rot in poses]
+    profile, blocks = _parts(em, m_atom, levels, kappas, node_kappa)
     n, chunk = len(axis), levels[-1].node_chunk
+    steps = _arc_levels(levels)
+    x = arc_rule(steps[-1][2])[0]
+    mu = filon_grid(levels[-1].n_mu_panels)
+    sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
     out = np.zeros((len(levels), 2))
-    for weight, profile, kernel, js in _parts(em, m_atom, levels):
-        # weights per distinct kappa, and the rule at zero phase, per level
-        filon = filon_moments([levels[j].n_mu_panels for j in js], kappas,
-                              kernel)
-        # the arc rule and mu grid of the part's finest level
-        steps = [_arc_levels(levels[:js[-1] + 1])[j] for j in js]
-        x = arc_rule(steps[-1][2])[0]
-        mu = filon_grid(levels[js[-1]].n_mu_panels)
-        sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
-        for lo in range(0, n, chunk):
-            idx = np.arange(lo, min(lo + chunk, n))
-            ra, rb = ([(c0[idx, None] * mu, c[idx, None] * sin_t,
-                        phase[idx, None]) for c0, c, phase in coeffs]
-                      + [None])[:2]
-            terms = _ring_terms(profile, idx, ra, rb, x, steps)
-            w_nodes = weight[idx]
-            for j, (w, static), (g2, gdiff) in zip(js, filon, terms):
-                w = w[node_kappa[idx]]
-                # Re F takes g2 on static - Re(w), exactly 0 at zero phase:
-                # identical poses give 0 to the last bit
-                re = np.einsum("im,im->i", g2, static.real - w.real)
-                if gdiff is not None:
-                    re += gdiff @ static.real
-                out[j] += (w_nodes @ re,
-                           w_nodes @ np.einsum("im,im->i", g2, w.imag))
+    for lo in range(0, n, chunk):
+        idx = np.arange(lo, min(lo + chunk, n))
+        ra, rb = ([(c0[idx, None] * mu, c[idx, None] * sin_t,
+                    phase[idx, None]) for c0, c, phase in coeffs] + [None])[:2]
+        for j, g2, gdiff, (w_nodes, w, static) in _ring_terms(
+                profile, blocks, idx, ra, rb, x, steps):
+            # Re F takes g2 on static - Re(w), exactly 0 at zero phase:
+            # identical poses give 0 to the last bit
+            re = np.einsum("...m,...m->...", g2, static.real - w.real)
+            if gdiff is not None:
+                re += gdiff @ static.real
+            out[j] += (np.vdot(w_nodes, re), np.vdot(
+                w_nodes, np.einsum("...m,...m->...", g2, w.imag)))
     return [tuple(row) for row in out]
 
 

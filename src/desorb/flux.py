@@ -47,8 +47,9 @@ _UNIT_TOL = 1e-9
 
 def _check_unit(n: np.ndarray) -> np.ndarray:
     n = np.asarray(n, dtype=float)
-    norm = np.linalg.norm(n, axis=-1)
-    if np.any(np.abs(norm - 1.0) > _UNIT_TOL):
+    # a component past 2 is no unit vector's, and its square may overflow
+    if np.any(np.abs(n) > 2.0) or np.any(
+            np.abs(np.linalg.norm(n, axis=-1) - 1.0) > _UNIT_TOL):
         raise NotUnit("direction must be a unit vector within 1e-9")
     return n
 
@@ -121,17 +122,17 @@ class AxialLaw:
         phi0, sin0 = self.edge(a, b) if edge is None else edge
         return 2.0 * (alpha * phi0 + beta * (a * phi0 + b * sin0))
 
-    def arc(self, a, b, lo, hi):
+    def span(self, a, b, lo, hi):
         """int_lo^hi f(a + b cos phi) dphi for -phi0 <= lo <= hi <= phi0:
         alpha (hi - lo) + beta (a (hi - lo) + b (sin hi - sin lo))."""
         alpha, beta, _ = self._linear
         return (alpha * (hi - lo)
                 + beta * (a * (hi - lo) + b * (np.sin(hi) - np.sin(lo))))
 
-    def inside(self, c):
+    def inside(self, c, rows=None):
         """f on its support, continued to the edge: alpha + beta c, with
         c clipped to mu >= 0 for a half-space law. Both sides of a step
-        edge see the emitting value."""
+        edge see the emitting value. A law does not read c's rows."""
         alpha, beta, half = self._linear
         return alpha + beta * (np.maximum(c, 0.0) if half else c)
 
@@ -374,39 +375,67 @@ class TabulatedFlux:
             return float(c[first - 1])
         return float(c[0]) if c[0] > -1.0 else -np.inf
 
-    def at(self, e, nodes) -> "_TableProfile":
-        """The table at energy e on the nodes, read on rings the way an
-        AxialLaw is (edge, ring, arc, inside); nodes broadcasts against
-        every argument."""
-        return _TableProfile(self, e, nodes)
+    def edge(self, a, b):
+        """(phi0, None): ring a + b cos phi is above knot on |phi| < phi0."""
+        return np.arccos(_edge_cos(a, b, self.knot)), None
 
-    def arc(self, a, b, lo, hi, e, node_idx):
-        """int_lo^hi interp(a + b cos phi, e, node) dphi for b >= 0 and
-        -pi <= lo <= hi <= pi, in closed form.
+    def ring(self, a, b, edge=None):
+        return self.span(a, b, -np.pi, np.pi)
 
-        In cos the interpolant at one node and energy is a step of v_0 at
-        the first grid point g_0, a ramp whose slope changes by r_j at each
-        grid point g_j, and a step down of v_K past the last, so it is
+    def span(self, a, b, lo, hi):
+        """int_lo^hi of the interpolant on ring a + b cos phi (b >= 0,
+        -pi <= lo <= hi <= pi) in closed form, as a linear function of
+        the columns v, the table on the cos knots g_j (one energy and node
+        per ring, broadcast against a).
+
+        In cos the interpolant is a step of v_0 at g_0, a ramp whose slope
+        changes by r_j at each g_j, and a step down of v_K past the last,
         sum_j s_j [c > g_j] + r_j (c - g_j)_+; each term integrates over
-        the part |phi| < phi_j of [lo, hi] where c > g_j. node_idx
-        broadcasts against a.
+        the part |phi| < phi_j of [lo, hi] where c > g_j.
         """
         g = self.cos_grid
-        v = self.interp(g, e, np.asarray(node_idx)[..., None])
-        r = np.diff(np.diff(v, axis=-1) / np.diff(g), axis=-1,
-                    prepend=0.0, append=0.0)
-        s = np.zeros_like(v)
-        s[..., 0] = v[..., 0]
-        s[..., -1] -= v[..., -1]
         a, b, lo, hi = (np.asarray(x, dtype=float)[..., None]
                         for x in (a, b, lo, hi))
         phi0 = np.arccos(_edge_cos(a, b, g))
         left = np.maximum(lo, -phi0)
         right = np.maximum(np.minimum(hi, phi0), left)
         width = right - left
-        terms = s * width + r * ((a - g) * width
-                                 + b * (np.sin(right) - np.sin(left)))
-        return terms.sum(axis=-1)
+        ramp = (a - g) * width + b * (np.sin(right) - np.sin(left))
+        # r = diff(diff(v) / diff(g)) padded with zeros; its adjoint takes
+        # the ramp integrals to weights on v
+        h = np.diff(np.diff(ramp, axis=-1) / np.diff(g), axis=-1,
+                    prepend=0.0, append=0.0)
+        h[..., 0] += width[..., 0]
+        h[..., -1] -= width[..., -1]
+        return lambda v: np.einsum("...j,...j->...", h, v)
+
+    def inside(self, c, rows):
+        """The interpolant at cos c, clipped up to knot, as a function of
+        the columns v (energy, row, 1, n_cos); c holds a row of samples per
+        ring and rows the row of each ring. A sample off the cos grid
+        reads a zero appended past v."""
+        g = self.cos_grid
+        c = np.maximum(c, self.knot)
+        ic = np.clip(np.searchsorted(g, c) - 1, 0, len(g) - 2)
+        t = np.clip((c - g[ic]) / (g[ic + 1] - g[ic]), 0.0, 1.0)
+        off = (c < g[0]) | (c > g[-1])
+        ic[off], t[off] = len(g) - 1, 1.0
+        at = np.asarray(rows)[:, None] * (len(g) + 1) + ic
+
+        def values(v):
+            flat = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)
+            flat = flat.reshape(len(v), -1)
+            out = np.take(np.diff(flat, axis=-1), at, axis=1)
+            out *= t
+            out += np.take(flat, at, axis=1)
+            return out
+        return values
+
+    def arc(self, a, b, lo, hi, e, node_idx):
+        """int_lo^hi interp(a + b cos phi, e, node) dphi (see span);
+        node_idx broadcasts against a."""
+        return self.span(a, b, lo, hi)(
+            self.interp(self.cos_grid, e, np.asarray(node_idx)[..., None]))
 
     def node_spectral_rate(self, node_idx=None):
         """2 pi * integral over (mu, E) per node: rate per area [1/(m^2 s)].
@@ -421,29 +450,6 @@ class TabulatedFlux:
     def emitters(self, points, normals, areas) -> Emitters:
         return Emitters(points, normals, areas, self.node_spectral_rate(),
                         table=self)
-
-
-@dataclass(frozen=True)
-class _TableProfile:
-    """TabulatedFlux.at: one energy's profile, read on rings as a law is;
-    it is 0 outside the edge |phi| < phi0, where a + b cos phi > knot."""
-
-    flux: TabulatedFlux
-    e: float
-    nodes: np.ndarray
-
-    def edge(self, a, b):
-        return np.arccos(_edge_cos(a, b, self.flux.knot)), None
-
-    def ring(self, a, b, edge=None):
-        return self.arc(a, b, -np.pi, np.pi)
-
-    def arc(self, a, b, lo, hi):
-        return self.flux.arc(a, b, lo, hi, self.e, self.nodes)
-
-    def inside(self, c):
-        return self.flux.interp(np.maximum(c, self.flux.knot), self.e,
-                                self.nodes)
 
 
 def _trapezoid_weights(x: np.ndarray) -> np.ndarray:

@@ -137,8 +137,12 @@ class BodySpec:
     def __post_init__(self):
         if self.mass <= 0:
             raise ValueError("mass must be positive")
+        lo, hi = _bounds(self.shape)
         with np.errstate(over="ignore", invalid="ignore"):
-            sizes = _area_volume(self.shape)
+            area, volume = _area_volume(self.shape)
+            # D's rotational block integrates |s|^2 over the area: the area
+            # times the squared extent bounds it (a 1e100 m sphere overflows)
+            sizes = (area, area * np.max(np.abs([lo, hi])) ** 2, volume)
             com = self.center_of_mass
             if com is None:
                 com = _default_centroid(self.shape)
@@ -149,11 +153,10 @@ class BodySpec:
         inertia = np.asarray(inertia, dtype=float)
         if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(com))
                 and np.all(np.isfinite(inertia))):
-            raise ValueError("area, volume, centroid and inertia must be "
-                             "finite")
+            raise ValueError("area, its second moment, volume, centroid and "
+                             "inertia must be finite")
         # the centre of mass of a nonnegative density lies in the body's
         # convex hull, so in its bounding box
-        lo, hi = _bounds(self.shape)
         if np.any(com < lo) or np.any(com > hi):
             raise ValueError("center of mass must lie within the body's "
                              "bounding box")
@@ -163,6 +166,13 @@ class BodySpec:
         if np.any(np.linalg.eigvalsh(inertia) <= 0):
             raise ValueError("inertia tensor must be positive definite")
         object.__setattr__(self, "inertia_body", inertia)
+
+    @property
+    def box(self):
+        """Corners (lo, hi) of the body's bounding box, measured from its
+        center of mass [m]."""
+        lo, hi = _bounds(self.shape)
+        return lo - self.center_of_mass, hi - self.center_of_mass
 
 
 def _bounds(shape: Shape):

@@ -395,11 +395,17 @@ def test_metadata_header_in_outputs(tmp_path):
     {"body": {"shape": "sphere", "radius_m": 1e300}},
     {"body": {"shape": "cylinder", "radius_m": 5e-8, "half_length_m": 1e300}},
     {"body": {"shape": "box", "half_extents_m": [1e-7, 1e300, 1e-7]}},
-], ids=["radius_m", "half_length_m", "half_extents_m"])
+    {"body": {"shape": "sphere", "radius_m": 1e100}},
+], ids=["radius_m", "half_length_m", "half_extents_m", "finite_area_radius_m"])
 def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {**extra, "tensors": {}})
     assert run(["tensors", "--config", cfg, "--out", "-"]) == 2
     assert "body: " in capsys.readouterr().err
+
+
+_SITE = {"model": "single_site", "site_m": [7.5e-8, 0, 0], "rate_hz": 5.0,
+         "direction": {"law": "isotropic"},
+         "spectrum": {"kind": "maxwell_boltzmann", "temperature_k": 300.0}}
 
 
 @pytest.mark.parametrize("command,extra,key", [
@@ -411,7 +417,16 @@ def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
     ("tensors", {"body": {"shape": "sphere", "radius_m": 7.5e-8,
                           "center_of_mass_m": [1e300, 0, 0]}, "tensors": {}},
      "body: center of mass"),
-], ids=["w", "delta_x_scale_m", "center_of_mass_m"])
+    ("tensors", {"flux": dict(_SITE, direction={
+        "law": "fixed", "direction": [1e300, 0, 0]}), "tensors": {}},
+     "'flux.direction.direction': direction must be a unit vector"),
+    ("tensors", {"flux": dict(_SITE, direction={
+        "law": "cosine", "axis": [1e300, 0, 0]}), "tensors": {}},
+     "'flux.direction.axis': direction must be a unit vector"),
+    ("tensors", {"flux": dict(_SITE, site_m=[1e300, 0, 0]), "tensors": {}},
+     "'flux.site_m' must lie within the body's bounding box"),
+], ids=["w", "delta_x_scale_m", "center_of_mass_m", "direction", "axis",
+        "site_m"])
 def test_extreme_finite_magnitudes_exit2(tmp_path, capsys, command, extra, key):
     # these overflowed (exit 1 under -W error) or stopped as NonFinite
     # (exit 4); warnings are errors in this suite

@@ -537,7 +537,8 @@ WIDE_NUMBERS = (SMALL_NUMBERS
                 | NON_FINITE)
 WIDE = [("body", "center_of_mass_m"), ("locmap", "pairs", 0, "delta_x_m"),
         ("locmap", "pairs", 0, "w"), ("locmap", "pairs", 0, "w_prime"),
-        ("locmap", "ray"), ("locmap", "random", "delta_x_scale_m")]
+        ("locmap", "ray"), ("locmap", "random", "delta_x_scale_m"),
+        ("flux", "site_m"), ("flux", "direction")]
 SMALL_JSON, ANY_JSON = _json_values(SMALL_NUMBERS), _json_values(NUMBERS)
 WIDE_JSON = _json_values(WIDE_NUMBERS)
 
@@ -570,6 +571,9 @@ TABLE = ("flux", "spectrum")
 @example(("full", ("locmap", "pairs", 0, "w", 2), 1e300))
 @example(("full", ("locmap", "random", "delta_x_scale_m"), 1e300))
 @example(("full", ("body", "center_of_mass_m", 0), 1e300))
+@example(("mesh", ("flux", "direction", "direction", 0), 1e300))
+@example(("box", ("flux", "direction", "axis", 0), 1e300))
+@example(("sphere", ("flux", "site_m", 0), 1e300))
 def test_any_json_value_at_a_leaf_parses_or_is_a_config_error(
         full_configs, leaf):
     name, path, value = leaf

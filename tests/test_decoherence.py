@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import N2_MASS, SPHERE_RADIUS
+from desorb import decoherence
 from desorb.constants import HBAR, KB
 from desorb.decoherence import (DecoherenceQuadrature, LocalizationRate,
                                 PosePair, _arc_levels, arc_rule,
@@ -17,6 +18,7 @@ from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          IsotropicDirection, SingleSite, TabulatedFlux,
                          total_rate)
 from desorb.geometry import BodySpec, Sphere, build_quadrature
+from desorb.moments import transport
 from desorb.quadrules import (filon_grid, filon_moments, gauss_legendre,
                               phase_moments)
 from desorb.rng import stream
@@ -704,3 +706,55 @@ def test_checked_translation_costs_one_edge_pass(monkeypatch, q_small):
     model = CosineLaw(MB_300, RATE)
     localization_rate(PosePair([1e-9, 0.0, 0.0]), model, q_small, N2_MASS)
     assert sum(counted) == 193
+
+
+def _gradient_models(q):
+    """A cosine x MB law with a rate gradient, and the cosine x MB table
+    (5 cos x 7 E points) of the same rates."""
+    rate = lambda pts: RATE * (1.0 + pts @ (np.array([0.3, -0.2, 0.5])
+                                            / SPHERE_RADIUS))
+    cos_grid = np.linspace(0.0, 1.0, 5)
+    energies = np.linspace(0.0, 12.0, 7) * MB_300.kt
+    values = (rate(q.points)[:, None, None] * cos_grid[None, :, None] / np.pi
+              * MB_300.density(energies)[None, None, :])
+    return CosineLaw(MB_300, rate), TabulatedFlux(cos_grid, energies, values)
+
+
+@pytest.fixture(scope="module")
+def q_res4():
+    return build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 4)
+
+
+@pytest.mark.parametrize("kind", ["cosine", "table"])
+def test_small_translation_matches_diffusion_and_force(q_res4, kind):
+    # at |dX| = 10 fm, F is dX . D_tt dX / hbar^2 - i F . dX / hbar up to
+    # O(dX^2) relative terms, far below 1e-5 here; D and F come from the
+    # moments, which share no quadrature with the rate
+    model = _gradient_models(q_res4)[kind == "table"]
+    dx = np.array([1.0, 2.0, -2.0]) / 3.0 * 1e-14
+    d, f = transport(model, q_res4, N2_MASS)
+    rate = localization_rate(PosePair(dx), model, q_res4, N2_MASS)
+    assert rate.re == pytest.approx(dx @ d.d_tt @ dx / HBAR**2, rel=1e-5)
+    assert rate.im == pytest.approx(-(f.force @ dx) / HBAR, rel=1e-5)
+
+
+@pytest.mark.parametrize("energy_nodes", [6, 40])
+def test_ring_geometry_is_taken_once_per_chunk(monkeypatch, q_res4,
+                                               energy_nodes):
+    # a table's energy nodes are an axis of its one part, so its arc
+    # samples are taken once per node chunk, as a law's are, whatever the
+    # size of its energy rule
+    calls = []
+    original = decoherence._arc_samples
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(decoherence, "_arc_samples", counting)
+    quad = DecoherenceQuadrature(energy_nodes=energy_nodes)
+    pair = PosePair(np.zeros(3), rotation_from_w([0.0, 0.0, 0.01]))
+    chunks = -(-q_res4.n_nodes // quad.node_chunk)
+    for model in _gradient_models(q_res4):
+        calls.clear()
+        localization_rate(pair, model, q_res4, N2_MASS, quad)
+        assert len(calls) == chunks
