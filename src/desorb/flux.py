@@ -313,7 +313,9 @@ class TabulatedFlux:
 
     values[i, j, k] is Phi at node i, cos_theta[j], energy[k], in
     1/(sr m^2 s J). Zero extrapolation outside the grids. The angular
-    dependence enters through cos_theta = n . n_s only.
+    dependence enters through cos_theta = n . n_s only. On rings it reads
+    as an AxialLaw does (edge, ring, span, inside), as functions of its
+    columns: the table on the cos knots at given energies and nodes.
     """
 
     cos_grid: np.ndarray
