@@ -297,7 +297,8 @@ def _ring_terms(at, blocks, idx, ra, rb, x, steps):
             pieces = np.zeros(one_sided.shape + (2,))
             pieces.reshape(one_sided.shape[:-2] + (-1,))[..., keep] = \
                 half * (h[..., ::s] @ arc_rule(slots)[1])
-            gdiff = 0.5 * (pieces.sum(axis=-1) + one_sided)[..., ::m]
+            gdiff = 0.5 * (pieces[..., 0] + pieces[..., 1]
+                           + one_sided)[..., ::m]
             yield j, full[..., ::m] - gdiff, gdiff, w
 
 
