@@ -273,11 +273,11 @@ def _ring_terms(at, blocks, idx, ra, rb, x, steps):
     if rb is not None:
         eb = at.edge(*rb[:2])
         rings.append(at.ring(*rb[:2], eb))
-        keep, half, ca, cb = _arc_samples(ra, rb, ea[0], eb[0], x)
+        keep, half, *samples = _arc_samples(ra, rb, ea[0], eb[0], x)
         rows = keep // (2 * ra[0].shape[1])
-        inside = [at.inside(ca, rows), at.inside(cb, rows)]
-        size = max(size, ca.size)
-        del ca, cb   # only inside reads them: free them before the blocks
+        size = max(size, samples[0].size)
+        # a pose's samples are freed as soon as its profile is read there
+        inside = [at.inside(samples.pop(0), rows) for _ in range(2)]
         sided = (_one_sided(at.span, ra, ea[0], eb[0], rb[2]),
                  _one_sided(at.span, rb, eb[0], ea[0], ra[2]))
     for js, read, weights in blocks(idx, size):
