@@ -79,7 +79,9 @@ from .rotations import check_rotation, w_from_rotations
 MAX_DISPLACEMENT_M = 1e30
 
 #: most values an array of a table's energy block holds: its energy nodes
-#: times the values one node holds there (arc samples or rings of a chunk)
+#: times what one node holds there (a chunk's arc samples, or the complex
+#: Filon weights on its rings); 2**16 doubles are 0.5 MB, and larger
+#: blocks bought little time for more peak memory
 _BLOCK = 1 << 16
 
 
