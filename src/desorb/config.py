@@ -181,7 +181,6 @@ class RunConfig:
     raw: dict
     seed: int
     atom_mass: float
-    species: Optional[str]
     body: BodySpec
     quadrature: SurfaceQuadrature
     flux: Optional[FluxModel]
@@ -197,13 +196,24 @@ class RunConfig:
         ).hexdigest()
 
 
+def _inertia(value, path: str) -> np.ndarray:
+    """A symmetric positive-definite 3x3 matrix."""
+    inertia = _matrix3(value, path)
+    if not np.allclose(inertia, inertia.T, rtol=0, atol=1e-12 * abs(inertia).max()):
+        raise ConfigError("body: inertia tensor must be symmetric")
+    if np.any(np.linalg.eigvalsh(inertia) <= 0):
+        raise ConfigError("body: inertia tensor must be positive definite")
+    return inertia
+
+
 def _body(b: _Block, shape) -> BodySpec:
-    """The body of a shape, with the keys every shape shares."""
-    mass = b("mass_kg", _positive, default=1e-18)
+    """The body of a shape, with the keys every shape shares. The mass and
+    inertia are checked, then ignored: every result depends on the body
+    only through its surface measured from the center of mass."""
+    b("mass_kg", _positive, default=None)
     com = b("center_of_mass_m", _vector3, default=None)
-    inertia = b("inertia_body_kg_m2", _matrix3, default=None)
-    return _named("body", ValueError, BodySpec, shape, mass=mass,
-                  center_of_mass=com, inertia_body=inertia)
+    b("inertia_body_kg_m2", _inertia, default=None)
+    return _named("body", ValueError, BodySpec, shape, center_of_mass=com)
 
 
 def _box(b: _Block) -> BodySpec:
@@ -330,7 +340,7 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
 
     atom = top("atom", _Block, _ATOM_KEYS)
     atom_mass = atom("mass_kg", _positive)
-    species = atom("species", _string, default=None)
+    atom("species", _string, default=None)    # checked, then ignored
 
     body = top("body", _SHAPES)
 
@@ -357,16 +367,17 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     angular = AngularQuadrature(n_polar=order("angular_polar", 32, 2))
     energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
 
-    quadrature = build_quadrature(body, resolution)
+    # a body so small that its node weights underflow has no surface rule
+    quadrature = _named("body", ValueError, build_quadrature, body, resolution)
     flux = top("flux", _FLUX_MODELS, quadrature, body, default=None)
 
     top("tensors", _Block, frozenset(), default=None)
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
                                            "outgas") if name in raw}
-    return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass,
-                     species=species, body=body, quadrature=quadrature,
-                     flux=flux, angular=angular, energy=energy,
-                     surface_resolution=resolution, command_blocks=blocks)
+    return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass, body=body,
+                     quadrature=quadrature, flux=flux, angular=angular,
+                     energy=energy, surface_resolution=resolution,
+                     command_blocks=blocks)
 
 
 # ---------------------------------------------------------------------------

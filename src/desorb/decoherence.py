@@ -327,7 +327,7 @@ def _fixed_direction_terms(pair: PosePair, em: Emitters, m_atom):
         return rate, 0.0   # disjoint directions
     v = pair.delta_x + (pair.rotation - pair.rotation_prime) @ em.points[0]
     # the zeroth panel moment at zero width is 2 chi(t)
-    chi = em.spectrum.panel_moments(m_atom, float(na @ v) / HBAR, 0.0)[0] / 2
+    chi = em.spectrum.kernel(m_atom)(float(na @ v) / HBAR, 0.0)[0] / 2
     return rate * (1.0 - chi.real), rate * chi.imag
 
 

@@ -329,6 +329,8 @@ class TabulatedFlux:
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(e))
                 and np.all(np.isfinite(v))):
             raise NonFinite("flux table grids and values must be finite")
+        if c.size < 2 or e.size < 2:
+            raise ValueError("tabulation grids need at least 2 points each")
         if np.any(np.diff(c) <= 0) or np.any(np.diff(e) <= 0):
             raise ValueError("tabulation grids must be strictly increasing")
         if c[0] < -1.0 - 1e-12 or c[-1] > 1.0 + 1e-12:

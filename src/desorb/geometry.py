@@ -80,12 +80,43 @@ def surface_moment(quadrature: SurfaceQuadrature,
 
 
 # ---------------------------------------------------------------------------
-# Body specifications
+# Shapes. Each answers for its own geometry: bounds() gives the corners
+# (lo, hi) of its axis-aligned bounding box [m], area_volume() its surface
+# area [m^2] and volume [m^3] in float64 (inf where they overflow),
+# centroid() its uniform-density centroid [m], and quadrature(resolution)
+# its surface rule in its own frame, node counts scaled by resolution.
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Sphere:
     radius: float
+
+    def bounds(self):
+        hi = np.full(3, float(self.radius))
+        return -hi, hi
+
+    def area_volume(self):
+        r = np.float64(self.radius)
+        return 4.0 * np.pi * r * r, (4.0 / 3.0) * np.pi * r * r * r
+
+    def centroid(self) -> np.ndarray:
+        return np.zeros(3)
+
+    def quadrature(self, resolution: int) -> SurfaceQuadrature:
+        """GL in cos(theta) x uniform phi (resolution x 2*resolution)."""
+        n_polar = resolution
+        n_phi = 2 * resolution
+        mu, wmu = gauss_legendre(n_polar)
+        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        wphi = 2.0 * np.pi / n_phi
+        s = np.sqrt(1.0 - mu**2)
+        n = np.stack([np.outer(s, np.cos(phi)),
+                      np.outer(s, np.sin(phi)),
+                      np.broadcast_to(mu[:, None], (n_polar, n_phi))], axis=-1)
+        n = n.reshape(-1, 3)
+        w = np.broadcast_to((wmu * wphi * self.radius**2)[:, None],
+                            (n_polar, n_phi)).reshape(-1)
+        return SurfaceQuadrature(self.radius * n, n, w.copy())
 
 
 @dataclass(frozen=True)
@@ -93,6 +124,46 @@ class Cylinder:
     radius: float
     half_length: float
     capped: bool = True
+
+    def bounds(self):
+        hi = np.array([self.radius, self.radius, self.half_length], float)
+        return -hi, hi
+
+    def area_volume(self):
+        r, h = np.float64(self.radius), np.float64(self.half_length)
+        return (2.0 * np.pi * r * (2.0 * h + (r if self.capped else 0.0)),
+                2.0 * np.pi * r * r * h)
+
+    def centroid(self) -> np.ndarray:
+        return np.zeros(3)
+
+    def quadrature(self, resolution: int) -> SurfaceQuadrature:
+        """Uniform phi x GL in z, plus radial GL disk rules on the caps."""
+        r, h = self.radius, self.half_length
+        n_phi = 2 * resolution
+        n_z = resolution
+        phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
+        wphi = 2.0 * np.pi / n_phi
+        z, wz = gauss_legendre(n_z, -h, h)
+        cp, sp = np.cos(phi), np.sin(phi)
+
+        pts = [np.stack([r * np.tile(cp, n_z),
+                         r * np.tile(sp, n_z),
+                         np.repeat(z, n_phi)], axis=1)]
+        nrm = [np.stack([np.tile(cp, n_z), np.tile(sp, n_z),
+                         np.zeros(n_z * n_phi)], axis=1)]
+        wts = [np.repeat(wz, n_phi) * wphi * r]
+
+        if self.capped:
+            n_r = max(resolution // 2, 2)
+            rr, wr = gauss_legendre(n_r, 0.0, r)
+            for sign in (+1.0, -1.0):
+                pts.append(np.stack([np.outer(rr, cp).ravel(),
+                                     np.outer(rr, sp).ravel(),
+                                     np.full(n_r * n_phi, sign * h)], axis=1))
+                nrm.append(np.broadcast_to([0.0, 0.0, sign], (n_r * n_phi, 3)).copy())
+                wts.append(np.repeat(wr * rr, n_phi) * wphi)
+        return SurfaceQuadrature(np.vstack(pts), np.vstack(nrm), np.concatenate(wts))
 
 
 @dataclass(frozen=True)
@@ -104,6 +175,39 @@ class Box:
         if he.shape != (3,) or np.any(he <= 0):
             raise ValueError("box needs three positive half extents")
         object.__setattr__(self, "half_extents", he)
+
+    def bounds(self):
+        return -self.half_extents, self.half_extents
+
+    def area_volume(self):
+        a, b, c = self.half_extents
+        return 8.0 * (a * b + b * c + c * a), 8.0 * a * b * c
+
+    def centroid(self) -> np.ndarray:
+        return np.zeros(3)
+
+    def quadrature(self, resolution: int) -> SurfaceQuadrature:
+        """GL x GL patches per face."""
+        he = self.half_extents
+        n1 = max(resolution // 2, 2)
+        pts, nrm, wts = [], [], []
+        for axis in range(3):
+            u_axis, v_axis = (axis + 1) % 3, (axis + 2) % 3
+            u, wu = gauss_legendre(n1, -he[u_axis], he[u_axis])
+            v, wv = gauss_legendre(n1, -he[v_axis], he[v_axis])
+            uu, vv = np.meshgrid(u, v, indexing="ij")
+            ww = np.outer(wu, wv).ravel()
+            for sign in (+1.0, -1.0):
+                p = np.zeros((n1 * n1, 3))
+                p[:, axis] = sign * he[axis]
+                p[:, u_axis] = uu.ravel()
+                p[:, v_axis] = vv.ravel()
+                n = np.zeros((n1 * n1, 3))
+                n[:, axis] = sign
+                pts.append(p)
+                nrm.append(n)
+                wts.append(ww)
+        return SurfaceQuadrature(np.vstack(pts), np.vstack(nrm), np.concatenate(wts))
 
 
 @dataclass(frozen=True)
@@ -120,108 +224,69 @@ class Mesh:
         object.__setattr__(self, "vertices", v)
         object.__setattr__(self, "faces", f)
 
+    def bounds(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    def area_volume(self):
+        """Checks the mesh (DegenerateMesh) before its area and volume."""
+        _check_mesh(self)
+        return (float(np.sum(_mesh_face_geometry(self)[4])),
+                _mesh_volume_centroid(self)[0])
+
+    def centroid(self) -> np.ndarray:
+        return _mesh_volume_centroid(self)[1]
+
+    def quadrature(self, resolution: int) -> SurfaceQuadrature:
+        """Symmetric 3-point rule per triangle (resolution is ignored)."""
+        _check_mesh(self)
+        p0, p1, p2, cross, areas = _mesh_face_geometry(self)
+        normals = cross / (2.0 * areas)[:, None]
+        # symmetric 3-point (edge-midpoint) rule, exact for quadratics
+        mids = np.stack([(p0 + p1) / 2.0, (p1 + p2) / 2.0, (p2 + p0) / 2.0], axis=1)
+        pts = mids.reshape(-1, 3)
+        nrm = np.repeat(normals, 3, axis=0)
+        wts = np.repeat(areas / 3.0, 3)
+        return SurfaceQuadrature(pts, nrm, wts)
+
 
 Shape = Sphere | Cylinder | Box | Mesh
 
 
 @dataclass(frozen=True)
 class BodySpec:
-    """Shape plus mass properties. Positions are interpreted relative to
-    center_of_mass, which defaults to the uniform-density centroid."""
+    """A shape, with positions interpreted relative to center_of_mass,
+    which defaults to the uniform-density centroid."""
 
     shape: Shape
-    mass: float = 1.0
     center_of_mass: Optional[np.ndarray] = None
-    inertia_body: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.mass <= 0:
-            raise ValueError("mass must be positive")
-        lo, hi = _bounds(self.shape)
+        lo, hi = self.shape.bounds()
         with np.errstate(over="ignore", invalid="ignore"):
-            area, volume = _area_volume(self.shape)
+            area, volume = self.shape.area_volume()
             # D's rotational block integrates |s|^2 over the area: the area
             # times the squared extent bounds it (a 1e100 m sphere overflows)
             sizes = (area, area * np.max(np.abs([lo, hi])) ** 2, volume)
             com = self.center_of_mass
             if com is None:
-                com = _default_centroid(self.shape)
-            inertia = self.inertia_body
-            if inertia is None:
-                inertia = _uniform_inertia(self.shape, self.mass)
+                com = self.shape.centroid()
         com = np.asarray(com, dtype=float)
-        inertia = np.asarray(inertia, dtype=float)
-        if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(com))
-                and np.all(np.isfinite(inertia))):
-            raise ValueError("area, its second moment, volume, centroid and "
-                             "inertia must be finite")
+        if not (np.all(np.isfinite(sizes)) and np.all(np.isfinite(com))):
+            raise ValueError("area, its second moment, volume and centroid "
+                             "must be finite")
         # the centre of mass of a nonnegative density lies in the body's
         # convex hull, so in its bounding box
         if np.any(com < lo) or np.any(com > hi):
             raise ValueError("center of mass must lie within the body's "
                              "bounding box")
         object.__setattr__(self, "center_of_mass", com)
-        if not np.allclose(inertia, inertia.T, rtol=0, atol=1e-12 * abs(inertia).max()):
-            raise ValueError("inertia tensor must be symmetric")
-        if np.any(np.linalg.eigvalsh(inertia) <= 0):
-            raise ValueError("inertia tensor must be positive definite")
-        object.__setattr__(self, "inertia_body", inertia)
 
     @property
     def box(self):
         """Corners (lo, hi) of the body's bounding box, measured from its
         center of mass [m]."""
-        lo, hi = _bounds(self.shape)
+        lo, hi = self.shape.bounds()
         return lo - self.center_of_mass, hi - self.center_of_mass
-
-
-def _bounds(shape: Shape):
-    """Corners (lo, hi) of the shape's axis-aligned bounding box [m]."""
-    if isinstance(shape, Sphere):
-        hi = np.full(3, float(shape.radius))
-    elif isinstance(shape, Cylinder):
-        hi = np.array([shape.radius, shape.radius, shape.half_length], float)
-    elif isinstance(shape, Box):
-        hi = shape.half_extents
-    else:
-        return shape.vertices.min(axis=0), shape.vertices.max(axis=0)
-    return -hi, hi
-
-
-def _default_centroid(shape: Shape) -> np.ndarray:
-    if isinstance(shape, Mesh):
-        return _mesh_volume_centroid(shape)[1]
-    return np.zeros(3)
-
-
-def _area_volume(shape: Shape):
-    """Surface area [m^2] and enclosed volume [m^3] of a shape, in float64:
-    inf where they overflow."""
-    if isinstance(shape, Sphere):
-        r = np.float64(shape.radius)
-        return 4.0 * np.pi * r * r, (4.0 / 3.0) * np.pi * r * r * r
-    if isinstance(shape, Cylinder):
-        r, h = np.float64(shape.radius), np.float64(shape.half_length)
-        return (2.0 * np.pi * r * (2.0 * h + (r if shape.capped else 0.0)),
-                2.0 * np.pi * r * r * h)
-    if isinstance(shape, Box):
-        a, b, c = shape.half_extents
-        return 8.0 * (a * b + b * c + c * a), 8.0 * a * b * c
-    return (float(np.sum(_mesh_face_geometry(shape)[4])),
-            _mesh_volume_centroid(shape)[0])
-
-
-def _uniform_inertia(shape: Shape, mass: float) -> np.ndarray:
-    if isinstance(shape, Sphere):
-        return (2.0 / 5.0) * mass * np.float64(shape.radius)**2 * np.eye(3)
-    if isinstance(shape, Cylinder):
-        r, h = np.float64(shape.radius), np.float64(shape.half_length)
-        ixx = mass * (3.0 * r**2 + 4.0 * h**2) / 12.0
-        return np.diag([ixx, ixx, 0.5 * mass * r**2])
-    if isinstance(shape, Box):
-        a, b, c = shape.half_extents
-        return (mass / 3.0) * np.diag([b**2 + c**2, a**2 + c**2, a**2 + b**2])
-    return _mesh_inertia(shape, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -229,97 +294,15 @@ def _uniform_inertia(shape: Shape, mass: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def build_quadrature(body: BodySpec, resolution: int = 64) -> SurfaceQuadrature:
-    """Surface quadrature for a body; `resolution` scales node counts.
-
-    Sphere: GL in cos(theta) x uniform phi (resolution x 2*resolution).
-    Cylinder: uniform phi x GL in z, plus radial GL disk rules on caps.
-    Box: GL x GL patches per face. Mesh: symmetric 3-point rule per
-    triangle (resolution is ignored).
-    """
+    """Surface quadrature for a body, by its shape's rule; `resolution`
+    scales node counts."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
-    shape = body.shape
-    if isinstance(shape, Sphere):
-        quad = _sphere_quadrature(shape, resolution)
-    elif isinstance(shape, Cylinder):
-        quad = _cylinder_quadrature(shape, resolution)
-    elif isinstance(shape, Box):
-        quad = _box_quadrature(shape, resolution)
-    elif isinstance(shape, Mesh):
-        quad = _mesh_quadrature(shape)
-    else:
-        raise TypeError(f"unsupported shape {type(shape).__name__}")
+    quad = body.shape.quadrature(resolution)
     com = body.center_of_mass
     if np.any(com != 0.0):
         quad = SurfaceQuadrature(quad.points - com, quad.normals, quad.weights)
     return quad
-
-
-def _sphere_quadrature(shape: Sphere, resolution: int) -> SurfaceQuadrature:
-    n_polar = resolution
-    n_phi = 2 * resolution
-    mu, wmu = gauss_legendre(n_polar)
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    s = np.sqrt(1.0 - mu**2)
-    n = np.stack([np.outer(s, np.cos(phi)),
-                  np.outer(s, np.sin(phi)),
-                  np.broadcast_to(mu[:, None], (n_polar, n_phi))], axis=-1)
-    n = n.reshape(-1, 3)
-    w = np.broadcast_to((wmu * wphi * shape.radius**2)[:, None],
-                        (n_polar, n_phi)).reshape(-1)
-    return SurfaceQuadrature(shape.radius * n, n, w.copy())
-
-
-def _cylinder_quadrature(shape: Cylinder, resolution: int) -> SurfaceQuadrature:
-    r, h = shape.radius, shape.half_length
-    n_phi = 2 * resolution
-    n_z = resolution
-    phi = 2.0 * np.pi * (np.arange(n_phi) + 0.5) / n_phi
-    wphi = 2.0 * np.pi / n_phi
-    z, wz = gauss_legendre(n_z, -h, h)
-    cp, sp = np.cos(phi), np.sin(phi)
-
-    pts = [np.stack([r * np.tile(cp, n_z),
-                     r * np.tile(sp, n_z),
-                     np.repeat(z, n_phi)], axis=1)]
-    nrm = [np.stack([np.tile(cp, n_z), np.tile(sp, n_z),
-                     np.zeros(n_z * n_phi)], axis=1)]
-    wts = [np.repeat(wz, n_phi) * wphi * r]
-
-    if shape.capped:
-        n_r = max(resolution // 2, 2)
-        rr, wr = gauss_legendre(n_r, 0.0, r)
-        for sign in (+1.0, -1.0):
-            pts.append(np.stack([np.outer(rr, cp).ravel(),
-                                 np.outer(rr, sp).ravel(),
-                                 np.full(n_r * n_phi, sign * h)], axis=1))
-            nrm.append(np.broadcast_to([0.0, 0.0, sign], (n_r * n_phi, 3)).copy())
-            wts.append(np.repeat(wr * rr, n_phi) * wphi)
-    return SurfaceQuadrature(np.vstack(pts), np.vstack(nrm), np.concatenate(wts))
-
-
-def _box_quadrature(shape: Box, resolution: int) -> SurfaceQuadrature:
-    he = shape.half_extents
-    n1 = max(resolution // 2, 2)
-    pts, nrm, wts = [], [], []
-    for axis in range(3):
-        u_axis, v_axis = (axis + 1) % 3, (axis + 2) % 3
-        u, wu = gauss_legendre(n1, -he[u_axis], he[u_axis])
-        v, wv = gauss_legendre(n1, -he[v_axis], he[v_axis])
-        uu, vv = np.meshgrid(u, v, indexing="ij")
-        ww = np.outer(wu, wv).ravel()
-        for sign in (+1.0, -1.0):
-            p = np.zeros((n1 * n1, 3))
-            p[:, axis] = sign * he[axis]
-            p[:, u_axis] = uu.ravel()
-            p[:, v_axis] = vv.ravel()
-            n = np.zeros((n1 * n1, 3))
-            n[:, axis] = sign
-            pts.append(p)
-            nrm.append(n)
-            wts.append(ww)
-    return SurfaceQuadrature(np.vstack(pts), np.vstack(nrm), np.concatenate(wts))
 
 
 def _mesh_face_geometry(mesh: Mesh):
@@ -359,38 +342,6 @@ def _mesh_volume_centroid(mesh: Mesh):
         return 0.0, np.zeros(3)
     centroid = np.sum(det[:, None] * (p0 + p1 + p2), axis=0) / (24.0 * volume)
     return volume, centroid
-
-
-def _mesh_inertia(mesh: Mesh, mass: float) -> np.ndarray:
-    """Inertia about the centroid for uniform density (tetra decomposition)."""
-    _check_mesh(mesh)
-    volume, centroid = _mesh_volume_centroid(mesh)
-    p0, p1, p2, _, _ = _mesh_face_geometry(mesh)
-    p0, p1, p2 = p0 - centroid, p1 - centroid, p2 - centroid
-    det = np.einsum("ij,ij->i", p0, np.cross(p1, p2))
-    # integral of x_a x_b over each tetra (0, p0, p1, p2)
-    second = np.zeros((3, 3))
-    for a in range(3):
-        for b in range(3):
-            term = (np.einsum("i,i->", det, p0[:, a] * p0[:, b] + p1[:, a] * p1[:, b]
-                              + p2[:, a] * p2[:, b])
-                    + np.einsum("i,i->", det, (p0[:, a] + p1[:, a] + p2[:, a])
-                                * (p0[:, b] + p1[:, b] + p2[:, b])))
-            second[a, b] = term / 120.0
-    rho = mass / volume
-    return rho * (np.trace(second) * np.eye(3) - second)
-
-
-def _mesh_quadrature(mesh: Mesh) -> SurfaceQuadrature:
-    _check_mesh(mesh)
-    p0, p1, p2, cross, areas = _mesh_face_geometry(mesh)
-    normals = cross / (2.0 * areas)[:, None]
-    # symmetric 3-point (edge-midpoint) rule, exact for quadratics
-    mids = np.stack([(p0 + p1) / 2.0, (p1 + p2) / 2.0, (p2 + p0) / 2.0], axis=1)
-    pts = mids.reshape(-1, 3)
-    nrm = np.repeat(normals, 3, axis=0)
-    wts = np.repeat(areas / 3.0, 3)
-    return SurfaceQuadrature(pts, nrm, wts)
 
 
 # ---------------------------------------------------------------------------

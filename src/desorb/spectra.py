@@ -50,21 +50,18 @@ class Monoenergetic:
 
     def density(self, e):
         raise ValueError("monoenergetic spectrum has no pointwise density; "
-                         "use its momentum_moments or panel_moments")
+                         "use its momentum_moments or kernel")
 
     def momentum_moments(self, m_atom: float):
         """(j1, j2) = (int sigma p dE, int sigma p^2 dE) = (p, p^2)."""
         p = np.sqrt(2.0 * m_atom * self.energy)
         return float(p), float(p * p)
 
-    def panel_moments(self, m_atom: float, t, tau):
-        """int_{-1}^{1} s^l <exp(i p (t + tau s))> ds, l = 0, 1, 2, averaged
-        over the spectrum, p = sqrt(2 m E); t and tau per unit momentum."""
-        return self.kernel(m_atom)(t, tau)
-
     def kernel(self, m_atom: float) -> PanelKernel:
-        """The spectral average as a PanelKernel in t per unit momentum:
-        the pure phase at the line's momentum here."""
+        """The panel moments int_{-1}^{1} s^l <exp(i p (t + tau s))> ds,
+        l = 0, 1, 2, averaged over the spectrum, p = sqrt(2 m E), as a
+        PanelKernel in t and tau per unit momentum: the pure phase at the
+        line's momentum here."""
         p = np.sqrt(2.0 * m_atom * self.energy)
         return PanelKernel(lambda t, tau: phase_moments(p * t, p * tau))
 
@@ -96,10 +93,6 @@ class MaxwellBoltzmannFlux:
         """(j1, j2) = (sqrt(2 m kB T) Gamma(5/2), 4 m kB T)."""
         return (np.sqrt(2.0 * m_atom * self.kt) * 0.75 * np.sqrt(np.pi),
                 4.0 * m_atom * self.kt)
-
-    def panel_moments(self, m_atom: float, t, tau):
-        """Panel moments (see Monoenergetic.panel_moments), exact in energy."""
-        return self.kernel(m_atom)(t, tau)
 
     def kernel(self, m_atom: float) -> PanelKernel:
         """The spectral average as a PanelKernel (see Monoenergetic.kernel),
@@ -146,11 +139,6 @@ class TabulatedSpectrum:
         w = 2.0 * x * w * self.density(x * x)
         p = np.sqrt(2.0 * m_atom) * x
         return float(w @ p), float(w @ (p * p))
-
-    def panel_moments(self, m_atom: float, t, tau):
-        """Panel moments (see Monoenergetic.panel_moments), summed over a
-        3-point Gauss rule per segment in E."""
-        return self.kernel(m_atom)(t, tau)
 
     def kernel(self, m_atom: float) -> PanelKernel:
         """The spectral average as a PanelKernel (see Monoenergetic.kernel):

@@ -22,7 +22,7 @@ SPHERE_RADIUS = 75e-9  # m
 
 @pytest.fixture(scope="session")
 def sphere_body():
-    return BodySpec(Sphere(SPHERE_RADIUS), mass=1e-18)
+    return BodySpec(Sphere(SPHERE_RADIUS))
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,26 @@ def test_tensors_table_one_contraction_per_level(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("cos_grid,e_grid", [
+    ((0.5,), (0.0, 1e-21, 2e-21)), ((0.0, 0.5, 1.0), (1e-21,))],
+    ids=["cos_theta", "E_joule"])
+def test_one_point_table_grid_exit2(tmp_path, capsys, cos_grid, e_grid):
+    # a grid of one point has no cell to interpolate in: it read as a zero
+    # rate and a NaN localization rate
+    q = build_quadrature(BodySpec(Sphere(7.5e-8)), 4)
+    rows = ["node_index,cos_theta,E_joule,value"]
+    rows += [f"{node},{c},{e},1e20" for node in range(q.n_nodes)
+             for c in cos_grid for e in e_grid]
+    csv_path = tmp_path / "flux.csv"
+    csv_path.write_text("\n".join(rows) + "\n")
+    cfg = write_config(tmp_path, {
+        "tensors": {}, "flux": {"model": "tabulated", "csv_path": str(csv_path)},
+        "quadrature": {"surface_resolution": 4}})
+    assert run(["tensors", "--config", cfg, "--out", "-"]) == 2
+    assert "flux.csv_path: tabulation grids need at least 2 points" \
+        in capsys.readouterr().err
+
+
 def test_locmap_rows(tmp_path):
     e0 = 5e-28
     p0 = np.sqrt(2 * N2 * e0)

@@ -633,6 +633,21 @@ def test_body_sizes_that_overflow_are_config_errors(body):
         parse_config(raw)
 
 
+@pytest.mark.parametrize("body", [
+    {"shape": "sphere", "radius_m": 1e-300},
+    {"shape": "sphere", "radius_m": 1e-300,
+     "inertia_body_kg_m2": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+    {"shape": "box", "half_extents_m": [1e-320, 5e-8, 5e-8]},
+], ids=["sphere", "sphere_inertia", "box"])
+def test_body_sizes_whose_weights_underflow_are_config_errors(body):
+    # the surface rule's node weights underflow to 0: a ValueError of the
+    # quadrature, which escaped the config boundary
+    raw = base_raw()
+    raw["body"] = body
+    with pytest.raises(ConfigError, match="^body: area weights must be positive"):
+        parse_config(raw)
+
+
 @pytest.mark.parametrize("block,message", [
     ({"locmap": {"pairs": [{"delta_x_m": [1e-9, 0, 0], "w": [0, 0, 1e300]}]}},
      "'locmap.pairs[0].w': |w| = inf not below pi"),
@@ -683,4 +698,4 @@ def test_center_of_mass_on_the_bounding_box_parses():
 def test_large_finite_body_sizes_still_parse():
     raw = base_raw()
     raw["body"] = {"shape": "box", "half_extents_m": [1e100, 1e-7, 1e-7]}
-    assert parse_config(raw).body.inertia_body[0, 0] > 0.0
+    assert np.isfinite(parse_config(raw).quadrature.total_area)

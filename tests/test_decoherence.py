@@ -1,4 +1,3 @@
-from functools import partial
 
 import numpy as np
 import pytest
@@ -315,7 +314,7 @@ def _chi_reference(t):
 @pytest.mark.parametrize("t", [0.0, 1e-3, 0.7, 5.0, 19.99, 20.0, 20.01, -33.0,
                                186.0, 1860.0, 1e4, 1e6])
 def test_thermal_characteristic_function_matches_quad(t):
-    chi = MB_300.panel_moments(UNIT_MASS, t, 0.0)[0] / 2.0
+    chi = MB_300.kernel(UNIT_MASS)(t, 0.0)[0] / 2.0
     assert abs(chi - _chi_reference(t)) < 1e-10
 
 
@@ -326,7 +325,7 @@ def test_thermal_characteristic_function_matches_quad(t):
     (20.5, 0.01), (20.0, 0.3), (-20.5, 1.0), (186.0, 1.9), (1860.0, 19.0),
     (1e6, 1e4)])
 def test_thermal_panel_moments_match_quad(centre, tau):
-    m = MB_300.panel_moments(UNIT_MASS, centre, tau)
+    m = MB_300.kernel(UNIT_MASS)(centre, tau)
     for power in range(3):
         ref = [quad(lambda s: s**power * part(_chi_reference(centre + tau * s)),
                     -1.0, 1.0, epsabs=1e-13, limit=200)[0]
@@ -339,13 +338,12 @@ def test_thermal_panel_moments_match_quad(centre, tau):
     TabulatedSpectrum([0.0, 2e-21, 5e-21, 9e-21], [0.0, 1.0, 0.6, 0.1])],
     ids=["mb", "mono", "tabulated"])
 def test_filon_weights_reduce_to_static_rule_at_zero_phase(spectrum):
-    def kernel(t, tau):
-        return spectrum.panel_moments(N2_MASS, t, tau)
+    kernel = spectrum.kernel(N2_MASS)
     static = filon_moments(12, 0.0, kernel)
     rows = filon_moments(12, np.array([0.0, 3e22, 0.0]), kernel)
     assert np.array_equal(rows[0], static) and np.array_equal(rows[2], static)
     assert not np.array_equal(rows[1], static)
-    chi0 = spectrum.panel_moments(N2_MASS, 0.0, 0.0)[0] / 2.0
+    chi0 = kernel(0.0, 0.0)[0] / 2.0
     simpson = np.ones(25) / 12.0 / 3.0
     simpson[1:-1:2] *= 4.0
     simpson[2:-1:2] *= 2.0
@@ -662,8 +660,7 @@ def test_level_pass_matches_per_panel_weights(spectrum):
     kernel = spectrum.kernel(UNIT_MASS)
     levels = filon_moments([96, 192], LEVEL_SCALES, kernel)
     for n, (w, static) in zip([96, 192], levels):
-        ref = filon_moments(n, LEVEL_SCALES,
-                            partial(spectrum.panel_moments, UNIT_MASS))
+        ref = filon_moments(n, LEVEL_SCALES, kernel)
         assert w.shape == ref.shape
         assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.array_equal(static, filon_moments(n, 0.0, kernel))

@@ -1,7 +1,13 @@
+import ast
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import desorb.geometry
 from conftest import SPHERE_RADIUS, rel_err
+from desorb.cli import main
 from desorb.errors import DegenerateMesh
 from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh, read_obj,
@@ -133,24 +139,17 @@ def test_inconsistent_edge_orientation_rejected():
                                   center_of_mass=[0, 0, 0]), 1)
 
 
-def test_inertia_must_be_spd():
-    with pytest.raises(ValueError):
-        BodySpec(Sphere(1e-8), inertia_body=-np.eye(3))
-    with pytest.raises(ValueError):
-        BodySpec(Sphere(1e-8), inertia_body=[[1, 2, 0], [0, 1, 0], [0, 0, 1]])
-
-
-def test_sphere_inertia_default():
-    body = BodySpec(Sphere(2.0), mass=3.0)
-    np.testing.assert_allclose(body.inertia_body,
-                               (2.0 / 5.0) * 3.0 * 4.0 * np.eye(3))
-
-
-def test_mesh_inertia_matches_box():
-    # uniform cube: I = m a^2 / 6 per axis (a = edge length)
-    body = BodySpec(cube_mesh(0.5), mass=2.0)
-    np.testing.assert_allclose(body.inertia_body, 2.0 / 6.0 * np.eye(3),
-                               atol=1e-12)
+def test_inertia_must_be_spd(tmp_path, capsys):
+    # the inertia is checked, then ignored: a matrix that is not symmetric
+    # positive definite is a config error of the body
+    for inertia in (-np.eye(3), [[1, 2, 0], [0, 1, 0], [0, 0, 1]]):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "atom": {"mass_kg": 4.65e-26}, "tensors": {},
+            "body": {"shape": "sphere", "radius_m": 1e-8,
+                     "inertia_body_kg_m2": np.asarray(inertia).tolist()}}))
+        assert main(["tensors", "--config", str(path), "--out", "-"]) == 2
+        assert "body: inertia tensor must be" in capsys.readouterr().err
 
 
 def test_read_obj_roundtrip(tmp_path):
@@ -182,3 +181,12 @@ def test_read_obj_rejects_other_content(tmp_path, bad_line):
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
     with pytest.raises(DegenerateMesh):
         read_obj(path)
+
+
+def test_geometry_dispatches_through_its_shapes():
+    # each shape answers for its own bounds, area, volume, centroid and
+    # quadrature, so geometry never asks which shape it holds
+    tree = ast.parse(Path(desorb.geometry.__file__).read_text(encoding="utf-8"))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
+    assert not calls

@@ -249,5 +249,5 @@ def test_gauss_fourier_zero_argument():
     assert j[1, 0] == 0.5 and j[2, 0] == 0.25 * np.sqrt(np.pi)
     assert np.all(np.isfinite(j))
     spec = MaxwellBoltzmannFlux(300.0)
-    m = spec.panel_moments(N2_MASS, 0.0, 0.0)
+    m = spec.kernel(N2_MASS)(0.0, 0.0)
     assert np.allclose(m, [2.0, 0.0, 2.0 / 3.0], rtol=0, atol=1e-15)
