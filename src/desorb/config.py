@@ -21,7 +21,8 @@ from .decoherence import DecoherenceQuadrature, PosePair
 from .errors import (AngleOutOfRange, ConfigError, NegativeEnergy, NonFinite,
                      NotUnit)
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
-                   Isotropic, IsotropicDirection, SingleSite, read_flux_csv)
+                   Isotropic, IsotropicDirection, SingleSite, read_flux_csv,
+                   split)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
                        build_quadrature, read_obj)
 from .moments import AngularQuadrature, EnergyQuadrature
@@ -277,10 +278,40 @@ def _rate_gradient(value, path: str):
 def _surface_law(b: _Block, q: SurfaceQuadrature, cls) -> FluxModel:
     rate = b("rate_per_area_hz_m2", _object_or, _positive, _rate_gradient)
     built = cls(b("spectrum", _SPECTRA), rate)
-    if callable(rate) and np.any(rate(q.points) < 0):
-        raise ConfigError("'flux.rate_per_area_hz_m2' is negative at "
-                          "some surface nodes")
+    if callable(rate):
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            at_nodes = rate(q.points)
+        if not np.all(np.isfinite(at_nodes)):
+            raise ConfigError("'flux.rate_per_area_hz_m2' is not finite at "
+                              "some surface nodes")
+        if np.any(at_nodes < 0):
+            raise ConfigError("'flux.rate_per_area_hz_m2' is negative at "
+                              "some surface nodes")
     return built
+
+
+def _check_transport_scale(flux: FluxModel, q: SurfaceQuadrature,
+                           m_atom: float) -> None:
+    """Refuse a flux whose transport tensors would overflow. An entry of D
+    sums at most 18 terms rate x p^2 x (1, or two coordinates of s), and
+    one of the force and torque rate x p x (1, or a coordinate). So 32
+    times the total rate times (<p> + <p^2>) times (1 + extent^2) bounds
+    them all, with <p^2> at most 2 m E_max for a table. It is summed in
+    logarithms, so a huge rate times a tiny <p^2> cannot overflow on the
+    way."""
+    em = split(flux, q)
+    with np.errstate(all="ignore"):    # refused below
+        if em.table is None:
+            j1, j2 = em.spectrum.momentum_moments(m_atom)
+        else:
+            j2 = 2.0 * m_atom * em.table.energy_grid[-1]
+            j1 = np.sqrt(j2)
+        log_scale = np.sum(np.log([32.0, np.sum(em.node_rates), j1 + j2,
+                                   1.0 + em.radius ** 2]))
+    if not log_scale < np.log(sys.float_info.max):
+        raise ConfigError("flux: the total rate times <p> + <p^2> at "
+                          "'atom.mass_kg' times (1 + extent^2) overflows, "
+                          "so the diffusion tensor would not be finite")
 
 
 def _site(value, path: str, body: BodySpec) -> np.ndarray:
@@ -370,6 +401,8 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     # a body so small that its node weights underflow has no surface rule
     quadrature = _named("body", ValueError, build_quadrature, body, resolution)
     flux = top("flux", _FLUX_MODELS, quadrature, body, default=None)
+    if flux is not None:
+        _check_transport_scale(flux, quadrature, atom_mass)
 
     top("tensors", _Block, frozenset(), default=None)
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",

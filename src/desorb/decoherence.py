@@ -43,7 +43,9 @@ its energy rule. A table's readings are linear in its columns on the
 cos knots, so its rings, arc pieces and arc samples are taken once per
 chunk of node_chunk nodes, as a law's are; only the contraction with
 the columns and the square roots at the arc samples carry energy, in
-blocks of at most _BLOCK values.
+blocks of at most _BLOCK values. _BLOCK is the one memory budget: it is
+defined in quadrules, whose filon_moments takes a law's phase scales in
+blocks of the same size.
 
 The 2x self-check samples the rings once, at the refined level, and
 takes the coarse level as every other sample in mu and every other
@@ -68,8 +70,8 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import (PanelKernel, filon_grid, filon_moments, frames,
-                        phase_moments, segment_rule)
+from .quadrules import (_BLOCK, PanelKernel, filon_grid, filon_moments,
+                        frames, phase_moments, segment_rule)
 from .rotations import check_rotation, w_from_rotations
 
 
@@ -77,13 +79,6 @@ from .rotations import check_rotation, w_from_rotations
 #: thermal recoil; a 1e100 m pair overflowed in the Filon moments, and a
 #: 1e300 m one in the ring geometry
 MAX_DISPLACEMENT_M = 1e30
-
-#: most values an array of a table's energy block holds: its energy nodes
-#: times what one node holds there (a chunk's arc samples, or the complex
-#: Filon weights on its rings); 2**16 doubles are 0.5 MB, and larger
-#: blocks bought little time for more peak memory
-_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class PosePair:

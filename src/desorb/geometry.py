@@ -237,8 +237,8 @@ class Mesh:
         return _mesh_volume_centroid(self)[1]
 
     def quadrature(self, resolution: int) -> SurfaceQuadrature:
-        """Symmetric 3-point rule per triangle (resolution is ignored)."""
-        _check_mesh(self)
+        """Symmetric 3-point rule per triangle (resolution is ignored). The
+        mesh was checked by area_volume, which BodySpec calls."""
         p0, p1, p2, cross, areas = _mesh_face_geometry(self)
         normals = cross / (2.0 * areas)[:, None]
         # symmetric 3-point (edge-midpoint) rule, exact for quadratics

@@ -63,6 +63,11 @@ def frames(axes: np.ndarray):
 SERIES_TAU = 0.05
 SERIES_TERMS = 8
 
+#: the one memory budget of the Filon weights and of a table's energy
+#: blocks: most values a temporary array holds (2**16 doubles are 0.5 MB;
+#: larger blocks bought little time for more peak memory)
+_BLOCK = 1 << 16
+
 
 def filon_grid(n_panels: int, a: float = -1.0, b: float = 1.0):
     """Uniform grid with 2*n_panels + 1 points on [a, b] for filon_moments."""
@@ -176,7 +181,13 @@ def filon_moments(n_panels, scale, kernel):
     1D, and the result is [(W, static)] per level, static the rule at
     scale 0. A scale's edge values are evaluated once, at the panel edges
     of the finest level whose panels take them; a coarser level reads
-    every (n_fine / n)-th of them.
+    every (n_fine / n)-th of them. The scales are taken in blocks of
+    _BLOCK // ((SERIES_TERMS + 3) n_fine) rows, so no temporary holds
+    more than about _BLOCK values (the largest is a thermal kernel's
+    series stack of SERIES_TERMS + 3 values per fine panel) and only the
+    weights grow with the number of scales. Every kernel value is
+    elementwise in the scale, so a scale's weights do not depend on its
+    block or on the other scales.
     """
     if np.ndim(n_panels) == 0:
         n = int(n_panels)
@@ -190,6 +201,20 @@ def filon_moments(n_panels, scale, kernel):
         raise ValueError("filon levels need panels, each count dividing "
                          "the next")
     scale = np.asarray(scale, dtype=float)
+    weights = [np.empty((scale.size, 2 * n + 1), dtype=complex)
+               for n in levels]
+    rows = max(1, _BLOCK // ((SERIES_TERMS + 3) * levels[-1]))
+    for lo in range(0, scale.size, rows):
+        block = scale[lo:lo + rows]
+        for w, m, n in zip(weights, _level_moments(levels, block, kernel),
+                           levels):
+            w[lo:lo + rows] = _filon_weights(m, n)
+    return [(w, filon_moments(n, 0.0, kernel))
+            for w, n in zip(weights, levels)]
+
+
+def _level_moments(levels, scale, kernel):
+    """Panel moments (3, scale.size, n) of each level n of levels."""
     wide = np.array([kernel.edged(scale * (1.0 / n)) for n in levels])
     moments = []
     for n, edged in zip(levels, wide):
@@ -211,5 +236,4 @@ def filon_moments(n_panels, scale, kernel):
             e = edges[..., ::n // levels[j]]
             moments[j][:, rows] = kernel.from_edges(
                 e[..., :-1], e[..., 1:], scale[rows, None] * (1.0 / levels[j]))
-    return [(_filon_weights(m, n), filon_moments(n, 0.0, kernel))
-            for m, n in zip(moments, levels)]
+    return moments

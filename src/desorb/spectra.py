@@ -125,9 +125,14 @@ class TabulatedSpectrum:
             raise NegativeEnergy("tabulated energies must be >= 0")
         if np.any(v < 0) or np.all(v == 0):
             raise ValueError("tabulated density must be >= 0 and not all zero")
-        norm = np.trapezoid(v, e)
+        with np.errstate(all="ignore"):    # refused below
+            norm = np.trapezoid(v, e)
+            v = v / norm
+        if not (np.isfinite(norm) and norm > 0 and np.all(np.isfinite(v))):
+            raise ValueError("tabulated density must have a finite, positive "
+                             "normalization with finite normalized values")
         object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "values", v / norm)
+        object.__setattr__(self, "values", v)
 
     def density(self, e):
         return np.interp(e, self.energies, self.values, left=0.0, right=0.0)

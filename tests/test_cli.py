@@ -423,6 +423,7 @@ def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
     assert "body: " in capsys.readouterr().err
 
 
+_RES4 = {"surface_resolution": 4}
 _SITE = {"model": "single_site", "site_m": [7.5e-8, 0, 0], "rate_hz": 5.0,
          "direction": {"law": "isotropic"},
          "spectrum": {"kind": "maxwell_boltzmann", "temperature_k": 300.0}}
@@ -445,8 +446,21 @@ _SITE = {"model": "single_site", "site_m": [7.5e-8, 0, 0], "rate_hz": 5.0,
      "'flux.direction.axis': direction must be a unit vector"),
     ("tensors", {"flux": dict(_SITE, site_m=[1e300, 0, 0]), "tensors": {}},
      "'flux.site_m' must lie within the body's bounding box"),
+    ("tensors", {"flux": dict(BASE_CONFIG["flux"], spectrum={
+        "kind": "tabulated", "energies_j": [0, 1.7e308], "values": [1, 1]}),
+        "quadrature": _RES4, "tensors": {}}, "flux.spectrum: "),
+    ("tensors", {"flux": dict(BASE_CONFIG["flux"], spectrum={
+        "kind": "tabulated", "energies_j": [0, 1e-320], "values": [1, 1]}),
+        "quadrature": _RES4, "tensors": {}}, "flux.spectrum: "),
+    ("tensors", {"flux": dict(BASE_CONFIG["flux"], rate_per_area_hz_m2={
+        "base": 1.7e308, "gradient_1_m": [0, 0, 1e6]}),
+        "quadrature": _RES4, "tensors": {}}, "'flux.rate_per_area_hz_m2'"),
+    ("tensors", {"flux": dict(BASE_CONFIG["flux"], rate_per_area_hz_m2=1e300),
+                 "atom": {"mass_kg": 1e300}, "quadrature": _RES4,
+                 "tensors": {}}, "'atom.mass_kg'"),
 ], ids=["w", "delta_x_scale_m", "center_of_mass_m", "direction", "axis",
-        "site_m"])
+        "site_m", "spectrum_energy_huge", "spectrum_energy_tiny",
+        "gradient_base", "rate_and_atom_mass"])
 def test_extreme_finite_magnitudes_exit2(tmp_path, capsys, command, extra, key):
     # these overflowed (exit 1 under -W error) or stopped as NonFinite
     # (exit 4); warnings are errors in this suite

@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +20,8 @@ from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          total_rate)
 from desorb.geometry import BodySpec, Sphere, build_quadrature
 from desorb.moments import transport
-from desorb.quadrules import (filon_grid, filon_moments, gauss_legendre,
-                              phase_moments)
+from desorb.quadrules import (_BLOCK, SERIES_TERMS, filon_grid,
+                              filon_moments, gauss_legendre, phase_moments)
 from desorb.rng import stream
 from desorb.rotations import random_rotation, rotation_from_w
 from desorb.spectra import (MaxwellBoltzmannFlux, Monoenergetic,
@@ -665,6 +667,44 @@ def test_level_pass_matches_per_panel_weights(spectrum):
         assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
         assert np.array_equal(static, filon_moments(n, 0.0, kernel))
         assert np.array_equal(w[0], static)
+
+
+# scales per block of the [96, 192] pass: its largest temporary is the
+# thermal series stack, SERIES_TERMS + 3 values per fine panel
+BLOCK_ROWS = _BLOCK // ((SERIES_TERMS + 3) * 192)
+
+
+@pytest.mark.parametrize("spectrum", [MB_300, Monoenergetic(0.25 * KB),
+                                      TabulatedSpectrum([0.0, 1e-21, 4e-21],
+                                                        [0.0, 1.0, 0.2])],
+                         ids=["mb", "mono", "tabulated"])
+@pytest.mark.parametrize("count", [1, BLOCK_ROWS, BLOCK_ROWS + 1,
+                                   3 * BLOCK_ROWS + 5])
+def test_level_pass_blocks_keep_each_scales_bits(spectrum, count):
+    # LEVEL_SCALES repeated with distinct offsets, so every block mixes the
+    # zero, series, edge and asymptotic (|t| >= 20) branches
+    scales = np.resize(LEVEL_SCALES, count) * (1.0 + 1e-3 * np.arange(count))
+    kernel = spectrum.kernel(UNIT_MASS)
+    levels = filon_moments([96, 192], scales, kernel)
+    for i in range(count):
+        alone = filon_moments([96, 192], scales[i:i + 1], kernel)
+        for (w, static), (w1, static1) in zip(levels, alone):
+            assert w[i].tobytes() == w1[0].tobytes()
+            assert static.tobytes() == static1.tobytes()
+
+
+def test_level_pass_memory_is_its_outputs():
+    scales = np.geomspace(1e-3, 1e4, 3000)
+    kernel = MB_300.kernel(UNIT_MASS)
+    tracemalloc.start()
+    try:
+        levels = filon_moments([96, 192], scales, kernel)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(w.nbytes + static.nbytes for w, static in levels)
+    assert outputs > 27e6
+    assert peak <= outputs + 8e6
 
 
 def test_level_scales_straddle_the_series_switch():

@@ -8,6 +8,7 @@ import pytest
 import desorb.geometry
 from conftest import SPHERE_RADIUS, rel_err
 from desorb.cli import main
+from desorb.config import load_config
 from desorb.errors import DegenerateMesh
 from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh, read_obj,
@@ -137,6 +138,25 @@ def test_inconsistent_edge_orientation_rejected():
     with pytest.raises(DegenerateMesh):
         build_quadrature(BodySpec(Mesh(mesh.vertices, faces),
                                   center_of_mass=[0, 0, 0]), 1)
+
+
+def test_mesh_config_checks_its_mesh_once(tmp_path, monkeypatch):
+    mesh = cube_mesh(0.5e-7)
+    obj = tmp_path / "cube.obj"
+    obj.write_text("".join([f"v {x} {y} {z}\n" for x, y, z in mesh.vertices]
+                           + [f"f {a + 1} {b + 1} {c + 1}\n"
+                              for a, b, c in mesh.faces]), encoding="ascii")
+    calls = []
+    check = desorb.geometry._check_mesh
+    monkeypatch.setattr(desorb.geometry, "_check_mesh",
+                        lambda m: calls.append(m) or check(m))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "atom": {"mass_kg": 4.65e-26},
+        "body": {"shape": "mesh", "obj_path": str(obj)}}))
+    cfg = load_config(str(path))
+    assert cfg.quadrature.n_nodes == 3 * len(mesh.faces)
+    assert len(calls) == 1
 
 
 def test_inertia_must_be_spd(tmp_path, capsys):
