@@ -37,7 +37,7 @@ import numpy as np
 from .constants import KB
 from .errors import ConfigError, NonFinite, NotUnit
 from .geometry import SurfaceQuadrature
-from .quadrules import frames, linear_draw
+from .quadrules import GuideTable, frames, linear_draw
 from .spectra import Spectrum
 
 RateField = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -559,10 +559,15 @@ class EmissionSample:
 
 
 class EventSampler:
-    """Reusable sampler of a model's emitters, with the per-point emission
-    CDF and the frame (e1, e2) of each point's axis precomputed. `frames`
-    works row by row, so an event's frame, gathered from its point, has
-    the bits of one computed from the event's own axis."""
+    """Reusable sampler of a model's emitters.
+
+    Set-up builds the per-point emission CDF with its guide table
+    (quadrules.GuideTable), and one row per point of axis, frame (e1, e2)
+    and position, shape (n, 12). An event draws its point in constant
+    time, the exact min(searchsorted(cdf, u, "right"), n - 1), and takes
+    one row: its axis, frame and site are views of that row. `frames`
+    works row by row, so a frame taken from its point has the bits of one
+    computed from the event's own axis."""
 
     def __init__(self, model: FluxModel, q: SurfaceQuadrature):
         self.emitters = em = split(model, q)
@@ -570,8 +575,8 @@ class EventSampler:
         self.total = float(lam.sum())
         if self.total <= 0:
             raise ValueError("flux model has zero total rate on this surface")
-        self._cdf = np.cumsum(lam) / self.total
-        self._frames = frames(em.axes)
+        self._nodes = GuideTable(np.cumsum(lam) / self.total)
+        self._rows = np.hstack([em.axes, *frames(em.axes), em.points])
         if em.table is not None:
             self._cells = _TableCells(em.table)
 
@@ -580,20 +585,19 @@ class EventSampler:
         indices (not for a single point), then mu and phi, then the
         energies; a table draws its (mu, E) before phi."""
         em = self.emitters
-        if len(self._cdf) == 1:
+        if len(self._rows) == 1:
             idx = np.zeros(size, dtype=np.intp)
         else:
-            idx = np.searchsorted(self._cdf, rng.random(size), side="right")
-            idx = np.clip(idx, 0, len(self._cdf) - 1)
-        axes = em.axes[idx]
-        frame = [e[idx] for e in self._frames]
+            idx = self._nodes.search(rng.random(size))
+        rows = self._rows[idx]
+        axes, frame = rows[:, :3], (rows[:, 3:6], rows[:, 6:9])
         if em.table is None:
             dirs = em.law.directions(axes, frame, rng)
             energies = em.spectrum.sample(rng, size)
         else:
             mu, energies = _sample_table(em.table, self._cells, idx, rng)
             dirs = _directions_about(axes, frame, mu, rng)
-        return EmissionSample(dirs, em.points[idx], energies, idx)
+        return EmissionSample(dirs, rows[:, 9:], energies, idx)
 
 
 class _TableCells:

@@ -9,9 +9,14 @@ drift/diffusion predictions are derived.
 Ensembles run in fixed blocks of trajectories. Each block draws its
 events from one counter-based stream keyed by the block index and turns
 them into kicks as arrays, so a result is fixed by the inputs and the
-seed alone. A block's kicks are built in one (n, 6) array, and its
-running sums over report times are taken in place, straight into the
-ensemble's (trajectory, time, 6) samples.
+seed alone. A block's kicks are built in one (6, n) array, one row per
+component. Each event's report slot comes from its time by arithmetic,
+corrected against the report times until it is exact. One bincount
+sums the kicks into (time, trajectory, component) bins, whose running
+sums over report times are taken in place, one contiguous row of
+trajectories at a time; the ensemble's (trajectory, time, 6) samples
+are read from them. Each bin adds its events in the order they were
+drawn.
 Ensemble moments come with closed-form delete-one jackknife standard
 errors so the quadrature predictions can be tested at a stated
 significance. The jackknife's centred copy is laid out (t, a, n), with
@@ -55,13 +60,36 @@ class EnsembleMoments:
 
 
 def _kicks(ev: EmissionSample, m_atom: float) -> np.ndarray:
-    """(n, 6) kicks (-p n, -s x p n) of a batch of events on the particle,
-    assembled and negated in one array."""
-    kicks = np.empty((len(ev.energies), 6))
-    atom_p = np.multiply(momentum_from_energy(ev.energies, m_atom)[:, None],
-                         ev.directions, out=kicks[:, :3])
-    kicks[:, 3:] = np.cross(ev.sites, atom_p)
+    """(6, n) kicks (-p n, -s x p n) of a batch of events on the particle,
+    one row per component, assembled and negated in one array. s x p n is
+    taken as the three differences that np.cross evaluates."""
+    kicks = np.empty((6, len(ev.energies)))
+    atom_p = np.multiply(momentum_from_energy(ev.energies, m_atom),
+                         ev.directions.T, out=kicks[:3])
+    s = np.ascontiguousarray(ev.sites.T)
+    for c in range(3):
+        a, b = (c + 1) % 3, (c + 2) % 3
+        np.multiply(s[a], atom_p[b], out=kicks[3 + c])
+        kicks[3 + c] -= s[b] * atom_p[a]
     return np.negative(kicks, out=kicks)
+
+
+def _report_slots(t_ev, duration, report_times) -> np.ndarray:
+    """searchsorted(report_times, t_ev, "left") by arithmetic: the slot of
+    each event time t in [0, duration] is first guessed as
+    floor(t / duration n_t), which cannot overflow, then moved one step
+    at a time towards the report times around t until none moves. Where
+    report times coincide (a duration near the smallest double) a slot
+    may need several steps."""
+    n_t = len(report_times)
+    edges = np.concatenate([[-np.inf], report_times, [np.inf]])
+    slot = (t_ev / duration * n_t).astype(np.intp)
+    while True:
+        step = ((edges[1:][slot] < t_ev).view(np.int8)
+                - (edges[slot] >= t_ev).view(np.int8))
+        if not step.any():
+            return slot
+        slot += step
 
 
 def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
@@ -71,7 +99,10 @@ def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
     One stream per block: Poisson counts for every trajectory, then every
     event time, then every event, each drawn in a single call. A kick is
     binned at the first report time at or after its event, so the running
-    sum over report times gives each trajectory's (P, J) there.
+    sum over report times gives each trajectory's (P, J) there. The bins
+    are laid out (time, trajectory, component), so one bincount fills
+    them all and each step of the running sum adds contiguous rows; the
+    result is a (trajectory, time, component) view of them.
     """
     rng = stream(seed, _TRAJ_TAG, block)
     counts = rng.poisson(sampler.total * duration, n)
@@ -79,14 +110,15 @@ def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
     t_ev = rng.uniform(0.0, duration, total)
     kicks = _kicks(sampler.draw(rng, size=total), m_atom)
     # slot n_t collects events after the last report time, then is dropped
-    width = len(report_times) + 1
-    bins = (np.repeat(np.arange(n) * width, counts)
-            + np.searchsorted(report_times, t_ev, side="left"))
-    out = np.empty((n, width, 6))
-    flat = out.reshape(n * width, 6)
-    for c in range(6):
-        flat[:, c] = np.bincount(bins, weights=kicks[:, c], minlength=n * width)
-    return np.cumsum(out, axis=1, out=out)[:, :-1], counts
+    n_t = len(report_times)
+    cells = _report_slots(t_ev, duration, report_times) * n
+    cells += np.repeat(np.arange(n), counts)
+    cells = np.arange(6)[:, None] + 6 * cells
+    out = np.bincount(cells.ravel(), weights=kicks.ravel(),
+                      minlength=(n_t + 1) * n * 6).reshape(n_t + 1, n, 6)
+    for k in range(1, n_t):
+        out[k] += out[k - 1]
+    return out[:-1].transpose(1, 0, 2), counts
 
 
 def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,

@@ -3,7 +3,7 @@ Filon-type weights for int f(mu) chi(a mu) dmu with an oscillatory
 kernel chi known through its panel moments, and the shared tools for
 piecewise-linear data (tables and tabulated spectra): a per-segment
 Gauss rule and the exact inverse CDF of a density that is linear on a
-segment.
+segment; and a constant-time exact search of a sorted CDF (GuideTable).
 """
 
 from __future__ import annotations
@@ -53,6 +53,37 @@ def frames(axes: np.ndarray):
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
     e2 = np.cross(axes, e1)
     return e1, e2
+
+
+class GuideTable:
+    """min(searchsorted(cdf, u, "right"), n - 1) for a sorted CDF of n
+    values and u in [0, 1), by the guide table of Chen & Asau (1974)
+    (Devroye, Non-Uniform Random Variate Generation, 1986, III.2).
+
+    Bucket j holds the u in [j / b, (j + 1) / b), with b a power of two
+    of about 4 n, so j = floor(u b) is exact. guide[j] counts the first
+    n - 1 CDF values <= j / b, and u's answer lies in [guide[j],
+    guide[j + 1]]. A branchless bisection of as many steps as the widest
+    bucket's bit length finds it there. Past the first n - 1 values the
+    CDF is padded with infinities, so no step reads past them and no
+    answer passes n - 1.
+    """
+
+    def __init__(self, cdf: np.ndarray):
+        edges = cdf[:-1]
+        self.scale = float(1 << (4 * len(cdf) - 1).bit_length())
+        self.guide = np.searchsorted(
+            edges, np.arange(int(self.scale) + 1) / self.scale, side="right")
+        bits = int(np.max(np.diff(self.guide))).bit_length()
+        self.steps = [1 << s for s in reversed(range(bits))]
+        self.padded = np.concatenate([edges, np.full(1 << bits, np.inf)])
+
+    def search(self, u: np.ndarray) -> np.ndarray:
+        pos = self.guide[(u * self.scale).astype(np.intp)]
+        for h in self.steps:
+            above = self.padded[h - 1:][pos] <= u
+            pos += above if h == 1 else h * above
+        return pos
 
 
 # ---------------------------------------------------------------------------

@@ -128,9 +128,14 @@ class TabulatedSpectrum:
         with np.errstate(all="ignore"):    # refused below
             norm = np.trapezoid(v, e)
             v = v / norm
+            slope = np.diff(v) / np.diff(e)
         if not (np.isfinite(norm) and norm > 0 and np.all(np.isfinite(v))):
             raise ValueError("tabulated density must have a finite, positive "
                              "normalization with finite normalized values")
+        # np.interp's slopes, which density and its moments read
+        if not np.all(np.isfinite(slope)):
+            raise ValueError("tabulated density must have finite slopes "
+                             "diff(values) / diff(energies) once normalized")
         object.__setattr__(self, "energies", e)
         object.__setattr__(self, "values", v)
 

@@ -424,6 +424,9 @@ def test_tensors_overflowing_body_exit2(tmp_path, capsys, extra):
 
 
 _RES4 = {"surface_resolution": 4}
+# 12 emission events per second on the 75 nm sphere
+_TWELVE_HZ = dict(BASE_CONFIG["flux"],
+                  rate_per_area_hz_m2=12.0 / (4 * np.pi * 7.5e-8 ** 2))
 _SITE = {"model": "single_site", "site_m": [7.5e-8, 0, 0], "rate_hz": 5.0,
          "direction": {"law": "isotropic"},
          "spectrum": {"kind": "maxwell_boltzmann", "temperature_k": 300.0}}
@@ -458,12 +461,29 @@ _SITE = {"model": "single_site", "site_m": [7.5e-8, 0, 0], "rate_hz": 5.0,
     ("tensors", {"flux": dict(BASE_CONFIG["flux"], rate_per_area_hz_m2=1e300),
                  "atom": {"mass_kg": 1e300}, "quadrature": _RES4,
                  "tensors": {}}, "'atom.mass_kg'"),
+    ("tensors", {"flux": dict(BASE_CONFIG["flux"], spectrum={
+        "kind": "tabulated", "energies_j": [0, 1e-300], "values": [1, 0.5]}),
+        "quadrature": _RES4, "tensors": {}}, "flux.spectrum: "),
+    ("simulate", {"flux": _TWELVE_HZ, "quadrature": _RES4, "simulate": {
+        "duration_s": 1e12, "n_trajectories": 4096}}, "'simulate.duration_s'"),
+    ("simulate", {"flux": _TWELVE_HZ, "quadrature": _RES4, "simulate": {
+        "duration_s": 1e300, "n_trajectories": 4096}},
+     "'simulate.duration_s'"),
+    ("simulate", {"quadrature": _RES4, "simulate": {
+        "duration_s": 1.0, "n_trajectories": 10**15}},
+     "'simulate.n_trajectories'"),
+    ("simulate", {"quadrature": _RES4, "simulate": {
+        "duration_s": 1.0, "n_trajectories": 4096, "n_times": 10**12}},
+     "'simulate.n_times'"),
 ], ids=["w", "delta_x_scale_m", "center_of_mass_m", "direction", "axis",
         "site_m", "spectrum_energy_huge", "spectrum_energy_tiny",
-        "gradient_base", "rate_and_atom_mass"])
+        "gradient_base", "rate_and_atom_mass", "spectrum_slope",
+        "simulate_duration", "simulate_duration_huge",
+        "simulate_trajectories", "simulate_times"])
 def test_extreme_finite_magnitudes_exit2(tmp_path, capsys, command, extra, key):
-    # these overflowed (exit 1 under -W error) or stopped as NonFinite
-    # (exit 4); warnings are errors in this suite
+    # these overflowed (exit 1 under -W error), stopped as NonFinite
+    # (exit 4) or asked numpy at once for more memory than any machine has
+    # (PiB for the sizes of simulate); warnings are errors in this suite
     cfg = write_config(tmp_path, extra)
     assert run([command, "--config", cfg, "--out", "-"]) == 2
     assert key in capsys.readouterr().err

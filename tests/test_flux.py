@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from desorb.constants import KB, TORR_L_PER_CM2_S
@@ -12,10 +14,10 @@ from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          node_emission_rates, outgas_rate, split, total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor, force_torque
-from desorb.quadrules import frames, gauss_legendre
+from desorb.quadrules import GuideTable, frames, gauss_legendre
 from desorb.rng import stream
 from desorb.rotations import random_rotation
-from desorb.spectra import MaxwellBoltzmannFlux
+from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
 
 T_ROOM = 300.0
 
@@ -382,6 +384,116 @@ def test_table_cell_lookup_matches_per_event_search(sphere_quad_coarse):
                                 side="right") for i, u_k in zip(node, u)]
     cell = cells.draw(node, u)
     np.testing.assert_array_equal(cell, expected)
+    assert np.all(flat[node, cell] > 0.0)
+
+
+_BELOW_ONE = np.nextafter(1.0, 0.0)
+
+
+def _lookup_keys(cdf, scale, rng):
+    """Keys in [0, 1) that probe a guide table: 0 and the largest double
+    below 1, every bucket edge j / 2^k, every CDF value and its
+    neighbours, and uniform variates."""
+    keys = np.concatenate([[0.0, _BELOW_ONE], np.arange(int(scale)) / scale,
+                           cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 2.0),
+                           rng.random(4000)])
+    return keys[(keys >= 0.0) & (keys < 1.0)]
+
+
+def _node_lookup_matches(lam, rng):
+    cdf = np.cumsum(lam) / np.sum(lam)
+    table = GuideTable(cdf)
+    keys = _lookup_keys(cdf, table.scale, rng)
+    want = np.minimum(np.searchsorted(cdf, keys, side="right"), len(cdf) - 1)
+    np.testing.assert_array_equal(table.search(keys), want)
+
+
+@given(lam=st.lists(st.sampled_from([0.0, 0.0, 0.0, 1e-300, 1e-9, 0.3, 1.0,
+                                     7.0]), min_size=2, max_size=300),
+       seed=st.integers(0, 2**32 - 1))
+def test_node_lookup_matches_searchsorted(lam, seed):
+    # the guide table gives min(searchsorted(cdf, u, "right"), n - 1) for
+    # every u, whatever the runs of zero rates
+    assume(sum(lam) > 0.0)
+    _node_lookup_matches(np.array(lam), np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize("lam", [
+    [1.0] + [0.0] * 511,             # CDF 1, 1, ..., 1
+    [0.0] * 511 + [1.0],             # CDF 0, 0, ..., 0, 1
+    [1.0] + [0.0] * 510 + [1.0],     # one run of 0.5 over the whole CDF
+    [0.0] * 200 + [1.0] * 3 + [0.0] * 300 + [2.0] * 9,
+], ids=["first", "last", "ends", "runs"])
+def test_node_lookup_zero_rate_runs(lam):
+    _node_lookup_matches(np.array(lam), np.random.default_rng(len(lam)))
+
+
+def test_node_lookup_cdf_ending_below_one():
+    # a CDF whose last value rounds below 1: keys above it take node n - 1
+    cdf = np.cumsum(np.full(7, 0.1)) / 0.7 * (1.0 - 1e-12)
+    assert cdf[-1] < 1.0
+    table = GuideTable(cdf)
+    keys = _lookup_keys(cdf, table.scale, np.random.default_rng(5))
+    keys = np.concatenate([keys, [cdf[-1], np.nextafter(cdf[-1], 2.0)]])
+    want = np.minimum(np.searchsorted(cdf, keys, side="right"), len(cdf) - 1)
+    np.testing.assert_array_equal(table.search(keys), want)
+
+
+def test_sampler_one_node_reads_no_variate(sphere_quad_coarse):
+    # a fixed direction and a line read nothing else from the stream
+    site = SingleSite(np.zeros(3), FixedDirection([0.0, 0.0, 1.0]),
+                      Monoenergetic(1e-20), 5.0)
+    rng, fresh = stream(31, "one-node"), stream(31, "one-node")
+    ev = EventSampler(site, sphere_quad_coarse).draw(rng, 9)
+    assert np.array_equal(ev.node_index, np.zeros(9))
+    assert rng.random() == fresh.random()
+
+
+def test_sampler_nodes_match_searchsorted_on_sparse_rates(sphere_quad_coarse):
+    # most nodes emit nothing: long runs of equal CDF values
+    q = sphere_quad_coarse
+    rate = lambda pts: np.where(np.abs(pts[:, 2]) > 0.9 * 75e-9, 1e3, 0.0)
+    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), rate)
+    ev = EventSampler(model, q).draw(stream(32, "sparse"), 5000)
+    lam = node_emission_rates(model, q)
+    cdf = np.cumsum(lam) / lam.sum()
+    u = stream(32, "sparse").random(5000)
+    want = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    np.testing.assert_array_equal(ev.node_index, want)
+    assert np.all(lam[ev.node_index] > 0.0)
+
+
+def test_table_cell_lookup_at_row_ends(sphere_quad_coarse):
+    # reference: searchsorted of i + u on the row-offset CDF, i + CDF_i,
+    # clamped to the node's last live cell; i + u rounds to i + 1 for the
+    # largest u below 1, and keys sit exactly on CDF values
+    q = sphere_quad_coarse
+    cos_grid = np.linspace(-1, 1, 5)
+    e_grid = np.linspace(0.0, 10 * KB * T_ROOM, 4)
+    values = stream(33, "row-ends").uniform(0.0, 2.0, (q.n_nodes, 5, 4))
+    values[::3] = 0.0
+    values[1::3, -2:, :] = 0.0         # empty trailing cells
+    cells = EventSampler(TabulatedFlux(cos_grid, e_grid, values), q)._cells
+    v = values
+    masses = 0.25 * (v[:, :-1, :-1] + v[:, 1:, :-1] + v[:, :-1, 1:]
+                     + v[:, 1:, 1:]) * np.diff(cos_grid)[None, :, None] \
+        * np.diff(e_grid)[None, None, :]
+    flat = masses.reshape(q.n_nodes, -1)
+    cdf = np.cumsum(flat, axis=1)
+    total = cdf[:, -1:]
+    cdf = np.divide(cdf, total, out=np.ones_like(cdf), where=total > 0)
+    offset = (cdf + np.arange(q.n_nodes)[:, None]).ravel()
+    live = np.flatnonzero(flat.sum(axis=1) > 0)
+    node = np.repeat(live, flat.shape[1] + 3)
+    u = np.concatenate([np.concatenate([[0.0, _BELOW_ONE, 0.5], cdf[i]])
+                        for i in live])
+    u = np.minimum(u, _BELOW_ONE)
+    assert np.any(node + u == node + 1)
+    last = flat.shape[1] - 1 - np.argmax(flat[:, ::-1] > 0, axis=1)
+    want = np.minimum(np.searchsorted(offset, node + u, side="right")
+                      - node * flat.shape[1], last[node])
+    cell = cells.draw(node, u)
+    np.testing.assert_array_equal(cell, want)
     assert np.all(flat[node, cell] > 0.0)
 
 

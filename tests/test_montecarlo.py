@@ -12,9 +12,9 @@ from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
                          TabulatedFlux, total_rate)
 from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
-from desorb.montecarlo import (_BLOCK, _jackknife_moments, _simulate_block,
-                               chi2_tail, compare_to_prediction,
-                               simulate_ensemble)
+from desorb.montecarlo import (_BLOCK, _jackknife_moments, _report_slots,
+                               _simulate_block, chi2_tail,
+                               compare_to_prediction, simulate_ensemble)
 from desorb.rng import stream
 from desorb.rotations import momentum_from_energy
 from desorb.spectra import MaxwellBoltzmannFlux, Monoenergetic
@@ -119,6 +119,22 @@ def test_block_matches_stacked_kicks(sphere_quad_coarse, kind):
     assert np.array_equal(counts, counts_ref)
     assert got.shape == want.shape
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("duration", [5e-324, 3e-323, 1e-320, 1 / 3, 1e300])
+@pytest.mark.parametrize("n_times", [1, 3, 16, 17])
+def test_report_slots_match_searchsorted(duration, n_times):
+    # at 5e-324 and 3e-323 several report times coincide, so a guessed
+    # slot can be more than one step from its report time
+    report_times = duration * np.arange(1, n_times + 1) / n_times
+    u = stream(41, "slots").random(3000)
+    t = np.concatenate([[0.0, duration], report_times,
+                        np.nextafter(report_times, 0.0),
+                        np.nextafter(report_times, np.inf), duration * u])
+    t = t[t <= duration]
+    want = np.searchsorted(report_times, t, side="left")
+    np.testing.assert_array_equal(_report_slots(t, duration, report_times),
+                                  want)
 
 
 def test_ensemble_size_not_multiple_of_block(sphere_quad_coarse):

@@ -157,6 +157,16 @@ def test_tabulated_rejects_bad_grids():
         TabulatedSpectrum([-1.0, 1.0], [1.0, 1.0])
 
 
+def test_tabulated_rejects_overflowing_slope():
+    # normalized to 1.33e300 and 6.7e299 over 1e-300 J: the finite values
+    # pass, but np.interp's slope overflows, so density read -inf and the
+    # momentum moments (-inf, nan)
+    with pytest.raises(ValueError, match="finite slopes"):
+        TabulatedSpectrum([0.0, 1e-300], [1.0, 0.5])
+    spec = TabulatedSpectrum([0.0, 1e-300], [1.0, 1.0])   # flat: slope 0
+    assert np.all(np.isfinite(spec.momentum_moments(4.65e-26)))
+
+
 @pytest.mark.parametrize("energies,values", [
     ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
     ([0.0, 1.0, 2.0], [1.0, np.inf, 1.0]),
