@@ -415,8 +415,8 @@ class TabulatedFlux:
 
     def inside(self, c, rows):
         """The interpolant at cos c, clipped up to knot, as a function of
-        the columns v (energy, row, 1, n_cos); c holds a row of samples per
-        ring and rows the row of each ring. A sample off the cos grid
+        the columns v (energy, row, 1, n_cos); c holds a column of samples
+        per ring and rows the row of each ring. A sample off the cos grid
         reads a zero appended past v."""
         g = self.cos_grid
         c = np.maximum(c, self.knot)
@@ -424,7 +424,7 @@ class TabulatedFlux:
         t = np.clip((c - g[ic]) / (g[ic + 1] - g[ic]), 0.0, 1.0)
         off = (c < g[0]) | (c > g[-1])
         ic[off], t[off] = len(g) - 1, 1.0
-        at = np.asarray(rows)[:, None] * (len(g) + 1) + ic
+        at = np.asarray(rows) * (len(g) + 1) + ic
 
         def values(v):
             flat = np.concatenate([v, np.zeros(v.shape[:-1] + (1,))], axis=-1)

@@ -135,6 +135,8 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
         raise ValueError("need at least four trajectories for jackknife errors")
     if duration <= 0:
         raise ValueError("duration must be positive")
+    if n_times < 1:
+        raise ValueError("need at least one report time")
     report_times = duration * np.arange(1, n_times + 1) / n_times
     sampler = EventSampler(model, q)
     samples = np.empty((n_trajectories, n_times, 6))

@@ -1,6 +1,7 @@
 
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          CosineLaw, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
                          total_rate)
-from desorb.geometry import BodySpec, Sphere, build_quadrature
+from desorb.geometry import BodySpec, Box, Sphere, build_quadrature
 from desorb.moments import transport
 from desorb.quadrules import (_BLOCK, SERIES_TERMS, filon_grid,
                               filon_moments, gauss_legendre, phase_moments)
@@ -795,3 +796,180 @@ def test_ring_geometry_is_taken_once_per_chunk(monkeypatch, q_res4,
         calls.clear()
         localization_rate(pair, model, q_res4, N2_MASS, quad)
         assert len(calls) == chunks
+
+
+# ---------------------------------------------------------------------------
+# Arc samples by angle addition against direct cosines
+# ---------------------------------------------------------------------------
+
+def _pieces(ra, rb, ha, hb):
+    """The phase difference d, and the bounds lo, hi in a's phase of the
+    direct piece and the one across +-pi of every ring pair."""
+    d = decoherence._wrap(rb[2] - ra[2])
+    centre = np.stack(np.broadcast_arrays(
+        d, np.where(d >= 0.0, d - 2.0 * np.pi, d + 2.0 * np.pi)), axis=-1)
+    lo = np.maximum(-ha[..., None], centre - hb[..., None])
+    hi = np.maximum(np.minimum(ha[..., None], centre + hb[..., None]), lo)
+    return d, lo, hi
+
+
+def _reference_arc_samples(ra, rb, ha, hb, x):
+    """The arc samples with one direct cos per sample and pose, as they
+    were taken before angle addition, laid out samples-major."""
+    d, lo, hi = _pieces(ra, rb, ha, hb)
+    half = 0.5 * (hi - lo)
+    keep = np.flatnonzero(half > 0.0)
+    ring = keep // 2
+    half = half.ravel()[keep]
+    phi = np.multiply(half[:, None], x)
+    phi += (0.5 * (lo + hi)).ravel()[keep][:, None]
+    shifted = phi - np.broadcast_to(d, ha.shape).ravel()[ring][:, None]
+    out = [keep, half]
+    for (a, b, _), arg in ((ra, phi), (rb, shifted)):
+        c = np.cos(arg, out=arg)
+        c *= b.ravel()[ring][:, None]
+        c += a.ravel()[ring][:, None]
+        out.append(c.T)
+    return out
+
+
+def _exact_arc_samples(ra, rb, ha, hb, slots):
+    """c_a and c_b at the pieces' float64 centres m and half lengths h,
+    with the rule's nodes and the cosines taken in 30 digits."""
+    d, lo, hi = _pieces(ra, rb, ha, hb)
+    keep = np.flatnonzero(hi > lo)
+    ring = keep // 2
+    mid = (0.5 * (lo + hi)).ravel()[keep]
+    half = (0.5 * (hi - lo)).ravel()[keep]
+    shift = np.broadcast_to(d, ha.shape).ravel()[ring]
+    out = []
+    with mpmath.workdps(30):
+        x = [-mpmath.cospi(mpmath.mpf(k) / slots) for k in range(slots + 1)]
+        for (a, b, _), s in ((ra, 0.0), (rb, shift)):
+            a, b = a.ravel()[ring], b.ravel()[ring]
+            s = np.broadcast_to(s, mid.shape)
+            out.append(np.array([[float(
+                mpmath.mpf(a[i]) + mpmath.mpf(b[i]) * mpmath.cos(
+                    mpmath.mpf(mid[i]) + mpmath.mpf(half[i]) * xk
+                    - mpmath.mpf(s[i]))) for i in range(len(keep))]
+                for xk in x]))
+    return out
+
+
+def _arc_case(case, rng):
+    """(ra, rb, ha, hb) of 12 rings in ring_overlap's (n, 1) layout."""
+    n = 12
+    a, b, phase = _random_rings(rng, n)
+    a2, b2, phase2 = _random_rings(rng, n)
+    ha, hb = rng.uniform(0.05, np.pi, n), rng.uniform(0.05, np.pi, n)
+    if case == "random":
+        ha[::4], hb[1::4] = np.pi, np.pi
+    elif case == "equal":
+        # d = 0: the poses' samples are the same bits
+        a2, b2, phase2, hb = a, b, phase, ha
+    elif case == "near_pi":
+        # d just inside +pi, just past it (wrapped to near -pi), and pi
+        phase2 = phase + np.array([np.pi - 1e-9, np.pi + 1e-9, np.pi,
+                                   -np.pi + 1e-12] * 3)
+    elif case == "full":
+        ha[:], hb[:] = np.pi, np.pi
+    elif case == "one_full":
+        ha[:] = np.pi
+    elif case == "across_pi":
+        # b's arc reaches past phi = +-pi of a's frame: both pieces exist
+        phase2 = phase + rng.uniform(2.2, 3.0, n) * rng.choice([-1, 1], n)
+        ha, hb = rng.uniform(2.5, 3.1, n), rng.uniform(1.0, 2.0, n)
+    return ([v[:, None] for v in r] for r in
+            ((a, b, phase, ha), (a2, b2, phase2, hb)))
+
+
+_ARC_CASES = ["random", "equal", "near_pi", "full", "one_full",
+              "across_pi"]
+
+
+@pytest.mark.parametrize("slots", [2, 3, 15, 16])
+@pytest.mark.parametrize("case", _ARC_CASES)
+def test_arc_samples_match_direct_cosines(case, slots):
+    # Angle addition moves no sample by more than 1e-15 from its exact
+    # value, in either pose order. The direct float64 cosines are held to
+    # the same pieces, and to the same bits at the ends, but not to the
+    # bound: their argument phi - d is rounded at |phi - d| up to 2 pi,
+    # about 1e-15 off on its own.
+    (a, b, phase, ha), (a2, b2, phase2, hb) = _arc_case(
+        case, np.random.default_rng([20261020, _ARC_CASES.index(case), slots]))
+    x = arc_rule(slots)[0]
+    for ra, rb, h1, h2 in (((a, b, phase), (a2, b2, phase2), ha, hb),
+                           ((a2, b2, phase2), (a, b, phase), hb, ha)):
+        keep, half, ca, cb = decoherence._arc_samples(ra, rb, h1, h2, x)
+        ref = _reference_arc_samples(ra, rb, h1, h2, x)
+        assert np.array_equal(keep, ref[0]) and np.array_equal(half, ref[1])
+        assert ca.shape == cb.shape == (slots + 1, len(keep))
+        for got, direct, exact in zip((ca, cb), ref[2:], _exact_arc_samples(
+                ra, rb, h1, h2, slots)):
+            assert np.abs(got - exact).max() <= 1e-15
+            # the ends keep the direct cosines' bits
+            assert np.array_equal(got[::slots], direct[::slots])
+        if case == "across_pi":
+            assert np.any(keep % 2 == 1)
+        if case == "equal":
+            assert np.array_equal(ca, cb)
+
+
+def _rotation_pairs():
+    # turns of 1e-5 to 1e-4 rad, where Re F is short of saturation and the
+    # arc samples carry much of it
+    axis = stream(2026, "arc-axis").standard_normal(3)
+    axis /= np.linalg.norm(axis)
+    return {"x": PosePair(np.zeros(3), rotation_from_w([5e-5, 0.0, 0.0])),
+            "y": PosePair([1e-12, 0.0, 0.0],
+                          rotation_from_w([0.0, -3e-5, 0.0])),
+            "z": PosePair(np.zeros(3), rotation_from_w([0.0, 0.0, 1e-4])),
+            "seeded": PosePair([0.0, 2e-12, -1e-12],
+                               rotation_from_w(6e-5 * axis),
+                               rotation_from_w(-2e-5 * axis[::-1]))}
+
+
+@pytest.mark.parametrize("axis", ["x", "y", "z", "seeded"])
+@pytest.mark.parametrize("kind", ["cosine", "isotropic", "table", "box"])
+def test_rate_matches_direct_cosine_arc_samples(monkeypatch, q_res4, kind,
+                                                axis):
+    # the rate moves by no more than 1e-14 Gamma from the one the direct
+    # cosines give, at both levels of the checked quadrature
+    q = (build_quadrature(BodySpec(Box(np.array([50e-9, 40e-9, 30e-9]))), 4)
+         if kind == "box" else q_res4)
+    model = {"cosine": CosineLaw(MB_300, RATE), "box": CosineLaw(MB_300, RATE),
+             "isotropic": Isotropic(MB_300, RATE),
+             "table": _random_table(q)}[kind]
+    # tol 1 keeps both levels (8 and 16 slots) without refusing a coarse
+    # surface's rate
+    quad = DecoherenceQuadrature(n_mu_panels=24, energy_nodes=6,
+                                 convergence_tol=1.0)
+    pair = _rotation_pairs()[axis]
+    new = localization_rate(pair, model, q, N2_MASS, quad)
+    monkeypatch.setattr(decoherence, "_arc_samples", _reference_arc_samples)
+    old = localization_rate(pair, model, q, N2_MASS, quad)
+    assert old.re > 1e-6 * old.total_rate
+    assert abs(new.re - old.re) <= 1e-14 * old.total_rate
+    assert abs(new.im - old.im) <= 1e-14 * old.total_rate
+
+
+# ---------------------------------------------------------------------------
+# DecoherenceQuadrature checks its own fields
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,value", [
+    ("node_chunk", -1), ("node_chunk", 0), ("n_azimuth", -8),
+    ("n_mu_panels", 0), ("energy_nodes", 2.0), ("n_azimuth", True),
+    ("convergence_tol", np.nan), ("convergence_tol", np.inf),
+    ("convergence_tol", 0.0), ("convergence_tol", -1e-3),
+])
+def test_quadrature_rejects_bad_fields(name, value):
+    # node_chunk -1 gave Re F = 0 and 0 a raw range() error; a nan tol
+    # turned the check off, and a negative n_azimuth ran
+    with pytest.raises(ValueError, match=name):
+        DecoherenceQuadrature(**{name: value})
+
+
+def test_quadrature_accepts_numpy_integers():
+    quad = DecoherenceQuadrature(n_mu_panels=np.int64(8), node_chunk=1)
+    assert quad.refined().n_mu_panels == 16

@@ -32,6 +32,16 @@ def test_zero_event_trajectories_constant(sphere_quad_coarse):
     assert np.all(em.cov == 0.0)
 
 
+@pytest.mark.parametrize("n_times", [0, -1])
+def test_simulate_needs_a_report_time(sphere_quad_coarse, n_times):
+    # 0 gave moments with no report time, on which compare_to_prediction
+    # raised a raw IndexError; -1 failed inside np.empty
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
+    with pytest.raises(ValueError, match="report time"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1e-3, 64,
+                          seed=1, n_times=n_times)
+
+
 def test_zero_event_report_says_no_events(sphere_quad_coarse):
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e-12)
     em = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, 64, seed=1)
