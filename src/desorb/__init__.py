@@ -14,10 +14,10 @@ __version__ = "0.1.0"
 from .constants import HBAR, KB, TORR_L_PER_CM2_S
 from .decoherence import (CoherenceRow, DecoherenceQuadrature, LocalizationRate,
                           PosePair, coherence_map, localization_rate)
-from .errors import (AngleOutOfRange, CoincidentPoints, ConfigError,
-                     DegenerateMesh, DesorbError, NegativeEnergy, NonFinite,
-                     NotUnit, QuadratureNotConverged, RateOutOfBounds,
-                     ZeroNorm)
+from .errors import (AngleOutOfRange, BlockTooLarge, CoincidentPoints,
+                     ConfigError, DegenerateMesh, DesorbError, NegativeEnergy,
+                     NonFinite, NotUnit, QuadratureNotConverged,
+                     RateOutOfBounds, ZeroNorm)
 from .flux import (CosineDirection, CosineLaw, EmissionSample, FixedDirection,
                    Isotropic, IsotropicDirection, SingleSite, TabulatedFlux,
                    flux_eval, outgas_rate, total_rate)

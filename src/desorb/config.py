@@ -18,15 +18,15 @@ from typing import Any, Callable, NamedTuple, Optional
 import numpy as np
 
 from .decoherence import DecoherenceQuadrature, PosePair
-from .errors import (AngleOutOfRange, ConfigError, NegativeEnergy, NonFinite,
-                     NotUnit)
+from .errors import (AngleOutOfRange, BlockTooLarge, ConfigError,
+                     NegativeEnergy, NonFinite, NotUnit)
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    Isotropic, IsotropicDirection, SingleSite, read_flux_csv,
                    split, total_rate)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
                        build_quadrature, read_obj)
 from .moments import AngularQuadrature, EnergyQuadrature
-from .montecarlo import _BLOCK
+from .montecarlo import check_block_events
 from .rng import stream
 from .rotations import random_rotation, rotation_from_w
 from .spectra import MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum
@@ -93,12 +93,14 @@ class _Kinds(NamedTuple):
         return build(block, *context)
 
 
-def _named(prefix: str, errors, call: Callable, *args, **kwargs):
-    """call(*args, **kwargs), with `errors` raised as "<prefix>: <error>"."""
+def _named(prefix: Optional[str], errors, call: Callable, *args, **kwargs):
+    """call(*args, **kwargs), with `errors` raised as "<prefix>: <error>",
+    or as they read without a prefix."""
     try:
         return call(*args, **kwargs)
     except errors as exc:
-        raise ConfigError(f"{prefix}: {exc}") from None
+        raise ConfigError(str(exc) if prefix is None else f"{prefix}: {exc}") \
+            from None
 
 
 def _object_or(value, path: str, scalar: Callable, build: Callable):
@@ -429,9 +431,11 @@ _RANDOM_KEYS = frozenset({"count", "delta_x_scale_m", "max_angle_rad"})
 _MAX_RANDOM_PAIRS = 10**6
 _SIMULATE_KEYS = frozenset({"duration_s", "n_trajectories", "n_times",
                             "compare"})
-# 9.6 GB of samples and 2 GB of one block's events at the bounds
-_MAX_SAMPLES = 10**8
-_MAX_BLOCK_EVENTS = 10**7
+# what a run holds: 8 B of event count per trajectory (8 GB at the
+# bound), and per report time one block's bins, 6 x 2048 doubles (9.8 GB
+# at the bound); the moments are merged block by block
+_MAX_TRAJECTORIES = 10**9
+_MAX_TIMES = 10**5
 _OUTGAS_KEYS = frozenset({"preset", "specific_rate_pa_m3_s_m2",
                           "specific_rate_torr_l_cm2_s", "gas_temperature_k",
                           "area_m2"})
@@ -516,27 +520,19 @@ def _random_small_rotation(rng, max_angle):
 
 def parse_simulate_block(cfg: RunConfig):
     """(duration, n_trajectories, n_times, compare) from the simulate
-    block, refused where the ensemble's arrays could not be held: the
-    samples and the jackknife's centred copy of them take 96 B per
-    trajectory and report time, and a block's events about 0.2 KB each
-    while they are drawn and binned (2048 Gamma duration_s of them on
-    average)."""
+    block, refused where the run could not be held: each trajectory's
+    event count takes 8 B, one block's bins 96 KB per report time, and a
+    block's events about 0.2 KB each while they are drawn and binned
+    (2048 Gamma duration_s of them on average)."""
     b = _command(cfg, "simulate", _SIMULATE_KEYS)
     duration = b("duration_s", _positive)
-    n_traj = b("n_trajectories", _integer, 4)
-    n_times = b("n_times", _integer, 1, default=16)
+    n_traj = b("n_trajectories", _integer, 4, _MAX_TRAJECTORIES)
+    n_times = b("n_times", _integer, 1, _MAX_TIMES, default=16)
     compare = b("compare", _boolean, default=True)
-    if n_traj * n_times > _MAX_SAMPLES:
-        raise ConfigError(f"'simulate.n_trajectories' x 'simulate.n_times' "
-                          f"must be <= {_MAX_SAMPLES:,}, got "
-                          f"{n_traj} x {n_times}")
     if cfg.flux is not None:
-        events = _BLOCK * total_rate(cfg.flux, cfg.quadrature) * duration
-        if not events <= _MAX_BLOCK_EVENTS:
-            raise ConfigError(f"'simulate.duration_s' = {duration:g} gives "
-                              f"{events:.3g} expected events per block of "
-                              f"{_BLOCK} trajectories, more than "
-                              f"{_MAX_BLOCK_EVENTS:,}")
+        _named(None, BlockTooLarge, check_block_events,
+               total_rate(cfg.flux, cfg.quadrature), duration,
+               "simulate.duration_s")
     return duration, n_traj, n_times, compare
 
 

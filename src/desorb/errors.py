@@ -41,5 +41,9 @@ class ZeroNorm(DesorbError):
     """Amplitude normalization integral underflows."""
 
 
+class BlockTooLarge(DesorbError):
+    """A Monte Carlo block would draw more events than it may hold."""
+
+
 class ConfigError(DesorbError):
     """Invalid run configuration."""

@@ -12,17 +12,27 @@ them into kicks as arrays, so a result is fixed by the inputs and the
 seed alone. A block's kicks are built in one (6, n) array, one row per
 component. Each event's report slot comes from its time by arithmetic,
 corrected against the report times until it is exact. One bincount
-sums the kicks into (time, trajectory, component) bins, whose running
-sums over report times are taken in place, one contiguous row of
-trajectories at a time; the ensemble's (trajectory, time, 6) samples
-are read from them. Each bin adds its events in the order they were
-drawn.
+sums the kicks into (time, component, trajectory) bins, whose running
+sums over report times are taken in place, one contiguous (6, n) slab
+at a time. Each bin adds its events in the order they were drawn.
+
+No trajectory outlives its block. As soon as a block is binned, its
+trajectories are added one at a time, in their order, to the running
+sum whose quotient by the count so far is the mean. The block is then
+centred at that mean, slab by slab, and reduced per report time to the
+sums L = sum y_a, S = sum y_a y_b, T = sum y_a^2 y_b and
+Q = sum y_a^2 y_b^2 of its centred y, einsums over the bins' contiguous
+trajectory axis. The sums of the blocks before it are moved from the
+previous mean to the new one by the exact shift of each sum (Chan,
+Golub & LeVeque, Am. Stat. 37:242, 1983; Pebay, Sandia SAND2008-6212,
+2008), and the two sets of sums added, in block order. L keeps the shift
+exact whatever the rounding of the mean. Memory is one block's, however
+many trajectories run.
+
 Ensemble moments come with closed-form delete-one jackknife standard
-errors so the quadrature predictions can be tested at a stated
-significance. The jackknife's centred copy is laid out (t, a, n), with
-trajectories last, so its sums over trajectories run along contiguous
-memory. The pass thresholds are fixed: every |z| below Z_LIMIT = 4 and
-a chi-square p-value above P_FLOOR = 1e-3.
+errors, from the merged S and Q, so the quadrature predictions can be
+tested at a stated significance. The pass thresholds are fixed: every
+|z| below Z_LIMIT = 4 and a chi-square p-value above P_FLOOR = 1e-3.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BlockTooLarge
 from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import SurfaceQuadrature
 from .moments import Diffusion6, ForceTorque6, predict_moments
@@ -41,6 +52,8 @@ from .rotations import momentum_from_energy
 
 _TRAJ_TAG = "trajectory"
 _BLOCK = 2048  # trajectories per random stream; part of every result
+# expected events of one block, about 0.2 KB each while drawn and binned
+_MAX_BLOCK_EVENTS = 10**7
 
 Z_LIMIT = 4.0
 P_FLOOR = 1e-3
@@ -100,25 +113,40 @@ def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
     event time, then every event, each drawn in a single call. A kick is
     binned at the first report time at or after its event, so the running
     sum over report times gives each trajectory's (P, J) there. The bins
-    are laid out (time, trajectory, component), so one bincount fills
-    them all and each step of the running sum adds contiguous rows; the
-    result is a (trajectory, time, component) view of them.
+    are laid out (time, component, trajectory), so one bincount fills
+    them all, each step of the running sum adds a contiguous slab, and
+    the result is a view of the first n_t slabs.
     """
     rng = stream(seed, _TRAJ_TAG, block)
     counts = rng.poisson(sampler.total * duration, n)
     total = int(counts.sum())
     t_ev = rng.uniform(0.0, duration, total)
     kicks = _kicks(sampler.draw(rng, size=total), m_atom)
-    # slot n_t collects events after the last report time, then is dropped
-    n_t = len(report_times)
-    cells = _report_slots(t_ev, duration, report_times) * n
+    # slot n_t collects events after the last report time, then is dropped.
+    # Slabs start 6 n + 8 bins apart: 6 x 2048 doubles is a multiple of
+    # 4 KB, and the scatter into slabs that far apart thrashes the cache.
+    n_t, width = len(report_times), 6 * n + 8
+    cells = _report_slots(t_ev, duration, report_times) * width
     cells += np.repeat(np.arange(n), counts)
-    cells = np.arange(6)[:, None] + 6 * cells
+    cells = (n * np.arange(6))[:, None] + cells
+    # without events bincount counts in int64, so the cast
     out = np.bincount(cells.ravel(), weights=kicks.ravel(),
-                      minlength=(n_t + 1) * n * 6).reshape(n_t + 1, n, 6)
+                      minlength=(n_t + 1) * width).astype(float, copy=False)
+    out = out.reshape(n_t + 1, width)
     for k in range(1, n_t):
         out[k] += out[k - 1]
-    return out[:-1].transpose(1, 0, 2), counts
+    return out[:-1, :6 * n].reshape(n_t, 6, n), counts
+
+
+def check_block_events(rate: float, duration: float,
+                       name: str = "duration") -> None:
+    """Refuse a duration at which a block of _BLOCK trajectories expects
+    more than _MAX_BLOCK_EVENTS events at the total emission rate."""
+    events = _BLOCK * rate * duration
+    if not events <= _MAX_BLOCK_EVENTS:
+        raise BlockTooLarge(f"'{name}' = {duration:g} gives {events:.3g} "
+                            f"expected events per block of {_BLOCK} "
+                            f"trajectories, more than {_MAX_BLOCK_EVENTS:,}")
 
 
 def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
@@ -129,7 +157,7 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     Bitwise reproducible for fixed (seed, n_trajectories, n_times):
     trajectories are cut into fixed blocks of _BLOCK, each block draws
     from its own counter-based stream keyed by the block index, and the
-    blocks run in order on one thread.
+    blocks run and are merged in order on one thread.
     """
     if n_trajectories < 4:
         raise ValueError("need at least four trajectories for jackknife errors")
@@ -139,42 +167,110 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
         raise ValueError("need at least one report time")
     report_times = duration * np.arange(1, n_times + 1) / n_times
     sampler = EventSampler(model, q)
-    samples = np.empty((n_trajectories, n_times, 6))
+    check_block_events(sampler.total, duration)
     counts = np.empty(n_trajectories, dtype=np.int64)
-    for k, lo in enumerate(range(0, n_trajectories, _BLOCK)):
-        hi = min(lo + _BLOCK, n_trajectories)
-        samples[lo:hi], counts[lo:hi] = _simulate_block(
-            sampler, m_atom, duration, report_times, seed, k, hi - lo)
-    mean, cov, se_mean, se_cov = _jackknife_moments(samples)
+
+    def blocks():
+        for k, lo in enumerate(range(0, n_trajectories, _BLOCK)):
+            hi = min(lo + _BLOCK, n_trajectories)
+            x, counts[lo:hi] = _simulate_block(
+                sampler, m_atom, duration, report_times, seed, k, hi - lo)
+            yield x
+            del x     # so that no two blocks are held at once
+
+    mean, cov, se_mean, se_cov = _ensemble_moments(blocks(), n_times)
     return EnsembleMoments(report_times, mean, cov, se_mean, se_cov,
                            n_trajectories, counts)
 
 
-def _jackknife_moments(samples: np.ndarray):
-    """Mean/covariance over trajectories with delete-one jackknife errors.
+def _ensemble_moments(blocks, n_t: int):
+    """Mean/covariance over trajectories with delete-one jackknife errors,
+    from blocks of (P, J) laid out (time, component, trajectory), merged
+    one block at a time. Each block is overwritten.
 
-    samples: (n_traj, n_t, 6). Covariances use the unbiased estimator.
-    With y = x - mean, the covariance without trajectory i is
-    (S - n/(n-1) y_i y_i^T)/(n-2), S = sum_i y_i y_i^T, so its jackknife
-    variance needs only S and Q = sum_i y_ia^2 y_ib^2 (Efron & Stein,
-    Ann. Stat. 9:586, 1981).
-
-    y is laid out as (t, a, n), trajectories last, so that both sums run
-    over the contiguous axis; over the strided axis of (n, t, a) they
-    take about three times as long. The sums are einsum loops, not BLAS,
-    whose rounding may depend on its thread count.
+    The mean is the sum of the trajectories, added one at a time in their
+    order, over their number. Each block is centred at the mean of the
+    trajectories so far, reduced to its sums L, S, T and Q there, and
+    added to the sums of the blocks before it, moved by _shifted from
+    their mean to the new one.
     """
-    n = samples.shape[0]
-    mean = samples.mean(axis=0)
-    y = np.subtract(samples.transpose(1, 2, 0), mean[..., None], order="C")
-    s = np.einsum("tan,tbn->tab", y, y)
-    y *= y
-    q = np.einsum("tan,tbn->tab", y, y)
+    n = 0
+    total = np.zeros((n_t, 6))
+    mean = np.zeros((n_t, 6))
+    sums = (np.zeros((n_t, 6)), *np.zeros((3, n_t, 6, 6)))
+    for x in blocks:
+        _add_in_order(total, x)
+        before, n_before = mean, n
+        n += x.shape[-1]
+        mean = total / n
+        sums = [a + b for a, b in zip(_shifted(n_before, sums, before - mean),
+                                      _centred_sums(x, mean))]
+        del x     # before the next block is built
+    return (mean, *_jackknife(n, sums[1], sums[3]))
+
+
+def _add_in_order(total: np.ndarray, x: np.ndarray) -> None:
+    """total += x summed over trajectories, one trajectory after another,
+    as a (trajectory, time, component) array sums over its first axis:
+    accumulate over a row that starts with the running total."""
+    row = np.empty((6, x.shape[-1] + 1))
+    for k, slab in enumerate(x):
+        row[:, 0] = total[k]
+        row[:, 1:] = slab
+        np.add.accumulate(row, axis=1, out=row)
+        total[k] = row[:, -1]
+
+
+def _centred_sums(x: np.ndarray, centre: np.ndarray):
+    """L = sum y_a, S = sum y_a y_b, T = sum y_a^2 y_b and Q = sum y_a^2 y_b^2
+    per time of y = x - centre, x laid out (t, a, n) and overwritten by y.
+    Each time's (6, n) slab is centred, and its T and Q taken from its
+    squares, one slab at a time. The sums are einsum loops over the
+    contiguous axis, not BLAS, whose rounding may depend on its thread
+    count."""
+    t = np.empty((len(x), 6, 6))
+    q = np.empty_like(t)
+    square = np.empty(x.shape[1:])
+    for k, slab in enumerate(x):
+        slab -= centre[k][:, None]
+        np.multiply(slab, slab, out=square)
+        np.einsum("an,bn->ab", square, slab, out=t[k])
+        np.einsum("an,bn->ab", square, square, out=q[k])
+    return x.sum(axis=-1), np.einsum("tan,tbn->tab", x, x), t, q
+
+
+def _shifted(n: int, sums, e: np.ndarray):
+    """L, S, T and Q of z = y + e from those of n vectors y: each is a
+    polynomial in e of the sums of y up to its own order, exact for any
+    centre of y."""
+    l, s, t, q = sums
+    ea, eb = e[:, :, None], e[:, None, :]
+    la, lb = l[:, :, None], l[:, None, :]
+    s_aa = np.diagonal(s, axis1=1, axis2=2)
+    sa, sb = s_aa[:, :, None], s_aa[:, None, :]
+    ee = ea * eb
+    return (l + n * e,
+            s + ea * lb + eb * la + n * ee,
+            t + eb * sa + 2.0 * ea * s + ea * (2.0 * eb * la + ea * lb)
+            + n * ea * ee,
+            q + 2.0 * (eb * t + ea * t.transpose(0, 2, 1)) + eb * eb * sa
+            + ea * ea * sb + 4.0 * ee * s + 2.0 * ee * (eb * la + ea * lb)
+            + n * ee * ee)
+
+
+def _jackknife(n: int, s: np.ndarray, q: np.ndarray):
+    """Covariance and delete-one jackknife errors of n trajectories from
+    S = sum_i y_i y_i^T and Q = sum_i y_ia^2 y_ib^2 about their mean.
+
+    Covariances use the unbiased estimator. The covariance without
+    trajectory i is (S - n/(n-1) y_i y_i^T)/(n-2), so its jackknife
+    variance needs only S and Q (Efron & Stein, Ann. Stat. 9:586, 1981).
+    """
     cov = s / (n - 1)
     se_mean = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
     spread = np.maximum(q - s * s / n, 0.0)
     se_cov = np.sqrt(n / ((n - 1) * (n - 2) ** 2) * spread)
-    return mean, cov, se_mean, se_cov
+    return cov, se_mean, se_cov
 
 
 @dataclass(frozen=True)

@@ -489,6 +489,16 @@ def test_extreme_finite_magnitudes_exit2(tmp_path, capsys, command, extra, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, size", [("n_trajectories", 10**9 + 1),
+                                       ("n_times", 10**5 + 1)])
+def test_simulate_past_the_size_bounds_exit2(tmp_path, capsys, key, size):
+    # 8 B of event count per trajectory, one block's bins per report time
+    cfg = write_config(tmp_path, {"quadrature": _RES4, "simulate": {
+        "duration_s": 1.0, "n_trajectories": 4096, key: size}})
+    assert run(["simulate", "--config", cfg, "--out", "-"]) == 2
+    assert f"'simulate.{key}' must be <=" in capsys.readouterr().err
+
+
 def test_locmap_unbounded_random_count_exit2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"locmap": {"random": {
         "count": 10**400, "delta_x_scale_m": 1e-9}}})

@@ -152,6 +152,17 @@ def test_malformed_blocks_fail_at_the_boundary(mutate, message):
         parse_simulate_block(cfg)
 
 
+def test_simulate_bounds_are_per_trajectory_and_per_time():
+    # 10^8 trajectories x 16 report times passed the old bound of 10^8 on
+    # their product; no array of that product is held any more
+    raw = base_raw()
+    for n_traj, n_times in ((10**8, 16), (10**9, 10**5)):
+        raw["simulate"] = {"duration_s": 1e-3, "n_trajectories": n_traj,
+                           "n_times": n_times}
+        got = parse_simulate_block(parse_config(raw))
+        assert got[1:3] == (n_traj, n_times)
+
+
 def test_negative_seed_accepted():
     # streams take the seed modulo 2**64, so any integer names one
     raw = base_raw()

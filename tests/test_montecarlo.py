@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,8 +13,9 @@ from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
                          TabulatedFlux, total_rate)
 from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
-from desorb.montecarlo import (_BLOCK, _jackknife_moments, _report_slots,
-                               _simulate_block, chi2_tail,
+from desorb.errors import BlockTooLarge
+from desorb.montecarlo import (_BLOCK, _MAX_BLOCK_EVENTS, _ensemble_moments,
+                               _report_slots, _simulate_block, chi2_tail,
                                compare_to_prediction, simulate_ensemble)
 from desorb.rng import stream
 from desorb.rotations import momentum_from_energy
@@ -51,6 +53,29 @@ def test_zero_event_report_says_no_events(sphere_quad_coarse):
     assert not report.passed
     assert report.n_events == 0 and report.n_trajectories == 64
     assert report.summary() == "FAIL: no emission events in 64 trajectories"
+
+
+def _jackknife_moments(samples: np.ndarray):
+    """Two-pass reference: mean/covariance over trajectories with
+    delete-one jackknife errors from samples held whole.
+
+    samples: (n_traj, n_t, 6). Covariances use the unbiased estimator.
+    With y = x - mean, the covariance without trajectory i is
+    (S - n/(n-1) y_i y_i^T)/(n-2), S = sum_i y_i y_i^T, so its jackknife
+    variance needs only S and Q = sum_i y_ia^2 y_ib^2 (Efron & Stein,
+    Ann. Stat. 9:586, 1981). y is laid out (t, a, n), trajectories last.
+    """
+    n = samples.shape[0]
+    mean = samples.mean(axis=0)
+    y = np.subtract(samples.transpose(1, 2, 0), mean[..., None], order="C")
+    s = np.einsum("tan,tbn->tab", y, y)
+    y *= y
+    q = np.einsum("tan,tbn->tab", y, y)
+    cov = s / (n - 1)
+    se_mean = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
+    spread = np.maximum(q - s * s / n, 0.0)
+    se_cov = np.sqrt(n / ((n - 1) * (n - 2) ** 2) * spread)
+    return mean, cov, se_mean, se_cov
 
 
 def _explicit_jackknife_cov_stderr(samples):
@@ -102,6 +127,64 @@ def test_jackknife_matches_strided_einsum():
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=0.0)
 
 
+def _merged(samples):
+    """_ensemble_moments over (n_traj, n_t, 6) samples cut into blocks of
+    _BLOCK trajectories, each laid out (time, component, trajectory)."""
+    blocks = (np.ascontiguousarray(samples[lo:lo + _BLOCK].transpose(1, 2, 0))
+              for lo in range(0, len(samples), _BLOCK))
+    return _ensemble_moments(blocks, samples.shape[1])
+
+
+@pytest.mark.parametrize("n, offset", [
+    (_BLOCK, 0.0), (3 * _BLOCK, 0.0), (2 * _BLOCK + 17, 0.0),
+    (3 * _BLOCK, 1e4)], ids=["one_block", "three_blocks", "ragged", "offset"])
+def test_merged_moments_match_two_pass(n, offset):
+    # columns like (P, J), with a drift over the trajectories so that the
+    # block means differ, and a common offset of `offset` times the spread
+    rng = stream(44, "test-merge", n)
+    scale = np.array([1e-22] * 3 + [1e-29] * 3)
+    mix = rng.normal(size=(6, 6)) * scale
+    samples = rng.standard_exponential((n, 3, 6)) @ mix.T
+    samples += np.linspace(0.0, 2.0, n)[:, None, None] * scale
+    samples += offset * scale
+    want = _jackknife_moments(samples)
+    got = _merged(samples.copy())
+    # the mean adds the trajectories in order, as the two-pass mean does
+    assert got[0].tobytes() == want[0].tobytes()
+    sd = np.sqrt(np.diagonal(want[1], axis1=1, axis2=2))
+    assert np.all(np.abs(got[1] - want[1])
+                  <= 1e-11 * sd[:, :, None] * sd[:, None, :])
+    for g, w in zip(got[2:], want[2:]):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+def test_simulate_refuses_a_block_past_the_event_bound(sphere_quad_coarse):
+    # refused before the block's events are drawn
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      1.0 / sphere_quad_coarse.total_area)
+    rate = total_rate(model, sphere_quad_coarse)
+    duration = 1.001 * _MAX_BLOCK_EVENTS / (_BLOCK * rate)
+    with pytest.raises(BlockTooLarge, match="expected events per block"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, duration,
+                          _BLOCK, seed=1)
+
+
+def test_traced_peak_does_not_grow_with_trajectories(sphere_body):
+    # blocks are merged as they are binned: eight blocks peak within
+    # 1.25x of one; holding every trajectory, they peaked at 5.7x
+    q = build_quadrature(sphere_body, 4)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 2.0 / q.total_area)
+    peaks = []
+    for n in (_BLOCK, 8 * _BLOCK):
+        tracemalloc.start()
+        try:
+            simulate_ensemble(model, q, N2_MASS, 1.0, n, seed=3)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
+
+
 @pytest.mark.parametrize("kind", ["cosine", "site", "table"])
 def test_block_matches_stacked_kicks(sphere_quad_coarse, kind):
     # the bits of one block: kicks stacked as -(p n, s x p n), binned per
@@ -112,6 +195,7 @@ def test_block_matches_stacked_kicks(sphere_quad_coarse, kind):
     report_times = duration * np.arange(1, 5) / 4
     got, counts = _simulate_block(sampler, N2_MASS, duration, report_times,
                                   17, 3, n)
+    got = got.transpose(2, 0, 1)
     rng = stream(17, "trajectory", 3)
     counts_ref = rng.poisson(sampler.total * duration, n)
     t_ev = rng.uniform(0.0, duration, counts_ref.sum())
@@ -195,6 +279,7 @@ def test_block_kick_bookkeeping(sphere_quad_coarse, kind, seed, block, n,
     report_times = duration * np.arange(1, n_times + 1) / n_times
     got, counts = _simulate_block(sampler, N2_MASS, duration, report_times,
                                   seed, block, n)
+    got = got.transpose(2, 0, 1)
     rng = stream(seed, "trajectory", block)
     assert np.array_equal(counts, rng.poisson(sampler.total * duration, n))
     t_ev = rng.uniform(0.0, duration, counts.sum())
