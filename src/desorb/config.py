@@ -26,7 +26,7 @@ from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
                        build_quadrature, read_obj)
 from .moments import AngularQuadrature, EnergyQuadrature
-from .montecarlo import check_block_events
+from .montecarlo import check_block_events, check_size
 from .rng import stream
 from .rotations import random_rotation, rotation_from_w
 from .spectra import MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum
@@ -431,11 +431,6 @@ _RANDOM_KEYS = frozenset({"count", "delta_x_scale_m", "max_angle_rad"})
 _MAX_RANDOM_PAIRS = 10**6
 _SIMULATE_KEYS = frozenset({"duration_s", "n_trajectories", "n_times",
                             "compare"})
-# what a run holds: 8 B of event count per trajectory (8 GB at the
-# bound), and per report time one block's bins, 6 x 2048 doubles (9.8 GB
-# at the bound); the moments are merged block by block
-_MAX_TRAJECTORIES = 10**9
-_MAX_TIMES = 10**5
 _OUTGAS_KEYS = frozenset({"preset", "specific_rate_pa_m3_s_m2",
                           "specific_rate_torr_l_cm2_s", "gas_temperature_k",
                           "area_m2"})
@@ -526,8 +521,11 @@ def parse_simulate_block(cfg: RunConfig):
     (2048 Gamma duration_s of them on average)."""
     b = _command(cfg, "simulate", _SIMULATE_KEYS)
     duration = b("duration_s", _positive)
-    n_traj = b("n_trajectories", _integer, 4, _MAX_TRAJECTORIES)
-    n_times = b("n_times", _integer, 1, _MAX_TIMES, default=16)
+    n_traj = _named(None, ValueError, check_size, "n_trajectories",
+                    b("n_trajectories", _integer, 4),
+                    "simulate.n_trajectories")
+    n_times = _named(None, ValueError, check_size, "n_times",
+                     b("n_times", _integer, 1, default=16), "simulate.n_times")
     compare = b("compare", _boolean, default=True)
     if cfg.flux is not None:
         _named(None, BlockTooLarge, check_block_events,

@@ -137,9 +137,10 @@ class AxialLaw:
         return alpha + beta * (np.maximum(c, 0.0) if half else c)
 
     def directions(self, axes: np.ndarray, frame, rng: np.random.Generator):
-        """One direction per row of axes, whose frame (e1, e2) completes
-        it: mu from the law, then phi."""
-        mu = self._mu_of(rng.random(len(axes)))
+        """(3, n) directions, one per column of axes, whose frame (e1, e2)
+        completes it: mu from the law, then phi. The frame is
+        overwritten (see _directions_about)."""
+        mu = self._mu_of(rng.random(axes.shape[1]))
         return _directions_about(axes, frame, mu, rng)
 
 
@@ -535,22 +536,26 @@ def outgas_rate(specific_rate: float, area: float, gas_temperature: float,
 
 def _directions_about(axis: np.ndarray, frame, mu: np.ndarray,
                       rng: np.random.Generator):
-    """Directions at polar cosines mu about per-row axes (n, 3), whose
-    frames (e1, e2) complete them, with a uniform azimuth drawn per row."""
+    """(3, n) directions at polar cosines mu about per-column axes (3, n),
+    whose frames (e1, e2) complete them, with a uniform azimuth drawn per
+    column. They are built in e1's rows, with e2's rows as the scratch,
+    so the frame is overwritten and no (3, n) array is allocated."""
     phi = 2.0 * np.pi * rng.random(len(mu))
     e1, e2 = frame
     sin_t = np.sqrt(np.clip(1.0 - mu**2, 0.0, None))
     # mu axis + sin_t (cos phi e1 + sin phi e2), summed in place
-    out = np.cos(phi)[:, None] * e1
-    out += np.sin(phi)[:, None] * e2
-    out *= sin_t[:, None]
-    out += mu[:, None] * axis
-    return out
+    e1 *= np.cos(phi)
+    e2 *= np.sin(phi)
+    e1 += e2
+    e1 *= sin_t
+    e1 += np.multiply(mu, axis, out=e2)
+    return e1
 
 
 @dataclass(frozen=True)
 class EmissionSample:
-    """One batch of emission events: directions, sites, energies, node ids."""
+    """One batch of emission events: directions, sites, energies, node ids.
+    directions and sites are (n, 3) views of component-major (3, n) rows."""
 
     directions: np.ndarray  # (n, 3) body frame
     sites: np.ndarray       # (n, 3) [m]
@@ -562,10 +567,15 @@ class EventSampler:
     """Reusable sampler of a model's emitters.
 
     Set-up builds the per-point emission CDF with its guide table
-    (quadrules.GuideTable), and one row per point of axis, frame (e1, e2)
-    and position, shape (n, 12). An event draws its point in constant
-    time, the exact min(searchsorted(cdf, u, "right"), n - 1), and takes
-    one row: its axis, frame and site are views of that row. `frames`
+    (quadrules.GuideTable), and a component-major table of the points,
+    shape (12, points): rows 0-2 the position, 3-5 the axis, 6-8 and 9-11
+    its frame (e1, e2). An event draws its point in constant time, the
+    exact min(searchsorted(cdf, u, "right"), n - 1), and a batch gathers
+    its columns with one take into a (12, n) array, whose rows then hold
+    the batch as contiguous components. The sites are rows 0-2. The
+    directions are built in rows 6-8 over e1, with e2 as scratch (a fixed
+    direction is the axis rows themselves), so a batch allocates no other
+    (3, n) array, and rows 6-11 are spent once it is drawn. `frames`
     works row by row, so a frame taken from its point has the bits of one
     computed from the event's own axis."""
 
@@ -576,28 +586,37 @@ class EventSampler:
         if self.total <= 0:
             raise ValueError("flux model has zero total rate on this surface")
         self._nodes = GuideTable(np.cumsum(lam) / self.total)
-        self._rows = np.hstack([em.axes, *frames(em.axes), em.points])
+        rows = np.hstack([em.points, em.axes, *frames(em.axes)])
+        self._columns = rows.T.copy()
         if em.table is not None:
             self._cells = _TableCells(em.table)
 
-    def draw(self, rng: np.random.Generator, size: int) -> EmissionSample:
+    def draw(self, rng: np.random.Generator, size: int,
+             out: Optional[np.ndarray] = None) -> EmissionSample:
         """Draw a batch of `size` events. The stream is read for the point
         indices (not for a single point), then mu and phi, then the
-        energies; a table draws its (mu, E) before phi."""
+        energies; a table draws its (mu, E) before phi.
+
+        `out`, a C-contiguous (12, size) array, receives the gather and
+        then the directions; the sample's directions and sites are views
+        of it, valid until it is written again. Without it the gather is
+        a new array."""
         em = self.emitters
-        if len(self._rows) == 1:
+        if self._columns.shape[1] == 1:
             idx = np.zeros(size, dtype=np.intp)
         else:
             idx = self._nodes.search(rng.random(size))
-        rows = self._rows[idx]
-        axes, frame = rows[:, :3], (rows[:, 3:6], rows[:, 6:9])
+        # mode="clip" (idx is always in range) lets take write into out
+        # directly; "raise" would gather into a copy of it
+        rows = np.take(self._columns, idx, axis=1, out=out, mode="clip")
+        axes, frame = rows[3:6], (rows[6:9], rows[9:])
         if em.table is None:
             dirs = em.law.directions(axes, frame, rng)
             energies = em.spectrum.sample(rng, size)
         else:
             mu, energies = _sample_table(em.table, self._cells, idx, rng)
             dirs = _directions_about(axes, frame, mu, rng)
-        return EmissionSample(dirs, rows[:, 9:], energies, idx)
+        return EmissionSample(dirs.T, rows[:3].T, energies, idx)
 
 
 class _TableCells:

@@ -9,12 +9,23 @@ drift/diffusion predictions are derived.
 Ensembles run in fixed blocks of trajectories. Each block draws its
 events from one counter-based stream keyed by the block index and turns
 them into kicks as arrays, so a result is fixed by the inputs and the
-seed alone. A block's kicks are built in one (6, n) array, one row per
-component. Each event's report slot comes from its time by arithmetic,
-corrected against the report times until it is exact. One bincount
-sums the kicks into (time, component, trajectory) bins, whose running
-sums over report times are taken in place, one contiguous (6, n) slab
-at a time. Each bin adds its events in the order they were drawn.
+seed alone. The whole event path is component-major: the sampler
+gathers a block's events as a (12, n) array of rows (site, axis, frame;
+see flux.EventSampler), builds the directions in the frame's rows, and
+the kicks are written over those rows as a (6, n) array, one
+contiguous row per component. Each event's report slot comes from its
+time by arithmetic, corrected against the report times until it is
+exact. Each component's kicks are scattered into (time, component,
+trajectory) bins by one add.at, whose running sums over report times
+are taken in place, one contiguous (6, n) slab at a time. Each bin adds
+its events in the order they were drawn.
+
+The gather and the bins are buffers that one simulate_ensemble call
+owns and every block reuses: a buffer is reallocated only when a block
+needs more than any block before it (with an eighth to spare), so after
+the first block the loop allocates none, and the pages of these arrays
+are not faulted in again per block. A block's result is a view of the
+bins, valid until the next block.
 
 No trajectory outlives its block. As soon as a block is binned, its
 trajectories are added one at a time, in their order, to the running
@@ -40,10 +51,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from numbers import Integral
+from typing import Optional
 
 import numpy as np
 
-from .errors import BlockTooLarge
+from .errors import BlockTooLarge, NonFinite
 from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import SurfaceQuadrature
 from .moments import Diffusion6, ForceTorque6, predict_moments
@@ -54,6 +67,10 @@ _TRAJ_TAG = "trajectory"
 _BLOCK = 2048  # trajectories per random stream; part of every result
 # expected events of one block, about 0.2 KB each while drawn and binned
 _MAX_BLOCK_EVENTS = 10**7
+# what a run holds: 8 B of event count per trajectory (8 GB at the
+# bound), and per report time one block's bins, 6 x 2048 doubles (9.8 GB
+# at the bound); the moments are merged block by block
+_MAX_SIZE = {"n_trajectories": 10**9, "n_times": 10**5}
 
 Z_LIMIT = 4.0
 P_FLOOR = 1e-3
@@ -72,19 +89,40 @@ class EnsembleMoments:
     event_counts: np.ndarray  # (n_traj,) events per trajectory
 
 
-def _kicks(ev: EmissionSample, m_atom: float) -> np.ndarray:
-    """(6, n) kicks (-p n, -s x p n) of a batch of events on the particle,
-    one row per component, assembled and negated in one array. s x p n is
-    taken as the three differences that np.cross evaluates."""
-    kicks = np.empty((6, len(ev.energies)))
+def _kicks(ev: EmissionSample, m_atom: float, out: np.ndarray) -> np.ndarray:
+    """The (6, n) kicks (-p n, -s x p n) of a batch of events on the
+    particle, one row per component, assembled and negated in out. The
+    sample's directions and sites are read as their contiguous (3, n)
+    rows; the directions may be out's first three rows, and the sites
+    none of its rows. s x p n is taken as the three differences that
+    np.cross evaluates."""
     atom_p = np.multiply(momentum_from_energy(ev.energies, m_atom),
-                         ev.directions.T, out=kicks[:3])
-    s = np.ascontiguousarray(ev.sites.T)
+                         ev.directions.T, out=out[:3])
+    s = ev.sites.T
     for c in range(3):
         a, b = (c + 1) % 3, (c + 2) % 3
-        np.multiply(s[a], atom_p[b], out=kicks[3 + c])
-        kicks[3 + c] -= s[b] * atom_p[a]
-    return np.negative(kicks, out=kicks)
+        np.multiply(s[a], atom_p[b], out=out[3 + c])
+        out[3 + c] -= s[b] * atom_p[a]
+    return np.negative(out, out=out)
+
+
+class _Buffers:
+    """The float arrays that one simulate_ensemble call keeps across its
+    blocks, by name: each is a flat array viewed C-contiguous at the
+    shape a block asks for, and reallocated only when a block asks for
+    more than any block before it. An eighth to spare covers the spread
+    of a block's event count about its mean, so later blocks rarely
+    reallocate."""
+
+    def __init__(self):
+        self._flat = {}
+
+    def __call__(self, name: str, shape) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or len(flat) < size:
+            flat = self._flat[name] = np.empty(size + size // 8)
+        return flat[:size].reshape(shape)
 
 
 def _report_slots(t_ev, duration, report_times) -> np.ndarray:
@@ -106,33 +144,43 @@ def _report_slots(t_ev, duration, report_times) -> np.ndarray:
 
 
 def _simulate_block(sampler: EventSampler, m_atom, duration, report_times,
-                    seed, block, n) -> tuple[np.ndarray, np.ndarray]:
+                    seed, block, n, buffers: Optional[_Buffers] = None
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """(P, J) at the report times for the n trajectories of one block.
 
     One stream per block: Poisson counts for every trajectory, then every
     event time, then every event, each drawn in a single call. A kick is
     binned at the first report time at or after its event, so the running
     sum over report times gives each trajectory's (P, J) there. The bins
-    are laid out (time, component, trajectory), so one bincount fills
-    them all, each step of the running sum adds a contiguous slab, and
-    the result is a view of the first n_t slabs.
+    are laid out (time, component, trajectory), so one scatter-add per
+    component fills them, each step of the running sum adds a contiguous
+    slab, and the result is a view of the first n_t slabs. The events'
+    gather, then their kicks, and the bins are written into `buffers`
+    (new ones if not given), so the result is valid until they are
+    written again.
     """
+    buffers = _Buffers() if buffers is None else buffers
     rng = stream(seed, _TRAJ_TAG, block)
     counts = rng.poisson(sampler.total * duration, n)
     total = int(counts.sum())
     t_ev = rng.uniform(0.0, duration, total)
-    kicks = _kicks(sampler.draw(rng, size=total), m_atom)
+    gather = buffers("gather", (12, total))
+    ev = sampler.draw(rng, total, out=gather)
+    # the kicks take the gather's spent frame rows (see EventSampler)
+    kicks = _kicks(ev, m_atom, gather[6:])
     # slot n_t collects events after the last report time, then is dropped.
     # Slabs start 6 n + 8 bins apart: 6 x 2048 doubles is a multiple of
     # 4 KB, and the scatter into slabs that far apart thrashes the cache.
     n_t, width = len(report_times), 6 * n + 8
     cells = _report_slots(t_ev, duration, report_times) * width
     cells += np.repeat(np.arange(n), counts)
-    cells = (n * np.arange(6))[:, None] + cells
-    # without events bincount counts in int64, so the cast
-    out = np.bincount(cells.ravel(), weights=kicks.ravel(),
-                      minlength=(n_t + 1) * width).astype(float, copy=False)
-    out = out.reshape(n_t + 1, width)
+    # component c's bins are those of component 0 moved by c n; add.at
+    # sums each bin's kicks in the order drawn, as bincount would, but
+    # into the kept bins
+    out = buffers("bins", (n_t + 1, width))
+    out.fill(0.0)
+    for c, row in enumerate(kicks):
+        np.add.at(out.ravel()[c * n:], cells, row)
     for k in range(1, n_t):
         out[k] += out[k - 1]
     return out[:-1, :6 * n].reshape(n_t, 6, n), counts
@@ -149,6 +197,18 @@ def check_block_events(rate: float, duration: float,
                             f"trajectories, more than {_MAX_BLOCK_EVENTS:,}")
 
 
+def check_size(name: str, value, path: Optional[str] = None) -> int:
+    """simulate_ensemble's count `name` as an int, refused with a
+    ValueError that names `path` (name if not given) if it is a bool, is
+    of no integer type (8.0 too), or is past its bound in _MAX_SIZE."""
+    path = name if path is None else path
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"'{path}' must be an integer, got {value!r}")
+    if value > _MAX_SIZE[name]:
+        raise ValueError(f"'{path}' must be <= {_MAX_SIZE[name]}")
+    return int(value)
+
+
 def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                       duration: float, n_trajectories: int, seed: int,
                       n_times: int = 16) -> EnsembleMoments:
@@ -157,10 +217,15 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     Bitwise reproducible for fixed (seed, n_trajectories, n_times):
     trajectories are cut into fixed blocks of _BLOCK, each block draws
     from its own counter-based stream keyed by the block index, and the
-    blocks run and are merged in order on one thread.
+    blocks run and are merged in order on one thread. Every size is
+    checked before anything is allocated.
     """
+    n_trajectories = check_size("n_trajectories", n_trajectories)
+    n_times = check_size("n_times", n_times)
     if n_trajectories < 4:
         raise ValueError("need at least four trajectories for jackknife errors")
+    if not math.isfinite(duration):
+        raise NonFinite(f"'duration' must be finite, got {duration!r}")
     if duration <= 0:
         raise ValueError("duration must be positive")
     if n_times < 1:
@@ -169,14 +234,15 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     sampler = EventSampler(model, q)
     check_block_events(sampler.total, duration)
     counts = np.empty(n_trajectories, dtype=np.int64)
+    buffers = _Buffers()
 
     def blocks():
         for k, lo in enumerate(range(0, n_trajectories, _BLOCK)):
             hi = min(lo + _BLOCK, n_trajectories)
             x, counts[lo:hi] = _simulate_block(
-                sampler, m_atom, duration, report_times, seed, k, hi - lo)
+                sampler, m_atom, duration, report_times, seed, k, hi - lo,
+                buffers)
             yield x
-            del x     # so that no two blocks are held at once
 
     mean, cov, se_mean, se_cov = _ensemble_moments(blocks(), n_times)
     return EnsembleMoments(report_times, mean, cov, se_mean, se_cov,

@@ -8,14 +8,16 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from conftest import N2_MASS, SPHERE_RADIUS
+import desorb.montecarlo
 from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
-                         FixedDirection, IsotropicDirection, SingleSite,
-                         TabulatedFlux, total_rate)
+                         FixedDirection, Isotropic, IsotropicDirection,
+                         SingleSite, TabulatedFlux, total_rate)
 from desorb.geometry import BodySpec, Cylinder, build_quadrature
 from desorb.moments import Diffusion6, diffusion_tensor, force_torque
-from desorb.errors import BlockTooLarge
-from desorb.montecarlo import (_BLOCK, _MAX_BLOCK_EVENTS, _ensemble_moments,
-                               _report_slots, _simulate_block, chi2_tail,
+from desorb.errors import BlockTooLarge, NonFinite
+from desorb.montecarlo import (_BLOCK, _MAX_BLOCK_EVENTS, _Buffers,
+                               _ensemble_moments, _kicks, _report_slots,
+                               _simulate_block, chi2_tail,
                                compare_to_prediction, simulate_ensemble)
 from desorb.rng import stream
 from desorb.rotations import momentum_from_energy
@@ -442,3 +444,217 @@ def test_chi2_tail_edge_values():
         chi2_tail(1.0, 0)
     with pytest.raises(TypeError):
         chi2_tail(1.0, 2.5)
+
+
+@pytest.mark.parametrize("duration", [np.nan, np.inf, -np.inf])
+def test_simulate_refuses_a_non_finite_duration(sphere_quad_coarse,
+                                                duration):
+    # nan and inf were refused as BlockTooLarge ("nan expected events"),
+    # -inf as a ValueError that did not say it was not finite
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
+    with pytest.raises(NonFinite, match="'duration' must be finite"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, duration, 64,
+                          seed=1)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("n_trajectories", 8.5), ("n_trajectories", np.float64(8)),
+    ("n_trajectories", True), ("n_times", 2.5), ("n_times", np.float64(8)),
+    ("n_times", True)])
+def test_simulate_refuses_sizes_of_no_integer_type(sphere_quad_coarse, name,
+                                                   value):
+    # these failed with raw numpy TypeErrors, or ran as n_times = 1
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
+    sizes = {"n_trajectories": 64, "n_times": 4, name: value}
+    with pytest.raises(ValueError, match=f"'{name}' must be an integer"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1e-3,
+                          sizes["n_trajectories"], seed=1,
+                          n_times=sizes["n_times"])
+
+
+@pytest.mark.parametrize("name, value", [("n_trajectories", 10**9 + 1),
+                                         ("n_times", 10**5 + 1)])
+def test_simulate_refuses_sizes_past_their_bounds(sphere_quad_coarse, name,
+                                                  value):
+    # refused before anything is allocated: 8 B of event count per
+    # trajectory, and one block's bins per report time
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e-12)
+    sizes = {"n_trajectories": 4, "n_times": 4, name: value}
+    with pytest.raises(ValueError, match=f"'{name}' must be <= "):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1e-3,
+                          sizes["n_trajectories"], seed=1,
+                          n_times=sizes["n_times"])
+
+
+def test_simulate_takes_numpy_integer_sizes(sphere_quad_coarse):
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      12.0 / sphere_quad_coarse.total_area)
+    a = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0,
+                          np.int64(64), seed=np.uint64(9), n_times=np.int32(3))
+    b = simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, 64,
+                          seed=9, n_times=3)
+    assert a.n_trajectories == 64 and type(a.n_trajectories) is int
+    for name in ("mean", "cov", "stderr_mean", "stderr_cov", "event_counts"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@pytest.mark.parametrize("seed, index", [
+    (1.5, 0), (1.0, 0), (True, 0), (np.float64(1), 0), (1, 2.0), (1, True)],
+    ids=["seed_1.5", "seed_1.0", "seed_True", "seed_float64", "index_2.0",
+         "index_True"])
+def test_stream_refuses_a_seed_or_index_of_no_integer_type(seed, index):
+    # 1.5 was truncated to the stream of seed 1
+    with pytest.raises(ValueError, match="must be an integer"):
+        stream(seed, "t", index)
+
+
+def test_simulate_refuses_a_non_integral_seed(sphere_quad_coarse):
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1e-3, 64,
+                          seed=1.5)
+
+
+def test_stream_takes_integer_seeds_modulo_2_64():
+    # every integer still names the stream it named before
+    want = stream(7, "t", 3).random(4)
+    for seed in (np.int64(7), 2**64 + 7, 7 - 2**64):
+        assert stream(seed, "t", np.int32(3)).random(4).tobytes() \
+            == want.tobytes()
+    assert stream(-1, "t").random(4).tobytes() \
+        == stream(2**64 - 1, "t").random(4).tobytes()
+
+
+def _stacked_kicks_block(sampler, duration, report_times, seed, block, n):
+    """One block from fresh arrays: -(p n, s x p n) stacked per event,
+    binned per column and summed over the report times, laid out
+    (trajectory, time, component)."""
+    rng = stream(seed, "trajectory", block)
+    counts = rng.poisson(sampler.total * duration, n)
+    t_ev = rng.uniform(0.0, duration, counts.sum())
+    ev = sampler.draw(rng, int(counts.sum()))
+    atom_p = momentum_from_energy(ev.energies, N2_MASS)[:, None] * ev.directions
+    kicks = -np.hstack([atom_p, np.cross(ev.sites, atom_p)])
+    width = len(report_times) + 1
+    bins = (np.repeat(np.arange(n) * width, counts)
+            + np.searchsorted(report_times, t_ev, side="left"))
+    out = np.empty((n * width, 6))
+    for c in range(6):
+        out[:, c] = np.bincount(bins, weights=kicks[:, c],
+                                minlength=n * width)
+    return np.cumsum(out.reshape(n, width, 6)[:, :-1], axis=1), counts
+
+
+def _kick_model(kind, q):
+    """About ten events per trajectory and second from the kinds that
+    test_block_matches_stacked_kicks leaves out."""
+    mb = MaxwellBoltzmannFlux(300.0)
+    site = np.array([1e-8, -2e-8, 7e-8])
+    if kind == "isotropic":     # half the 4 pi rate leaves the surface
+        return Isotropic(mb, 20.0 / q.total_area)
+    law = {"site_isotropic": IsotropicDirection(),
+           "site_fixed": FixedDirection([0.0, 0.6, 0.8]),
+           "site_cosine": CosineDirection(np.array([0.8, 0.0, -0.6]))}[kind]
+    return SingleSite(site, law, mb, 10.0)
+
+
+@pytest.mark.parametrize("kind", ["isotropic", "site_isotropic",
+                                  "site_fixed", "site_cosine"])
+def test_kicks_of_the_other_kinds_from_kept_buffers(sphere_quad_coarse,
+                                                    kind):
+    # the kicks are written over the gather's frame rows; a fixed
+    # direction is the gathered axis rows themselves, which no kick row
+    # may overwrite before it is read
+    q = sphere_quad_coarse
+    sampler = EventSampler(_kick_model(kind, q), q)
+    size = 3001
+    ev = sampler.draw(stream(29, kind), size)
+    atom_p = momentum_from_energy(ev.energies, N2_MASS)[:, None] * ev.directions
+    want = -np.hstack([atom_p, np.cross(ev.sites, atom_p)])
+    gather = np.empty((12, size))
+    got = _kicks(sampler.draw(stream(29, kind), size, out=gather), N2_MASS,
+                 gather[6:])
+    assert got.tobytes() == np.ascontiguousarray(want.T).tobytes()
+    # two blocks through one set of buffers, each to the bit of its
+    # block built from fresh arrays
+    n, duration = 300, 1.0
+    report_times = duration * np.arange(1, 5) / 4
+    buffers = _Buffers()
+    for block in (3, 4):
+        got, counts = _simulate_block(sampler, N2_MASS, duration,
+                                      report_times, 17, block, n, buffers)
+        want, counts_ref = _stacked_kicks_block(sampler, duration,
+                                                report_times, 17, block, n)
+        assert np.array_equal(counts, counts_ref)
+        assert np.ascontiguousarray(got.transpose(2, 0, 1)).tobytes() \
+            == want.tobytes()
+
+
+def test_kept_buffers_leak_nothing_between_blocks(sphere_quad_coarse):
+    # about 0.7 events per block of 2048 trajectories: blocks without
+    # events, and later blocks that draw more than any before them, so
+    # that the kept buffers grow
+    q = sphere_quad_coarse
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      0.7 / (_BLOCK * q.total_area))
+    n, n_times, duration, seed = 40 * _BLOCK + 17, 3, 1.0, 61
+    got = simulate_ensemble(model, q, N2_MASS, duration, n, seed,
+                            n_times=n_times)
+    sampler = EventSampler(model, q)
+    report_times = duration * np.arange(1, n_times + 1) / n_times
+    blocks = [_simulate_block(sampler, N2_MASS, duration, report_times,
+                              seed, k, min(_BLOCK, n - lo))
+              for k, lo in enumerate(range(0, n, _BLOCK))]
+    events = np.array([c.sum() for _, c in blocks])
+    assert np.any(events[:-1] == 0)
+    grown = events[1:] > np.maximum.accumulate(events)[:-1]
+    assert np.count_nonzero(grown) >= 2 and events.sum() > 0
+    samples = np.concatenate([x.transpose(2, 0, 1) for x, _ in blocks])
+    merged = _ensemble_moments((x for x, _ in blocks), n_times)
+    assert got.event_counts.tobytes() == np.concatenate(
+        [c for _, c in blocks]).tobytes()
+    for name, want in zip(("mean", "cov", "stderr_mean", "stderr_cov"),
+                          merged):
+        assert getattr(got, name).tobytes() == want.tobytes()
+    # and the two-pass reference, to the tolerances of the merge; at this
+    # size numpy's sum over trajectories no longer adds them in order, so
+    # the mean too is held to the spread
+    want = _jackknife_moments(samples)
+    sd = np.sqrt(np.diagonal(want[1], axis1=1, axis2=2))
+    assert np.all(np.abs(got.mean - want[0]) <= 1e-12 * sd)
+    assert np.all(np.abs(got.cov - want[1])
+                  <= 1e-11 * sd[:, :, None] * sd[:, None, :])
+    np.testing.assert_allclose(got.stderr_mean, want[2], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(got.stderr_cov, want[3], rtol=1e-12, atol=0)
+
+
+def test_blocks_after_the_first_allocate_no_buffer(sphere_quad_coarse,
+                                                   monkeypatch):
+    # the gather and the bins are allocated once per call, by the first
+    # block; later blocks of about as many events reuse them
+    made = []
+
+    class Spy(_Buffers):
+        def __call__(self, name, shape):
+            before = self._flat.get(name)
+            out = super().__call__(name, shape)
+            if self._flat[name] is not before:
+                made.append(name)
+            return out
+
+    monkeypatch.setattr(desorb.montecarlo, "_Buffers", Spy)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      12.0 / sphere_quad_coarse.total_area)
+    simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, 4 * _BLOCK,
+                      seed=71)
+    assert sorted(made) == ["bins", "gather"]
+
+
+def test_buffers_grow_only_past_their_largest_request():
+    buffers = _Buffers()
+    first = buffers("a", (12, 100))
+    again = buffers("a", (12, 90))
+    assert again.shape == (12, 90) and again.flags.c_contiguous
+    assert np.shares_memory(first, again)
+    assert not np.shares_memory(first, buffers("a", (12, 1000)))
+    assert not np.shares_memory(first, buffers("b", (12, 10)))
