@@ -25,7 +25,8 @@ from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    split, total_rate)
 from .geometry import (BodySpec, Box, Cylinder, Sphere, SurfaceQuadrature,
                        build_quadrature, read_obj)
-from .moments import AngularQuadrature, EnergyQuadrature
+from .moments import (AngularQuadrature, EnergyQuadrature,
+                      check_transport_scale)
 from .montecarlo import check_block_events, check_size
 from .rng import stream
 from .rotations import random_rotation, rotation_from_w
@@ -220,13 +221,6 @@ def _body(b: _Block, shape) -> BodySpec:
     return _named("body", ValueError, BodySpec, shape, center_of_mass=com)
 
 
-def _box(b: _Block) -> BodySpec:
-    he = b("half_extents_m", _vector3)
-    if np.any(he <= 0):
-        raise ConfigError("'body.half_extents_m' must be positive")
-    return _body(b, Box(he))
-
-
 _SHAPES = _Kinds("shape", {
     "sphere": (frozenset({"radius_m"}),
                lambda b: _body(b, Sphere(b("radius_m", _positive)))),
@@ -234,7 +228,9 @@ _SHAPES = _Kinds("shape", {
                  lambda b: _body(b, Cylinder(
                      b("radius_m", _positive), b("half_length_m", _positive),
                      b("capped", _boolean, default=True)))),
-    "box": (frozenset({"half_extents_m"}), _box),
+    "box": (frozenset({"half_extents_m"}), lambda b: _body(b, _named(
+        "'body.half_extents_m'", ValueError, Box,
+        b("half_extents_m", _vector3)))),
     "mesh": (frozenset({"obj_path"}), lambda b: _body(b, _named(
         "body.obj_path", OSError, read_obj, b("obj_path", _string)))),
 }, frozenset({"mass_kg", "center_of_mass_m", "inertia_body_kg_m2"}))
@@ -278,48 +274,19 @@ def _rate_gradient(value, path: str):
     return lambda points: base * (1.0 + points @ grad)
 
 
-def _surface_law(b: _Block, q: SurfaceQuadrature, cls) -> FluxModel:
+def _surface_law(b: _Block, cls) -> FluxModel:
+    """A law of the rate field over the surface, whose values the library
+    checks when the flux is split (flux._rates_at)."""
     rate = b("rate_per_area_hz_m2", _object_or, _positive, _rate_gradient)
-    built = cls(b("spectrum", _SPECTRA), rate)
-    if callable(rate):
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            at_nodes = rate(q.points)
-        if not np.all(np.isfinite(at_nodes)):
-            raise ConfigError("'flux.rate_per_area_hz_m2' is not finite at "
-                              "some surface nodes")
-        if np.any(at_nodes < 0):
-            raise ConfigError("'flux.rate_per_area_hz_m2' is negative at "
-                              "some surface nodes")
-    return built
-
-
-def _check_transport_scale(flux: FluxModel, q: SurfaceQuadrature,
-                           m_atom: float) -> None:
-    """Refuse a flux whose transport tensors would overflow. An entry of D
-    sums at most 18 terms rate x p^2 x (1, or two coordinates of s), and
-    one of the force and torque rate x p x (1, or a coordinate). So 32
-    times the total rate times (<p> + <p^2>) times (1 + extent^2) bounds
-    them all, with <p^2> at most 2 m E_max for a table. It is summed in
-    logarithms, so a huge rate times a tiny <p^2> cannot overflow on the
-    way."""
-    em = split(flux, q)
-    with np.errstate(all="ignore"):    # refused below
-        if em.table is None:
-            j1, j2 = em.spectrum.momentum_moments(m_atom)
-        else:
-            j2 = 2.0 * m_atom * em.table.energy_grid[-1]
-            j1 = np.sqrt(j2)
-        log_scale = np.sum(np.log([32.0, np.sum(em.node_rates), j1 + j2,
-                                   1.0 + em.radius ** 2]))
-    if not log_scale < np.log(sys.float_info.max):
-        raise ConfigError("flux: the total rate times <p> + <p^2> at "
-                          "'atom.mass_kg' times (1 + extent^2) overflows, "
-                          "so the diffusion tensor would not be finite")
+    return cls(b("spectrum", _SPECTRA), rate)
 
 
 def _site(value, path: str, body: BodySpec) -> np.ndarray:
     """A site in the body's bounding box, measured from its center of
-    mass (a site on the surface lies there)."""
+    mass (a site on the surface lies there). This check is the config's
+    own: a SingleSite has no body, and a box taken from the surface nodes
+    would refuse a site at a sphere's pole, which res-64 nodes reach only
+    to 0.9993 R."""
     site = _vector3(value, path)
     lo, hi = body.box
     if np.any(site < lo) or np.any(site > hi):
@@ -330,9 +297,9 @@ def _site(value, path: str, body: BodySpec) -> np.ndarray:
 _SURFACE_LAW_KEYS = frozenset({"rate_per_area_hz_m2", "spectrum"})
 _FLUX_MODELS = _Kinds("model", {
     "cosine": (_SURFACE_LAW_KEYS,
-               lambda b, q, body: _surface_law(b, q, CosineLaw)),
+               lambda b, q, body: _surface_law(b, CosineLaw)),
     "isotropic": (_SURFACE_LAW_KEYS,
-                  lambda b, q, body: _surface_law(b, q, Isotropic)),
+                  lambda b, q, body: _surface_law(b, Isotropic)),
     "single_site": (frozenset({"site_m", "rate_hz", "direction", "spectrum"}),
                     lambda b, q, body: SingleSite(
                         b("site_m", _site, body), b("direction", _DIRECTIONS),
@@ -405,7 +372,11 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
     quadrature = _named("body", ValueError, build_quadrature, body, resolution)
     flux = top("flux", _FLUX_MODELS, quadrature, body, default=None)
     if flux is not None:
-        _check_transport_scale(flux, quadrature, atom_mass)
+        # only a surface law's rate field can fail the split
+        em = _named("'flux.rate_per_area_hz_m2'", (NonFinite, ValueError),
+                    split, flux, quadrature)
+        _named("flux and 'atom.mass_kg'", NonFinite, check_transport_scale,
+               em, atom_mass)
 
     top("tensors", _Block, frozenset(), default=None)
     blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",

@@ -75,15 +75,24 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
+from .moments import momentum_scales
 from .quadrules import (_BLOCK, PanelKernel, filon_grid, filon_moments,
                         frames, phase_moments, segment_rule)
-from .rotations import check_rotation, w_from_rotations
+from .rotations import check_atom_mass, check_rotation, w_from_rotations
 
 
 #: largest displacement component [m], far past the saturation of F at any
 #: thermal recoil; a 1e100 m pair overflowed in the Filon moments, and a
 #: 1e300 m one in the ring geometry
 MAX_DISPLACEMENT_M = 1e30
+#: largest recoil phase j1 max|v| / hbar on the Filon path, with j1 the
+#: emitters' mean momentum (a table's largest, moments.momentum_scales),
+#: by the same reasoning applied to the phase: F is saturated at the
+#: emission rate far below it, and the Filon kernels take the third power
+#: of a panel's phase, which is at most this one and overflows past
+#: 5.6e102 (an atom mass of 1e200 kg on a 1 nm pair reads 1.2e115). A
+#: fixed-direction site takes no power of it and is not bounded
+MAX_PHASE = 1e100
 
 @dataclass(frozen=True)
 class PosePair:
@@ -142,7 +151,10 @@ class LocalizationRate:
 @dataclass(frozen=True)
 class DecoherenceQuadrature:
     """Resolution of the aligned-axis angular rule, and of the energy
-    rule of a tabulated flux (other spectra are integrated exactly).
+    rule of a tabulated flux. A law's spectrum is not refined: the
+    Maxwell-Boltzmann and monoenergetic kernels are exact, and a
+    TabulatedSpectrum sums pure phases over a fixed 3-point rule per
+    segment at every level, so the check does not see that rule's error.
     n_azimuth is read only for pairs with R != R', laws and tables alike:
     their arc rule has max(2, n_azimuth // 8) intervals per piece where
     both poses emit (7 and 15 interior points at 64 and its refinement).
@@ -458,6 +470,11 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
     if em.law is not None and em.law.delta:
         return [_fixed_direction_terms(pair, em, m_atom)] * len(levels)
     length, axis = _pair_geometry(pair, em.points)
+    with np.errstate(all="ignore"):    # inf or NaN, refused below
+        phase = momentum_scales(em, m_atom)[0] * np.max(length) / HBAR
+    if not phase <= MAX_PHASE:
+        raise NonFinite(f"recoil phase <p> max|v| / hbar = {phase:.3g} is "
+                        f"past {MAX_PHASE:g}, where its powers overflow")
     # nodes at equal distance (every node, for a translation) share their
     # Filon weights
     kappas, node_kappa = np.unique(length / HBAR, return_inverse=True)
@@ -497,8 +514,11 @@ def localization_rate(pair: PosePair, model: FluxModel, q: SurfaceQuadrature,
     With check_convergence set, the angular grid (and a tabulated flux's
     energy rule) is also doubled and the refined rate returned; a change
     of Re F or Im F above convergence_tol times the emission rate raises
-    QuadratureNotConverged.
+    QuadratureNotConverged. The atom mass is checked first
+    (check_atom_mass), and a recoil phase past MAX_PHASE on the Filon
+    path (every pair but a fixed-direction site's) is NonFinite.
     """
+    check_atom_mass(m_atom)
     em = split(model, q)
     gamma = float(np.sum(em.node_rates))
     levels = [quad, quad.refined()] if quad.check_convergence else [quad]

@@ -55,16 +55,20 @@ def _check_unit(n: np.ndarray) -> np.ndarray:
 
 
 def _rates_at(rate_per_area: RateField, points: np.ndarray) -> np.ndarray:
+    """The rate field at the points, the one check of its values: a field
+    that overflows or is not finite at some point is NonFinite, one that
+    is negative there a ValueError."""
     points = np.atleast_2d(points)
-    if callable(rate_per_area):
-        r = np.asarray(rate_per_area(points), dtype=float)
-        r = np.broadcast_to(r, (len(points),)).astype(float)
-    else:
-        r = np.full(len(points), float(rate_per_area))
+    with np.errstate(over="ignore", invalid="ignore"):    # refused below
+        if callable(rate_per_area):
+            r = np.asarray(rate_per_area(points), dtype=float)
+            r = np.broadcast_to(r, (len(points),)).astype(float)
+        else:
+            r = np.full(len(points), float(rate_per_area))
     if not np.all(np.isfinite(r)):
-        raise NonFinite("rate_per_area gives NaN or infinity on the surface")
+        raise NonFinite("rate_per_area is not finite at some surface nodes")
     if np.any(r < 0):
-        raise ValueError("rate_per_area must be nonnegative")
+        raise ValueError("rate_per_area is negative at some surface nodes")
     return r
 
 

@@ -87,9 +87,21 @@ def surface_moment(quadrature: SurfaceQuadrature,
 # its surface rule in its own frame, node counts scaled by resolution.
 # ---------------------------------------------------------------------------
 
+def _check_sizes(what: str, sizes) -> None:
+    """Refuse sizes that are not finite and positive, with a ValueError
+    that names them."""
+    sizes = np.asarray(sizes, dtype=float)
+    if not np.all(np.isfinite(sizes) & (sizes > 0)):
+        raise ValueError(f"{what} must be finite and positive, got "
+                         f"{sizes.tolist()}")
+
+
 @dataclass(frozen=True)
 class Sphere:
     radius: float
+
+    def __post_init__(self):
+        _check_sizes("sphere radius", self.radius)
 
     def bounds(self):
         hi = np.full(3, float(self.radius))
@@ -124,6 +136,10 @@ class Cylinder:
     radius: float
     half_length: float
     capped: bool = True
+
+    def __post_init__(self):
+        _check_sizes("cylinder radius", self.radius)
+        _check_sizes("cylinder half_length", self.half_length)
 
     def bounds(self):
         hi = np.array([self.radius, self.radius, self.half_length], float)
@@ -172,8 +188,9 @@ class Box:
 
     def __post_init__(self):
         he = np.asarray(self.half_extents, dtype=float)
-        if he.shape != (3,) or np.any(he <= 0):
-            raise ValueError("box needs three positive half extents")
+        if he.shape != (3,):
+            raise ValueError("box needs three half extents")
+        _check_sizes("box half extents", he)
         object.__setattr__(self, "half_extents", he)
 
     def bounds(self):

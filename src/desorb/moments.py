@@ -30,6 +30,7 @@ coarse p weights of that contraction.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,7 @@ from .errors import NonFinite, QuadratureNotConverged
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
 from .quadrules import segment_rule
+from .rotations import check_atom_mass
 
 
 @dataclass(frozen=True)
@@ -118,6 +120,34 @@ class ForceTorque6:
 def spectral_momentum_moments(spectrum, m_atom: float):
     """(j1, j2) = (int sigma p dE, int sigma p^2 dE) for one emitted atom."""
     return spectrum.momentum_moments(m_atom)
+
+
+def momentum_scales(em: Emitters, m_atom: float):
+    """(j1, j2): the spectral momentum moments of the emitters, or for a
+    table their bounds sqrt(2 m E_max) and 2 m E_max. Not checked for
+    overflow."""
+    if em.table is None:
+        return spectral_momentum_moments(em.spectrum, m_atom)
+    j2 = 2.0 * m_atom * em.table.energy_grid[-1]
+    return np.sqrt(j2), j2
+
+
+def check_transport_scale(em: Emitters, m_atom: float) -> None:
+    """Refuse (NonFinite) emitters whose transport tensors would overflow.
+    An entry of D sums at most 18 terms rate x p^2 x (1, or two
+    coordinates of s), and one of the force and torque rate x p x (1, or
+    a coordinate). So 32 times the total rate times (j1 + j2) times
+    (1 + extent^2) bounds them all (momentum_scales). It is summed in
+    logarithms, so a huge rate times a tiny <p^2> cannot overflow on the
+    way."""
+    with np.errstate(all="ignore"):    # refused below
+        j1, j2 = momentum_scales(em, m_atom)
+        log_scale = np.sum(np.log([32.0, np.sum(em.node_rates), j1 + j2,
+                                   1.0 + em.radius * em.radius]))
+    if not log_scale < np.log(sys.float_info.max):
+        raise NonFinite("the total rate times <p> + <p^2> times "
+                        "(1 + extent^2) overflows, so the diffusion tensor "
+                        "would not be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +272,12 @@ def transport(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     set, the refined F is returned, and QuadratureNotConverged is raised if
     the force moves by more than convergence_tol Gamma pbar (the momentum
     flux) or the torque by more than convergence_tol Gamma pbar R, with R
-    the largest emitter radius.
+    the largest emitter radius. The atom mass and the transport scale
+    are checked first (check_atom_mass, check_transport_scale).
     """
+    check_atom_mass(m_atom)
     em = split(model, q)
+    check_transport_scale(em, m_atom)
     d, ft, check = _moment_blocks(em, m_atom, energy)
     if not check_convergence or check is None:
         return d, ft

@@ -61,7 +61,7 @@ from .flux import EmissionSample, EventSampler, FluxModel
 from .geometry import SurfaceQuadrature
 from .moments import Diffusion6, ForceTorque6, predict_moments
 from .rng import stream
-from .rotations import momentum_from_energy
+from .rotations import check_atom_mass
 
 _TRAJ_TAG = "trajectory"
 _BLOCK = 2048  # trajectories per random stream; part of every result
@@ -95,8 +95,9 @@ def _kicks(ev: EmissionSample, m_atom: float, out: np.ndarray) -> np.ndarray:
     sample's directions and sites are read as their contiguous (3, n)
     rows; the directions may be out's first three rows, and the sites
     none of its rows. s x p n is taken as the three differences that
-    np.cross evaluates."""
-    atom_p = np.multiply(momentum_from_energy(ev.energies, m_atom),
+    np.cross evaluates. The caller has checked m_atom (check_atom_mass),
+    and a sampler draws no negative energy."""
+    atom_p = np.multiply(np.sqrt(2.0 * m_atom * ev.energies),
                          ev.directions.T, out=out[:3])
     s = ev.sites.T
     for c in range(3):
@@ -218,8 +219,9 @@ def simulate_ensemble(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     trajectories are cut into fixed blocks of _BLOCK, each block draws
     from its own counter-based stream keyed by the block index, and the
     blocks run and are merged in order on one thread. Every size is
-    checked before anything is allocated.
+    checked before anything is allocated, and the atom mass first.
     """
+    check_atom_mass(m_atom)
     n_trajectories = check_size("n_trajectories", n_trajectories)
     n_times = check_size("n_times", n_times)
     if n_trajectories < 4:

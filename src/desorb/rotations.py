@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AngleOutOfRange, NegativeEnergy
+from .errors import AngleOutOfRange, NegativeEnergy, NonFinite
 
 #: Largest relative angle accepted by :func:`w_from_rotations`.
 MAX_ANGLE = np.pi - 1e-6
@@ -130,10 +130,18 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     ])
 
 
+def check_atom_mass(m_atom: float) -> None:
+    """Refuse an atom mass that is not finite (NonFinite) or not positive
+    (ValueError): every entry point that takes m_atom calls this first."""
+    if not np.isfinite(m_atom):
+        raise NonFinite(f"atom mass must be finite, got {m_atom!r}")
+    if m_atom <= 0.0:
+        raise ValueError(f"atom mass must be positive, got {m_atom!r}")
+
+
 def momentum_from_energy(energy: float, m_atom: float) -> float:
     """Momentum p(E) = sqrt(2 m E) of an emitted atom [kg m/s]."""
-    if m_atom <= 0.0:
-        raise ValueError("atom mass must be positive")
+    check_atom_mass(m_atom)
     e = np.asarray(energy, dtype=float)
     if np.any(e < 0.0):
         raise NegativeEnergy("kinetic energy must be nonnegative")

@@ -261,7 +261,10 @@ def _gauss_fourier(t, n_max: int):
     out[:, ~far] = np.stack(j[:n_max + 1])
     tf = t[far]
     if tf.size:
-        u = 1.0 / (tf * tf)
+        # past |t| = 1.3e154, t * t is inf and u is 0: each J_n keeps its
+        # leading term, which is then 0 or below 1e-154 anyway
+        with np.errstate(over="ignore"):
+            u = 1.0 / (tf * tf)
         coeffs = _ASYMPTOTIC_COEFFS[:n_max + 1, :, None]
         sums = np.repeat(coeffs[:, -1], tf.size, axis=1)
         for c in coeffs[:, -2::-1].transpose(1, 0, 2):

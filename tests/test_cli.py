@@ -43,8 +43,9 @@ def test_tensors_matches_golden(tmp_path):
     out = tmp_path / "tensors.json"
     assert run(["tensors", "--config", cfg, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
-    with open("tests/data/golden_sphere_cosine.json") as fh:
-        golden = json.load(fh)
+    # resolved from this file, so the suite runs from any directory
+    golden = json.loads((pathlib.Path(__file__).parent / "data"
+                         / "golden_sphere_cosine.json").read_text())
     assert doc["total_rate"] == pytest.approx(golden["total_rate"], rel=1e-6)
     # cross blocks vanish on the centered sphere up to roundoff: compare
     # them against the geometric mean of the diagonal-block scales

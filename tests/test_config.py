@@ -710,3 +710,17 @@ def test_large_finite_body_sizes_still_parse():
     raw = base_raw()
     raw["body"] = {"shape": "box", "half_extents_m": [1e100, 1e-7, 1e-7]}
     assert np.isfinite(parse_config(raw).quadrature.total_area)
+
+
+def test_parse_config_splits_the_flux_once(full_configs, monkeypatch):
+    # the rate field and the transport scale are both checked by the
+    # library, on the one split of the flux that parse_config takes
+    import desorb.config as config
+    calls = []
+    split = config.split
+    monkeypatch.setattr(config, "split",
+                        lambda *args: calls.append(args) or split(*args))
+    for raw in full_configs.values():
+        calls.clear()
+        parse_config(raw)
+        assert len(calls) == 1

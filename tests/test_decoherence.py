@@ -973,3 +973,54 @@ def test_quadrature_rejects_bad_fields(name, value):
 def test_quadrature_accepts_numpy_integers():
     quad = DecoherenceQuadrature(n_mu_panels=np.int64(8), node_chunk=1)
     assert quad.refined().n_mu_panels == 16
+
+
+@pytest.mark.parametrize("m_atom, error", [
+    (-1.0, ValueError), (float("nan"), NonFinite), (0.0, ValueError)],
+    ids=["minus_one", "nan", "zero"])
+def test_localization_rate_refuses_an_unphysical_atom_mass(m_atom, error):
+    # -1 stopped on a RuntimeWarning, NaN as a NonFinite rate, and 0
+    # returned a zero rate
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 4)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)
+    with pytest.raises(error, match="atom mass must be"):
+        localization_rate(PosePair([1e-9, 0.0, 0.0]), model, q, m_atom)
+
+
+@pytest.mark.parametrize("m_atom", [1e200, 1e300])
+def test_localization_rate_refuses_a_phase_that_overflows(m_atom):
+    # a 1 nm pair at these masses overflowed with a RuntimeWarning, in the
+    # thermal kernel's u**3 (1e200 kg) or in _gauss_fourier's t * t
+    # (1e300 kg); the row is now a named error, and locmap goes on
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)
+    pair = PosePair([1e-9, 0.0, 0.0])
+    with pytest.raises(NonFinite, match="recoil phase"):
+        localization_rate(pair, model, q, m_atom)
+    row, = coherence_map([pair], model, q, m_atom)
+    assert row.rate is None and row.error.startswith("NonFinite: ")
+
+
+@pytest.mark.parametrize("m_atom, temperature", [
+    (1e200, 300.0), (1e300, 300.0), (N2_MASS, 1e300), (N2_MASS, 1.7e308)])
+def test_fixed_direction_site_saturates_past_the_phase_bound(m_atom,
+                                                             temperature):
+    # no Filon kernel runs here, so the phase bound does not apply: chi is
+    # 0 and F the emission rate (at 1e300 kg, t * t in _gauss_fourier
+    # overflowed)
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 8)
+    site = SingleSite(np.array([0.0, 0.0, SPHERE_RADIUS]),
+                      FixedDirection([0.0, 0.0, 1.0]),
+                      MaxwellBoltzmannFlux(temperature), 3.0)
+    rate = localization_rate(PosePair([0.0, 0.0, 1e-9]), site, q, m_atom)
+    assert (rate.re, rate.im) == (3.0, 0.0)
+
+
+def test_phase_bound_leaves_the_largest_displacement_at_n2():
+    # the displacement bound at a thermal N2 recoil sits 1e58 below it
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 4)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), RATE)
+    rate = localization_rate(
+        PosePair([decoherence.MAX_DISPLACEMENT_M, 0.0, 0.0]), model, q,
+        N2_MASS)
+    assert rate.re == pytest.approx(total_rate(model, q), rel=1e-9)

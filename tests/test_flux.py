@@ -605,3 +605,13 @@ def test_torr_conversion_roundtrip():
     back = (x * TORR_L_PER_CM2_S) / TORR_L_PER_CM2_S
     assert back == pytest.approx(x, rel=1e-12)
     assert TORR_L_PER_CM2_S == pytest.approx(1333.22368, rel=1e-8)
+
+
+def test_rate_field_that_overflows_is_nonfinite(sphere_quad_coarse):
+    # the field is evaluated under np.errstate: an overflow stopped on a
+    # raw RuntimeWarning, and is now the named NonFinite
+    grad = np.array([0.0, 0.0, 1e6])
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0),
+                      lambda s: 1.7e308 * (1.0 + s @ grad))
+    with pytest.raises(NonFinite, match="not finite at some surface nodes"):
+        total_rate(model, sphere_quad_coarse)

@@ -1,4 +1,5 @@
 import ast
+import re
 import json
 from pathlib import Path
 
@@ -210,3 +211,36 @@ def test_geometry_dispatches_through_its_shapes():
     calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Name) and node.func.id == "isinstance"]
     assert not calls
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: Sphere(-75e-9), "sphere radius"),
+    (lambda: Sphere(float("nan")), "sphere radius"),
+    (lambda: Cylinder(-5e-8, 1e-7), "cylinder radius"),
+    (lambda: Cylinder(5e-8, -1e-7), "cylinder half_length"),
+    (lambda: Cylinder(5e-8, float("inf")), "cylinder half_length"),
+    (lambda: Box([5e-8, float("nan"), 5e-8]), "box half extents"),
+    (lambda: Box([5e-8, 0.0, 5e-8]), "box half extents"),
+], ids=["sphere", "sphere_nan", "cylinder_radius", "cylinder_length",
+        "cylinder_inf", "box_nan", "box_zero"])
+def test_shapes_refuse_their_own_sizes(make, name):
+    # Sphere(-r) was refused only by BodySpec, as a center of mass outside
+    # the bounding box, and Box(nan) only by its non-finite area
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                                         f"positive"):
+        make()
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda f: f[1:], "boundary or flipped edge (0, 3); mesh not closed"),
+    (lambda f: np.vstack([f[:1], f]),
+     "directed edge (0, 1) repeated; inconsistent orientation"),
+    # a flipped face repeats its neighbours' edges
+    (lambda f: np.vstack([f[:1, ::-1], f[1:]]),
+     "directed edge (0, 3) repeated; inconsistent orientation"),
+], ids=["open", "repeated", "flipped"])
+def test_broken_cube_meshes_keep_their_messages(change, message):
+    cube = cube_mesh(0.5)
+    with pytest.raises(DegenerateMesh, match=f"^{re.escape(message)}$"):
+        build_quadrature(BodySpec(Mesh(cube.vertices, change(cube.faces)),
+                                  center_of_mass=[0, 0, 0]), 1)

@@ -546,3 +546,25 @@ def test_force_torque_rejects_non_finite(bad):
         ForceTorque6(np.zeros(3), [bad, 0.0, 0.0])
     with pytest.raises(ValueError):
         ForceTorque6(np.zeros(2), np.zeros(3))
+
+
+@pytest.mark.parametrize("m_atom, error", [
+    (-1.0, ValueError), (-N2_MASS, ValueError), (float("nan"), NonFinite),
+    (0.0, ValueError)], ids=["minus_one", "minus_n2", "nan", "zero"])
+def test_transport_refuses_an_unphysical_atom_mass(m_atom, error):
+    # a negative mass stopped on a RuntimeWarning in sqrt, NaN as a
+    # NonFinite diffusion tensor, and 0 returned zero tensors
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 4)
+    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), RATE)
+    with pytest.raises(error, match="atom mass must be"):
+        transport(model, q, m_atom)
+
+
+def test_transport_refuses_a_scale_that_overflows():
+    # checked on the emitters transport has split, before any tensor is
+    # built: the product overflowed in _moment_blocks with a RuntimeWarning
+    q = build_quadrature(BodySpec(Sphere(SPHERE_RADIUS)), 4)
+    model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), 1e300)
+    with pytest.raises(NonFinite, match="overflows, so the diffusion tensor"):
+        transport(model, q, 1e300)
+    assert np.all(np.isfinite(transport(model, q, N2_MASS)[0].matrix))

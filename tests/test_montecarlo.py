@@ -658,3 +658,15 @@ def test_buffers_grow_only_past_their_largest_request():
     assert np.shares_memory(first, again)
     assert not np.shares_memory(first, buffers("a", (12, 1000)))
     assert not np.shares_memory(first, buffers("b", (12, 10)))
+
+
+@pytest.mark.parametrize("m_atom, error", [
+    (float("nan"), NonFinite), (float("inf"), NonFinite), (0.0, ValueError),
+    (-N2_MASS, ValueError)], ids=["nan", "inf", "zero", "negative"])
+def test_simulate_refuses_an_unphysical_atom_mass(sphere_body, m_atom, error):
+    # a NaN mass ran every block and returned NaN means without a word; the
+    # mass is checked once, before the first block
+    q = build_quadrature(sphere_body, 8)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e17)
+    with pytest.raises(error, match="atom mass must be"):
+        simulate_ensemble(model, q, m_atom, 1e-3, 8, seed=1)

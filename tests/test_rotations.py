@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from desorb.errors import AngleOutOfRange, NegativeEnergy
+from desorb.errors import AngleOutOfRange, NegativeEnergy, NonFinite
 from desorb.rng import stream
 from desorb.rotations import (Pose, momentum_from_energy, polar_project,
                               random_rotation, rotation_from_w, skew,
@@ -120,3 +120,10 @@ def test_momentum_homogeneity():
             np.sqrt(k) * momentum_from_energy(e, m), rel=1e-13)
         assert momentum_from_energy(e, k * m) == pytest.approx(
             np.sqrt(k) * momentum_from_energy(e, m), rel=1e-13)
+
+
+@pytest.mark.parametrize("m_atom", [float("nan"), float("inf")])
+def test_momentum_refuses_a_mass_that_is_not_finite(m_atom):
+    # NaN passed the old m_atom <= 0 test and returned NaN
+    with pytest.raises(NonFinite, match="atom mass must be finite"):
+        momentum_from_energy(1e-21, m_atom)
