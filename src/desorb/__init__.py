@@ -35,7 +35,6 @@ from .rotations import (Pose, momentum_from_energy, polar_project,
 from .rng import stream
 from .spectra import MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum
 from .amplitudes import (DesorptionJump, SourceSpec, TabulatedAmplitude,
-                         amplitude_norms, desorption_jump_from_flux,
-                         free_green, jump_magnitude_squared,
+                         amplitude_norms, free_green, jump_magnitude_squared,
                          radial_amplitude_extraction, read_amplitude_csv,
                          transparent_amplitude, transparent_site_flux)

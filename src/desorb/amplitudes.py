@@ -167,11 +167,6 @@ class DesorptionJump:
         return self.phase(n, s, energy, pose) - self.phase(n, s, energy, pose_prime)
 
 
-def desorption_jump_from_flux(model, m_atom: float) -> DesorptionJump:
-    """Jump-operator description (magnitude and recoil phase) of a flux model."""
-    return DesorptionJump(model, m_atom)
-
-
 class TabulatedAmplitude:
     """Complex amplitude tabulated on (theta, phi) grids per (site, energy).
 

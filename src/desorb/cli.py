@@ -9,6 +9,7 @@ outputs. `--threads` is accepted and ignored. Exit codes: 0 ok, 2 config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -67,10 +68,6 @@ def _emit_json(obj, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def _dump_json(doc, out_path) -> None:
-    _write_text(out_path, _emit_json(doc) + "\n")
-
-
 def _unwritable(out_path, reason: str) -> ConfigError:
     return ConfigError(f"--out '{out_path}' cannot be written: {reason}")
 
@@ -99,21 +96,12 @@ def _open_out(out_path):
         raise _unwritable(out_path, exc.strerror) from None
 
 
-def _write_text(out_path, text: str) -> None:
-    if out_path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with _open_out(out_path) as fh:
-            fh.write(text)
-
-
 def _stream_text(out_path, chunks) -> None:
-    if out_path in (None, "-"):
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-            sys.stdout.flush()
-        return
-    with _open_out(out_path) as fh:
+    """Write the chunks to out_path, or to stdout for "-", each flushed
+    as it is written, so locmap rows stream out as they are computed."""
+    out = (contextlib.nullcontext(sys.stdout) if out_path in (None, "-")
+           else _open_out(out_path))
+    with out as fh:
         for chunk in chunks:
             fh.write(chunk)
             fh.flush()
@@ -163,7 +151,7 @@ def cmd_tensors(cfg: RunConfig, out_path) -> int:
         "d_tt": d.d_tt, "d_tr": d.d_tr, "d_rt": d.d_rt, "d_rr": d.d_rr,
         "force": ft.force, "torque": ft.torque,
     }
-    _dump_json(doc, out_path)
+    _stream_text(out_path, [_emit_json(doc) + "\n"])
     return EXIT_OK
 
 
@@ -218,7 +206,7 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
         cols += [fmt(v) for v in em.stderr_mean[k]]
         cols += [fmt(em.stderr_cov[k][i, j]) for i, j in triu]
         lines.append(",".join(cols) + "\n")
-    _write_text(out_path, "".join(lines))
+    _stream_text(out_path, ["".join(lines)])
 
     if compare:
         d, ft = transport(model, cfg.quadrature, cfg.atom_mass,
@@ -235,7 +223,7 @@ def cmd_simulate(cfg: RunConfig, out_path) -> int:
             "passed": report.passed,
             "max_abs_z": report.max_abs_z,
         }
-        _dump_json(doc, report_path)
+        _stream_text(report_path, [_emit_json(doc) + "\n"])
         sys.stdout.write(report.summary() + "\n")
     return EXIT_OK
 
@@ -254,7 +242,7 @@ def cmd_outgas(cfg: RunConfig, out_path) -> int:
     }
     if note:
         doc["note"] = note
-    _dump_json(doc, out_path)
+    _stream_text(out_path, [_emit_json(doc) + "\n"])
     return EXIT_OK
 
 
@@ -268,7 +256,7 @@ def cmd_validate(cfg, out_path) -> int:
         all_ok &= ok
         lines.append(f"{name.ljust(width)}  {'PASS' if ok else 'FAIL'}    "
                      f"{detail}\n")
-    _write_text(out_path, "".join(lines))
+    _stream_text(out_path, ["".join(lines)])
     return EXIT_OK if all_ok else EXIT_INTERNAL
 
 

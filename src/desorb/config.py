@@ -12,14 +12,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .decoherence import DecoherenceQuadrature, PosePair
 from .errors import (AngleOutOfRange, BlockTooLarge, ConfigError,
-                     NegativeEnergy, NonFinite, NotUnit)
+                     DegenerateMesh, NegativeEnergy, NonFinite, NotUnit)
 from .flux import (CosineDirection, CosineLaw, FixedDirection, FluxModel,
                    Isotropic, IsotropicDirection, SingleSite, read_flux_csv,
                    split, total_rate)
@@ -32,13 +32,12 @@ from .rng import stream
 from .rotations import random_rotation, rotation_from_w
 from .spectra import MaxwellBoltzmannFlux, Monoenergetic, TabulatedSpectrum
 
-#: empirical outgassing presets: (specific rate, Torr-l flag, T [K], label)
+#: empirical outgassing presets: a specific rate under its outgas key,
+#: the gas temperature [K] and a provenance note
 OUTGAS_PRESETS = {
-    "gold": {"specific_rate": 8.5e-8, "torr_l_per_cm2_s": True,
-             "gas_temperature_k": 295.0,
+    "gold": {"specific_rate_torr_l_cm2_s": 8.5e-8, "gas_temperature_k": 295.0,
              "note": "untreated bulk gold at room temperature"},
-    "silica": {"specific_rate": 6.6e-9, "torr_l_per_cm2_s": False,
-               "gas_temperature_k": 295.0,
+    "silica": {"specific_rate_pa_m3_s_m2": 6.6e-9, "gas_temperature_k": 295.0,
                "note": "baked bulk silica at room temperature"},
 }
 
@@ -192,7 +191,6 @@ class RunConfig:
     angular: AngularQuadrature
     energy: EnergyQuadrature
     surface_resolution: int
-    command_blocks: dict = field(default_factory=dict)
 
     @property
     def config_hash(self) -> str:
@@ -221,6 +219,15 @@ def _body(b: _Block, shape) -> BodySpec:
     return _named("body", ValueError, BodySpec, shape, center_of_mass=com)
 
 
+def _mesh(b: _Block) -> BodySpec:
+    """The body of the mesh in the OBJ file at obj_path: a file that cannot
+    be read or parsed, and a mesh that is not closed and outward, are
+    named under that key."""
+    path = b("obj_path", _string)
+    return _named("body.obj_path", (OSError, DegenerateMesh),
+                  lambda: _body(b, read_obj(path)))
+
+
 _SHAPES = _Kinds("shape", {
     "sphere": (frozenset({"radius_m"}),
                lambda b: _body(b, Sphere(b("radius_m", _positive)))),
@@ -231,8 +238,7 @@ _SHAPES = _Kinds("shape", {
     "box": (frozenset({"half_extents_m"}), lambda b: _body(b, _named(
         "'body.half_extents_m'", ValueError, Box,
         b("half_extents_m", _vector3)))),
-    "mesh": (frozenset({"obj_path"}), lambda b: _body(b, _named(
-        "body.obj_path", OSError, read_obj, b("obj_path", _string)))),
+    "mesh": (frozenset({"obj_path"}), _mesh),
 }, frozenset({"mass_kg", "center_of_mass_m", "inertia_body_kg_m2"}))
 
 
@@ -365,11 +371,16 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
 
     resolution = order("surface_resolution", 64, 1)
     # "angular_polar" is validated and ignored: a table's cos rule is exact
-    angular = AngularQuadrature(n_polar=order("angular_polar", 32, 2))
-    energy = EnergyQuadrature(n_nodes=order("energy_nodes", 40, 4))
+    angular = AngularQuadrature(
+        n_polar=order("angular_polar", AngularQuadrature.n_polar, 2))
+    energy = _named(f"'{quad.at('energy_nodes')}'", BlockTooLarge,
+                    EnergyQuadrature,
+                    order("energy_nodes", EnergyQuadrature.n_nodes, 4))
 
     # a body so small that its node weights underflow has no surface rule
-    quadrature = _named("body", ValueError, build_quadrature, body, resolution)
+    quadrature = _named("body", ValueError, _named,
+                        f"'{quad.at('surface_resolution')}'", BlockTooLarge,
+                        build_quadrature, body, resolution)
     flux = top("flux", _FLUX_MODELS, quadrature, body, default=None)
     if flux is not None:
         # only a surface law's rate field can fail the split
@@ -379,12 +390,9 @@ def parse_config(raw: dict, resolution_scale: float = 1.0,
                em, atom_mass)
 
     top("tensors", _Block, frozenset(), default=None)
-    blocks = {name: raw[name] for name in ("tensors", "locmap", "simulate",
-                                           "outgas") if name in raw}
     return RunConfig(raw=raw, seed=seed, atom_mass=atom_mass, body=body,
                      quadrature=quadrature, flux=flux, angular=angular,
-                     energy=energy, surface_resolution=resolution,
-                     command_blocks=blocks)
+                     energy=energy, surface_resolution=resolution)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +416,9 @@ _OUTGAS_KEYS = frozenset({"preset", "specific_rate_pa_m3_s_m2",
 
 
 def _command(cfg: RunConfig, name: str, keys: frozenset) -> _Block:
-    if name not in cfg.command_blocks:
+    if name not in cfg.raw:
         raise ConfigError(f"missing '{name}' block")
-    return _Block(cfg.command_blocks[name], name, keys)
+    return _Block(cfg.raw[name], name, keys)
 
 
 def parse_locmap_block(cfg: RunConfig):
@@ -444,12 +452,19 @@ def parse_locmap_block(cfg: RunConfig):
                                     f"locmap.random pair {k}"))
     if not pairs:
         raise ConfigError("locmap block defines no pose pairs")
+    orders = {key: b(key, _integer, 1,
+                     default=getattr(DecoherenceQuadrature, key))
+              for key in ("n_mu_panels", "n_azimuth")}
     quad = DecoherenceQuadrature(
-        n_mu_panels=b("n_mu_panels", _integer, 1, default=96),
-        n_azimuth=b("n_azimuth", _integer, 1, default=64),
         energy_nodes=cfg.energy.n_nodes,
-        check_convergence=b("check_convergence", _boolean, default=True),
-        convergence_tol=b("convergence_tol", _positive, default=1e-3))
+        check_convergence=b("check_convergence", _boolean,
+                            default=DecoherenceQuadrature.check_convergence),
+        convergence_tol=b("convergence_tol", _positive,
+                          default=DecoherenceQuadrature.convergence_tol))
+    # each order's bound is named under its key
+    for key, n in orders.items():
+        quad = _named(f"'{b.at(key)}'", BlockTooLarge, replace, quad,
+                      **{key: n})
     times = b("visibility_times_s", _each, _nonnegative, default=[])
     return pairs, quad, times
 
@@ -499,8 +514,15 @@ def parse_simulate_block(cfg: RunConfig):
                      b("n_times", _integer, 1, default=16), "simulate.n_times")
     compare = b("compare", _boolean, default=True)
     if cfg.flux is not None:
-        _named(None, BlockTooLarge, check_block_events,
-               total_rate(cfg.flux, cfg.quadrature), duration,
+        rate = total_rate(cfg.flux, cfg.quadrature)
+        if rate == 0.0:
+            # a rate field so small that the node rates underflow, or a
+            # table of zeros: a site's rate_hz cannot round to 0
+            key = ("csv_path" if cfg.raw["flux"]["model"] == "tabulated"
+                   else "rate_per_area_hz_m2")
+            raise ConfigError(f"'flux.{key}' gives a total rate of 0 on this "
+                              f"surface, so simulate has no events to draw")
+        _named(None, BlockTooLarge, check_block_events, rate, duration,
                "simulate.duration_s")
     return duration, n_traj, n_times, compare
 
@@ -523,8 +545,8 @@ def parse_outgas_block(cfg: RunConfig):
         if preset not in OUTGAS_PRESETS:
             raise ConfigError(f"'outgas.preset' unknown: {preset!r}")
         p = OUTGAS_PRESETS[preset]
-        rate = p["specific_rate"] * (TORR_L_PER_CM2_S if p["torr_l_per_cm2_s"]
-                                     else 1.0)
+        key, = units.keys() & p.keys()
+        rate = units[key] * p[key]
         temperature, note = p["gas_temperature_k"], p["note"]
         if preset == "silica":
             note += ("; the ideal-gas conversion at 295 K over the sphere "

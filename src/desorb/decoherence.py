@@ -75,9 +75,9 @@ from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
                      RateOutOfBounds)
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .moments import momentum_scales
-from .quadrules import (_BLOCK, PanelKernel, filon_grid, filon_moments,
-                        frames, phase_moments, segment_rule)
+from .moments import MAX_ENERGY_NODES, momentum_scales
+from .quadrules import (_BLOCK, PanelKernel, check_order, filon_grid,
+                        filon_moments, frames, phase_moments, segment_rule)
 from .rotations import check_atom_mass, check_rotation, w_from_rotations
 
 
@@ -93,6 +93,17 @@ MAX_DISPLACEMENT_M = 1e30
 #: 5.6e102 (an atom mass of 1e200 kg on a 1 nm pair reads 1.2e115). A
 #: fixed-direction site takes no power of it and is not bounded
 MAX_PHASE = 1e100
+#: largest orders at the finest level, the refined one under the check.
+#: n_mu_panels sizes the mu grid (16385 samples at the bound), so a chunk
+#: of 16 nodes holds rings of 2.1 MB and each distinct phase scale 262 KB
+#: of Filon weights. n_azimuth sizes the arc rule (128 slots per piece),
+#: so a chunk's arc samples hold 129 doubles for each of at most 2 x 16 x
+#: 16385 pieces (541 MB). A res-8 rotation pair at both bounds peaked at
+#: 1.16 GB in 11 s. energy_nodes is bounded as EnergyQuadrature's is.
+#: n_mu_panels 1e8 asked numpy for 71.5 GiB in one array, n_azimuth 1e8 for
+#: 24.4 GiB
+MAX_ORDERS = {"n_mu_panels": 2**13, "n_azimuth": 2**10,
+              "energy_nodes": MAX_ENERGY_NODES}
 
 @dataclass(frozen=True)
 class PosePair:
@@ -158,7 +169,8 @@ class DecoherenceQuadrature:
     n_azimuth is read only for pairs with R != R', laws and tables alike:
     their arc rule has max(2, n_azimuth // 8) intervals per piece where
     both poses emit (7 and 15 interior points at 64 and its refinement).
-    A translation integrates phi in closed form."""
+    A translation integrates phi in closed form. Each order is bounded at
+    its finest level by MAX_ORDERS (BlockTooLarge past it)."""
 
     n_mu_panels: int = 96       # polar Filon panels (2n+1 samples)
     n_azimuth: int = 64
@@ -177,6 +189,9 @@ class DecoherenceQuadrature:
         if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
             raise ValueError(f"convergence_tol must be finite and positive, "
                              f"got {tol!r}")
+        for name, bound in MAX_ORDERS.items():
+            check_order(name, getattr(self, name), bound,
+                        self.check_convergence)
 
     def refined(self) -> "DecoherenceQuadrature":
         return replace(self, n_mu_panels=2 * self.n_mu_panels,

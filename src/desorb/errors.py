@@ -42,7 +42,8 @@ class ZeroNorm(DesorbError):
 
 
 class BlockTooLarge(DesorbError):
-    """A Monte Carlo block would draw more events than it may hold."""
+    """A Monte Carlo block would draw more events than it may hold, or a
+    quadrature order is past the bound that caps the memory it sizes."""
 
 
 class ConfigError(DesorbError):

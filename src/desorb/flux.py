@@ -440,21 +440,14 @@ class TabulatedFlux:
             return out
         return values
 
-    def arc(self, a, b, lo, hi, e, node_idx):
-        """int_lo^hi interp(a + b cos phi, e, node) dphi (see span);
-        node_idx broadcasts against a."""
-        return self.span(a, b, lo, hi)(
-            self.interp(self.cos_grid, e, np.asarray(node_idx)[..., None]))
-
-    def node_spectral_rate(self, node_idx=None):
+    def node_spectral_rate(self):
         """2 pi * integral over (mu, E) per node: rate per area [1/(m^2 s)].
 
         Exact for the bilinear interpolant (per-cell product trapezoid).
         """
-        v = self.values if node_idx is None else self.values[node_idx]
         wc = _trapezoid_weights(self.cos_grid)
         we = _trapezoid_weights(self.energy_grid)
-        return 2.0 * np.pi * np.einsum("...jk,j,k->...", v, wc, we)
+        return 2.0 * np.pi * np.einsum("...jk,j,k->...", self.values, wc, we)
 
     def emitters(self, points, normals, areas) -> Emitters:
         return Emitters(points, normals, areas, self.node_spectral_rate(),
@@ -508,29 +501,19 @@ def flux_eval(model: FluxModel, n: np.ndarray, s: np.ndarray,
                  * em.spectrum.density(energy))
 
 
-def node_emission_rates(model: FluxModel, q: SurfaceQuadrature) -> np.ndarray:
-    """Total emission rate per emitting point [1/s] (area weight included)."""
-    return split(model, q).node_rates
-
-
 def total_rate(model: FluxModel, q: SurfaceQuadrature) -> float:
     """Total atom emission rate [1/s], integrated over E, surface, and angle."""
-    return float(np.sum(node_emission_rates(model, q)))
+    return float(np.sum(split(model, q).node_rates))
 
 
-def outgas_rate(specific_rate: float, area: float, gas_temperature: float,
-                torr_l_per_cm2_s: bool = False) -> float:
-    """Particle emission rate [1/s] from an empirical specific outgassing rate.
-
-    specific_rate is a throughput per area, Pa m^3/(s m^2) by default or
-    Torr l/(cm^2 s) with the flag set; the ideal-gas relation N = pV/(kB T)
-    converts throughput to particle number rate.
+def outgas_rate(specific_rate: float, area: float,
+                gas_temperature: float) -> float:
+    """Particle emission rate [1/s] from an empirical specific outgassing
+    rate, a throughput per area in Pa m^3/(s m^2); the ideal-gas relation
+    N = pV/(kB T) converts throughput to particle number rate.
     """
     if specific_rate <= 0 or area <= 0 or gas_temperature <= 0:
         raise ValueError("specific rate, area, and temperature must be positive")
-    if torr_l_per_cm2_s:
-        from .constants import TORR_L_PER_CM2_S
-        specific_rate = specific_rate * TORR_L_PER_CM2_S
     return specific_rate * area / (KB * gas_temperature)
 
 

@@ -15,7 +15,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateMesh
-from .quadrules import gauss_legendre
+from .quadrules import check_order, gauss_legendre
+
+#: largest surface resolution: numpy's Gauss-Legendre rule of order n
+#: takes an n x n matrix (2 MB at the bound), and the largest rule, a
+#: capped cylinder's, holds 4 n^2 nodes of 56 B (59 MB at the bound, 184 MB
+#: peak while it is built); 1e8 asked for 71 PiB
+MAX_RESOLUTION = 512
 
 
 @dataclass(frozen=True)
@@ -312,9 +318,10 @@ class BodySpec:
 
 def build_quadrature(body: BodySpec, resolution: int = 64) -> SurfaceQuadrature:
     """Surface quadrature for a body, by its shape's rule; `resolution`
-    scales node counts."""
+    scales node counts, up to MAX_RESOLUTION (BlockTooLarge past it)."""
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    check_order("resolution", resolution, MAX_RESOLUTION)
     quad = body.shape.quadrature(resolution)
     com = body.center_of_mass
     if np.any(com != 0.0):

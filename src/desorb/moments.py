@@ -39,7 +39,7 @@ import numpy as np
 from .errors import NonFinite, QuadratureNotConverged
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import segment_rule
+from .quadrules import check_order, segment_rule
 from .rotations import check_atom_mass
 
 
@@ -51,11 +51,22 @@ class AngularQuadrature:
     n_polar: int = 32
 
 
+#: largest energy order at its refined level, which transport always
+#: takes for F's check: one table segment then holds at most 4098 Gauss
+#: nodes, whose rule numpy takes from a 4098 x 4098 matrix (134 MB; 3.4 s
+#: and 287 MB peak measured)
+MAX_ENERGY_NODES = 4096
+
+
 @dataclass(frozen=True)
 class EnergyQuadrature:
-    """Gauss-Legendre order in E over a tabulated flux's energy grid."""
+    """Gauss-Legendre order in E over a tabulated flux's energy grid, whose
+    refined level is bounded by MAX_ENERGY_NODES (BlockTooLarge)."""
 
     n_nodes: int = 40
+
+    def __post_init__(self):
+        check_order("n_nodes", self.n_nodes, MAX_ENERGY_NODES, True)
 
 
 _DEF_ANG = AngularQuadrature()

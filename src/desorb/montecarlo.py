@@ -271,8 +271,10 @@ def _ensemble_moments(blocks, n_t: int):
         before, n_before = mean, n
         n += x.shape[-1]
         mean = total / n
-        sums = [a + b for a, b in zip(_shifted(n_before, sums, before - mean),
-                                      _centred_sums(x, mean))]
+        with np.errstate(over="ignore", invalid="ignore"):    # see _jackknife
+            sums = [a + b for a, b in zip(_shifted(n_before, sums,
+                                                   before - mean),
+                                          _centred_sums(x, mean))]
         del x     # before the next block is built
     return (mean, *_jackknife(n, sums[1], sums[3]))
 
@@ -333,10 +335,17 @@ def _jackknife(n: int, s: np.ndarray, q: np.ndarray):
     Covariances use the unbiased estimator. The covariance without
     trajectory i is (S - n/(n-1) y_i y_i^T)/(n-2), so its jackknife
     variance needs only S and Q (Efron & Stein, Ann. Stat. 9:586, 1981).
+    Where Q or S^2 overflows ((P, J) near 1e77, the fourth root of the
+    float range), the errors are NonFinite.
     """
+    with np.errstate(over="ignore"):    # refused below
+        square = s * s
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(square))):
+        raise NonFinite("the fourth-order sums of (P, J) overflow, so the "
+                        "jackknife errors of the covariance are not finite")
     cov = s / (n - 1)
     se_mean = np.sqrt(np.diagonal(cov, axis1=1, axis2=2) / n)
-    spread = np.maximum(q - s * s / n, 0.0)
+    spread = np.maximum(q - square / n, 0.0)
     se_cov = np.sqrt(n / ((n - 1) * (n - 2) ** 2) * spread)
     return cov, se_mean, se_cov
 

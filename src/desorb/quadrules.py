@@ -10,6 +10,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import BlockTooLarge
+
+
+def check_order(name: str, n: int, bound: int, checked: bool = False) -> None:
+    """Refuse (BlockTooLarge) an order n past bound at its finest level,
+    which is 2n under a 2x check."""
+    top = bound // 2 if checked else bound
+    if n > top:
+        why = ", as its 2x check doubles it" if checked else ""
+        raise BlockTooLarge(f"{name} must be <= {top}{why}")
+
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0):
     """Gauss-Legendre nodes and weights mapped to [a, b]."""
@@ -100,9 +111,9 @@ SERIES_TERMS = 8
 _BLOCK = 1 << 16
 
 
-def filon_grid(n_panels: int, a: float = -1.0, b: float = 1.0):
-    """Uniform grid with 2*n_panels + 1 points on [a, b] for filon_moments."""
-    return np.linspace(a, b, 2 * int(n_panels) + 1)
+def filon_grid(n_panels: int):
+    """Uniform grid with 2*n_panels + 1 points on [-1, 1] for filon_moments."""
+    return np.linspace(-1.0, 1.0, 2 * int(n_panels) + 1)
 
 
 def series_moments(tau, derivs):

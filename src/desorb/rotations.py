@@ -41,20 +41,20 @@ def polar_project(m: np.ndarray) -> np.ndarray:
     return r
 
 
-def is_rotation(m: np.ndarray, tol: float = _ORTHO_TOL) -> bool:
-    """Check orthonormality (R^T R = 1) and det = +1 entrywise within tol."""
+def is_rotation(m: np.ndarray) -> bool:
+    """Check orthonormality (R^T R = 1) and det = +1 entrywise within 1e-12."""
     m = np.asarray(m, dtype=float)
     if m.shape != (3, 3):
         return False
-    if not np.all(np.abs(m.T @ m - np.eye(3)) <= tol):
+    if not np.all(np.abs(m.T @ m - np.eye(3)) <= _ORTHO_TOL):
         return False
-    return abs(np.linalg.det(m) - 1.0) <= tol
+    return abs(np.linalg.det(m) - 1.0) <= _ORTHO_TOL
 
 
-def check_rotation(m: np.ndarray, tol: float = _ORTHO_TOL) -> np.ndarray:
+def check_rotation(m: np.ndarray) -> np.ndarray:
     """Return m as a validated rotation matrix, raising ValueError if invalid."""
     m = np.asarray(m, dtype=float)
-    if not is_rotation(m, tol):
+    if not is_rotation(m):
         raise ValueError("not an orthonormal rotation tensor with det +1")
     return m
 

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import N2_MASS, rel_err
-from desorb.amplitudes import (SourceSpec, amplitude_norms,
-                               desorption_jump_from_flux, free_green,
-                               jump_magnitude_squared,
+from desorb.amplitudes import (DesorptionJump, SourceSpec, amplitude_norms,
+                               free_green, jump_magnitude_squared,
                                radial_amplitude_extraction,
                                read_amplitude_csv, transparent_amplitude,
                                transparent_site_flux)
@@ -182,7 +181,7 @@ def test_zero_norm_raises():
 
 def test_desorption_jump_matches_flux():
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
-    jump = desorption_jump_from_flux(model, N2_MASS)
+    jump = DesorptionJump(model, N2_MASS)
     nu = np.array([0.0, 0.0, 1.0])
     s = np.array([0.0, 0.0, 7.5e-8])
     rng = stream(14, "test-jump-flux")
@@ -198,7 +197,7 @@ def test_desorption_jump_matches_flux():
 
 def test_desorption_phase_difference_formula():
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
-    jump = desorption_jump_from_flux(model, N2_MASS)
+    jump = DesorptionJump(model, N2_MASS)
     rng = stream(15, "test-jump-phase")
     s = np.array([1e-8, -2e-8, 3e-8])
     for _ in range(10):
@@ -221,7 +220,7 @@ def test_transparent_phase_equals_desorption_phase():
     p = momentum_from_energy(E0, N2_MASS)
     a = transparent_amplitude(n, s, E0, N2_MASS)
     model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e3)
-    jump = desorption_jump_from_flux(model, N2_MASS)
+    jump = DesorptionJump(model, N2_MASS)
     # at reference pose (X = 0, R = 1) the jump phase is -p n.s/hbar
     assert np.angle(a) == pytest.approx(
         np.mod(jump.phase(n, s, E0) + np.pi, 2 * np.pi) - np.pi, abs=1e-10)

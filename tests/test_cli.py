@@ -9,10 +9,11 @@ import pytest
 
 import desorb.cli
 import desorb.decoherence
+import desorb.geometry
 import desorb.moments
 from desorb.cli import main
 from desorb.constants import HBAR, KB
-from desorb.geometry import BodySpec, Sphere, build_quadrature
+from desorb.geometry import BodySpec, Sphere, build_quadrature, cube_mesh
 
 N2 = 4.65e-26
 
@@ -527,3 +528,178 @@ def test_locmap_output_does_not_depend_on_the_blas_pool(tmp_path):
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert b"nan" not in outputs[0]
+
+
+def _obj_text(mesh, faces):
+    return ("".join(f"v {float(x)!r} {float(y)!r} {float(z)!r}\n"
+                    for x, y, z in mesh.vertices)
+            + "".join(f"f {a + 1} {b + 1} {c + 1}\n" for a, b, c in faces))
+
+
+_CUBE = cube_mesh(5e-8)
+
+
+@pytest.mark.parametrize("text, message", [
+    (_obj_text(_CUBE, _CUBE.faces).replace("f 1 ", "foo\nf 1 ", 1),
+     "unsupported OBJ content at line 9: 'foo'"),
+    (_obj_text(_CUBE, _CUBE.faces[1:]),
+     "boundary or flipped edge (0, 3); mesh not closed"),
+    (_obj_text(_CUBE, np.vstack([_CUBE.faces[:1, ::-1], _CUBE.faces[1:]])),
+     "directed edge (0, 3) repeated; inconsistent orientation"),
+    ("v 0 0 0\nv 1e-7 0 0\nv 0 1e-7 0\nv 0 0 1e-7\nf 1 2 3\n",
+     "mesh orientation inverted (signed volume <= 0)"),
+], ids=["malformed_line", "open", "flipped", "open_tetrahedron"])
+def test_broken_mesh_file_exit2(tmp_path, capsys, text, message):
+    # these were internal errors (exit 4) that did not name the key; the
+    # library's messages are those of test_broken_cube_meshes_keep_their_
+    # messages and read_obj
+    obj = tmp_path / "broken.obj"
+    obj.write_text(text, encoding="ascii")
+    cfg = write_config(tmp_path, {"body": {"shape": "mesh",
+                                           "obj_path": str(obj)},
+                                  "tensors": {}})
+    assert run(["tensors", "--config", cfg, "--out", "-"]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: body.obj_path: {message}\n"
+
+
+@pytest.mark.parametrize("rate", [
+    1e-320, {"base": 1e-320, "gradient_1_m": [0.0, 0.0, 1e6]}],
+    ids=["uniform", "gradient"])
+def test_simulate_zero_total_rate_exit2(tmp_path, capsys, rate):
+    # node rates that underflow to 0 stopped simulate with a traceback
+    # (exit 1); tensors and locmap write the zeros they compute
+    cfg = write_config(tmp_path, {
+        "flux": dict(BASE_CONFIG["flux"], rate_per_area_hz_m2=rate),
+        "quadrature": _RES4, "tensors": {},
+        "locmap": {"pairs": [{"delta_x_m": [1e-12, 0.0, 0.0]}]},
+        "simulate": {"duration_s": 1.0, "n_trajectories": 64}})
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    assert "'flux.rate_per_area_hz_m2' gives a total rate of 0" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    tensors = tmp_path / "t.json"
+    assert run(["tensors", "--config", cfg, "--out", str(tensors)]) == 0
+    doc = json.loads(tensors.read_text())
+    assert doc["total_rate"] == 0.0 and not np.any(doc["d_tt"])
+    locmap = tmp_path / "l.csv"
+    assert run(["locmap", "--config", cfg, "--out", str(locmap)]) == 0
+    assert locmap.read_text().splitlines()[2].split(",")[6:] == ["0", "0"]
+
+
+def test_simulate_zero_table_exit2(tmp_path, capsys):
+    flux_csv = tmp_path / "zero.csv"
+    flux_csv.write_text("node_index,cos_theta,E_joule,value\n0,0,0,0\n"
+                        "0,0,1e-21,0\n0,1,0,0\n0,1,1e-21,0\n",
+                        encoding="ascii")
+    cfg = write_config(tmp_path, {
+        "flux": {"model": "tabulated", "csv_path": str(flux_csv)},
+        "quadrature": _RES4,
+        "simulate": {"duration_s": 1.0, "n_trajectories": 64}})
+    assert run(["simulate", "--config", cfg, "--out", "-"]) == 2
+    assert "'flux.csv_path' gives a total rate of 0" in capsys.readouterr().err
+
+
+def test_simulate_overflowing_jackknife_exit4(tmp_path, capsys):
+    # the fourth-order sums of a 1e200 kg atom's kicks overflow: this wrote
+    # 15 NaN columns and "chi2": null and exited 0
+    cfg = write_config(tmp_path, {
+        "atom": {"mass_kg": 1e200},
+        "flux": dict(_SITE, site_m=[0.0, 0.0, 0.0]), "quadrature": _RES4,
+        "simulate": {"duration_s": 1.0, "n_trajectories": 64}})
+    out = tmp_path / "s.csv"
+    assert run(["simulate", "--config", cfg, "--out", str(out)]) == 4
+    assert "jackknife errors of the covariance are not finite" in \
+        capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "s.csv.report.json").exists()
+
+
+@pytest.mark.parametrize("quadrature, locmap, scale, key", [
+    ({"surface_resolution": 513}, {}, "1", "quadrature.surface_resolution"),
+    ({"surface_resolution": 300}, {}, "2", "quadrature.surface_resolution"),
+    ({"surface_resolution": 10**8}, {}, "1", "quadrature.surface_resolution"),
+    ({"energy_nodes": 2049}, {}, "1", "quadrature.energy_nodes"),
+    ({"energy_nodes": 1500}, {}, "1.5", "quadrature.energy_nodes"),
+    ({}, {"n_mu_panels": 4097}, "1", "locmap.n_mu_panels"),
+    ({}, {"n_mu_panels": 8193, "check_convergence": False}, "1",
+     "locmap.n_mu_panels"),
+    ({}, {"n_mu_panels": 10**30}, "1", "locmap.n_mu_panels"),
+    ({}, {"n_azimuth": 513}, "1", "locmap.n_azimuth"),
+    ({}, {"n_azimuth": 10**8}, "1", "locmap.n_azimuth"),
+], ids=["resolution", "resolution_scaled", "resolution_1e8", "energy",
+        "energy_scaled", "mu_checked", "mu_unchecked", "mu_1e30",
+        "azimuth", "azimuth_1e8"])
+def test_orders_past_their_bounds_exit2(tmp_path, capsys, monkeypatch,
+                                        quadrature, locmap, scale, key):
+    # resolution 1e8 raised a raw MemoryError (71 PiB), n_mu_panels 1e8
+    # asked for 71.5 GiB and 1e30 stopped on a raw ValueError; each order
+    # is refused where the library first takes it, before any array of its
+    # size is allocated
+    def never(*args, **kwargs):
+        raise AssertionError("an order past its bound was used")
+
+    if quadrature:
+        monkeypatch.setattr(desorb.geometry.Sphere, "quadrature", never)
+    monkeypatch.setattr(desorb.decoherence, "localization_rate", never)
+    cfg = write_config(tmp_path, {
+        "quadrature": quadrature,
+        "locmap": {"pairs": [{"delta_x_m": [1e-12, 0.0, 0.0]}], **locmap}})
+    assert run(["locmap", "--config", cfg, "--out", "-",
+                "--resolution-scale", scale]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: '{key}': ")
+    assert " must be <= " in err
+
+
+def _stdout_and_file(tmp_path, capsys, argv, name):
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--out", "-"]) == 0
+    return capsys.readouterr().out, out.read_bytes().decode("utf-8")
+
+
+def test_out_dash_prints_the_bytes_of_the_file(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "flux": _TWELVE_HZ, "quadrature": {"surface_resolution": 8},
+        "tensors": {},
+        "locmap": {"pairs": [{"delta_x_m": [2e-12, 0.0, 0.0]},
+                             {"delta_x_m": [0.0, 0.0, 0.0],
+                              "w": [0.0, 0.0, 0.01]}],
+                   "visibility_times_s": [1e-3]},
+        "simulate": {"duration_s": 1.0, "n_trajectories": 64, "n_times": 3,
+                     "compare": False},
+        "outgas": {"preset": "gold"}})
+    for command in ("tensors", "locmap", "simulate", "outgas", "validate"):
+        printed, written = _stdout_and_file(
+            tmp_path, capsys, [command, "--config", cfg], f"{command}.out")
+        assert printed == written, command
+        assert written.endswith("\n") and len(written.splitlines()) > 1
+
+
+def test_seed_flag_overrides_the_config_seed(tmp_path, capsys):
+    # streams take the seed modulo 2**64: -1 and 2**64 - 1 name one stream,
+    # and only the seed echoed in the metadata differs
+    sim = {"duration_s": 1.0, "n_trajectories": 64, "n_times": 3,
+           "compare": False}
+    extra = {"flux": _TWELVE_HZ, "quadrature": _RES4, "simulate": sim}
+    cfg = write_config(tmp_path, extra)
+    argv = ["simulate", "--config", cfg, "--out", "-", "--seed"]
+    outputs = {}
+    for seed in ("-1", "18446744073709551615", "5", "6"):
+        assert run(argv + [seed]) == 0
+        outputs[seed] = capsys.readouterr().out
+    low, high = outputs["-1"], outputs["18446744073709551615"]
+    assert low.replace('"seed":-1', '"seed":18446744073709551615') == high
+    assert low != outputs["5"] != outputs["6"]
+    # --seed N gives the bytes of the config's own seed N
+    seeded = write_config(tmp_path, dict(extra, seed=5), name="seeded.json")
+    assert run(["simulate", "--config", seeded, "--out", "-"]) == 0
+    own = capsys.readouterr().out
+    assert run(["simulate", "--config", seeded, "--out", "-",
+                "--seed", "5"]) == 0
+    assert capsys.readouterr().out == own
+    # the config differs only in its seed, so only its hash differs
+    assert own.splitlines()[1:] == outputs["5"].splitlines()[1:]

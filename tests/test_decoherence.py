@@ -14,7 +14,7 @@ from desorb.decoherence import (DecoherenceQuadrature, LocalizationRate,
                                 PosePair, _arc_levels, arc_rule,
                                 coherence_map, localization_rate,
                                 ring_overlap)
-from desorb.errors import NonFinite, QuadratureNotConverged
+from desorb.errors import BlockTooLarge, NonFinite, QuadratureNotConverged
 from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          CosineLaw, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
@@ -968,6 +968,21 @@ def test_quadrature_rejects_bad_fields(name, value):
     # turned the check off, and a negative n_azimuth ran
     with pytest.raises(ValueError, match=name):
         DecoherenceQuadrature(**{name: value})
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("n_mu_panels", 2**13), ("n_azimuth", 2**10), ("energy_nodes", 2**12)])
+def test_quadrature_bounds_its_finest_level(name, bound):
+    # n_mu_panels 1e8 asked for 71.5 GiB; the bound holds at the level the
+    # rule runs finest, the refined one under the check
+    assert getattr(DecoherenceQuadrature(**{name: bound // 2}).refined(),
+                   name) == bound
+    DecoherenceQuadrature(**{name: bound, "check_convergence": False})
+    with pytest.raises(BlockTooLarge, match=f"^{name} must be <= {bound // 2}"
+                                            f", as its 2x check doubles it$"):
+        DecoherenceQuadrature(**{name: bound // 2 + 1})
+    with pytest.raises(BlockTooLarge, match=f"^{name} must be <= {bound}$"):
+        DecoherenceQuadrature(**{name: 10**30, "check_convergence": False})
 
 
 def test_quadrature_accepts_numpy_integers():

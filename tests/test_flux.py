@@ -10,8 +10,8 @@ from desorb.errors import ConfigError, DesorbError, NonFinite, NotUnit
 from desorb.flux import (COSINE, HEMISPHERE, SPHERE, CosineDirection,
                          CosineLaw, EventSampler, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux,
-                         _sample_table, _TableCells, flux_eval,
-                         node_emission_rates, outgas_rate, split, total_rate)
+                         _sample_table, _TableCells, flux_eval, outgas_rate,
+                         split, total_rate)
 from desorb.lebedev import lebedev_rule
 from desorb.moments import diffusion_tensor, force_torque
 from desorb.quadrules import GuideTable, frames, gauss_legendre
@@ -115,7 +115,8 @@ def test_table_arc_matches_midpoint_sum():
         dphi = (hi - lo) / n
         phi = lo + (np.arange(n) + 0.5) * dphi
         ref = dphi * table.interp(a + b * np.cos(phi), e, node).sum()
-        assert abs(table.arc(a, b, lo, hi, e, node) - ref) <= 4.0 * dphi
+        arc = table.span(a, b, lo, hi)(table.interp(table.cos_grid, e, node))
+        assert abs(arc - ref) <= 4.0 * dphi
 
 
 def test_table_knot_is_the_emitting_edge():
@@ -181,8 +182,8 @@ def test_total_rate_rotation_invariant(sphere_quad_coarse):
 
 def test_gold_preset_total_rate(sphere_quad):
     # empirical outgassing of untreated gold: ~2 kHz from a 150 nm sphere
-    gamma = outgas_rate(8.5e-8, sphere_quad.total_area, 295.0,
-                        torr_l_per_cm2_s=True)
+    gamma = outgas_rate(8.5e-8 * TORR_L_PER_CM2_S, sphere_quad.total_area,
+                        295.0)
     rate_per_area = gamma / sphere_quad.total_area
     model = CosineLaw(MaxwellBoltzmannFlux(295.0), rate_per_area)
     assert abs(total_rate(model, sphere_quad) / 1966.7494527410327 - 1.0) < 1e-6
@@ -231,7 +232,7 @@ def test_sampler_node_weights_chi2(sphere_quad_coarse):
     rng = stream(103, "test-node-chi2")
     n_samples = 500_000
     ev = EventSampler(model, sphere_quad_coarse).draw(rng, size=n_samples)
-    lam = node_emission_rates(model, sphere_quad_coarse)
+    lam = split(model, sphere_quad_coarse).node_rates
     probs = lam / lam.sum()
     counts = np.bincount(ev.node_index, minlength=len(probs))
     expected = probs * n_samples
@@ -455,7 +456,7 @@ def test_sampler_nodes_match_searchsorted_on_sparse_rates(sphere_quad_coarse):
     rate = lambda pts: np.where(np.abs(pts[:, 2]) > 0.9 * 75e-9, 1e3, 0.0)
     model = CosineLaw(MaxwellBoltzmannFlux(T_ROOM), rate)
     ev = EventSampler(model, q).draw(stream(32, "sparse"), 5000)
-    lam = node_emission_rates(model, q)
+    lam = split(model, q).node_rates
     cdf = np.cumsum(lam) / lam.sum()
     u = stream(32, "sparse").random(5000)
     want = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
@@ -580,7 +581,7 @@ def test_non_finite_rate_field_rejected(sphere_quad_coarse, bad):
 
 def test_outgas_rate_gold_value():
     area = np.pi * (150e-9) ** 2
-    gamma = outgas_rate(8.5e-8, area, 295.0, torr_l_per_cm2_s=True)
+    gamma = outgas_rate(8.5e-8 * TORR_L_PER_CM2_S, area, 295.0)
     assert gamma == pytest.approx(1966.7494527410327, rel=1e-12)
     assert abs(gamma - 2000.0) / 2000.0 < 0.15
 

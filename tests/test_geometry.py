@@ -10,7 +10,7 @@ import desorb.geometry
 from conftest import SPHERE_RADIUS, rel_err
 from desorb.cli import main
 from desorb.config import load_config
-from desorb.errors import DegenerateMesh
+from desorb.errors import BlockTooLarge, DegenerateMesh
 from desorb.geometry import (BodySpec, Box, Cylinder, Mesh, Sphere,
                              build_quadrature, cube_mesh, read_obj,
                              surface_moment)
@@ -244,3 +244,15 @@ def test_broken_cube_meshes_keep_their_messages(change, message):
     with pytest.raises(DegenerateMesh, match=f"^{re.escape(message)}$"):
         build_quadrature(BodySpec(Mesh(cube.vertices, change(cube.faces)),
                                   center_of_mass=[0, 0, 0]), 1)
+
+
+def test_resolution_is_bounded_before_a_rule_is_built(sphere_body,
+                                                        monkeypatch):
+    # resolution 1e8 raised a raw MemoryError: numpy asked for 71 PiB
+    def never(self, resolution):
+        raise AssertionError("a rule was built past the bound")
+
+    monkeypatch.setattr(Sphere, "quadrature", never)
+    for resolution in (513, 10**8):
+        with pytest.raises(BlockTooLarge, match="^resolution must be <= 512$"):
+            build_quadrature(sphere_body, resolution)

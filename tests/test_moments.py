@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from conftest import N2_MASS, SPHERE_RADIUS, rel_err
 from desorb import moments
 from desorb.constants import KB
-from desorb.errors import NonFinite, QuadratureNotConverged
+from desorb.errors import BlockTooLarge, NonFinite, QuadratureNotConverged
 from desorb.flux import (COSINE, DELTA, HEMISPHERE, SPHERE, CosineDirection,
                          CosineLaw, FixedDirection, Isotropic,
                          IsotropicDirection, SingleSite, TabulatedFlux, split,
@@ -568,3 +568,12 @@ def test_transport_refuses_a_scale_that_overflows():
     with pytest.raises(NonFinite, match="overflows, so the diffusion tensor"):
         transport(model, q, 1e300)
     assert np.all(np.isfinite(transport(model, q, N2_MASS)[0].matrix))
+
+
+def test_energy_order_is_bounded_at_its_refined_level():
+    # transport takes F under the rule of 2 n_nodes: 1e8 nodes on a table
+    # asked numpy for one Gauss rule of 1.7e7 nodes per segment
+    assert EnergyQuadrature(2048).n_nodes == 2048
+    with pytest.raises(BlockTooLarge, match="^n_nodes must be <= 2048, as "
+                                            "its 2x check doubles it$"):
+        EnergyQuadrature(2049)

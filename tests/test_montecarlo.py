@@ -171,6 +171,33 @@ def test_simulate_refuses_a_block_past_the_event_bound(sphere_quad_coarse):
                           _BLOCK, seed=1)
 
 
+def test_simulate_refuses_a_zero_total_rate_before_any_block(
+        sphere_quad_coarse, monkeypatch):
+    # node rates that underflow to 0: refused as the sampler is built
+    def never(*args):
+        raise AssertionError("a block was drawn")
+
+    monkeypatch.setattr(desorb.montecarlo, "stream", never)
+    model = CosineLaw(MaxwellBoltzmannFlux(300.0), 1e-320)
+    assert total_rate(model, sphere_quad_coarse) == 0.0
+    with pytest.raises(ValueError, match="zero total rate"):
+        simulate_ensemble(model, sphere_quad_coarse, N2_MASS, 1.0, 64, seed=1)
+
+
+@pytest.mark.parametrize("m_atom, n_traj", [
+    (1e200, 64), (1e300, 64), (1e200, _BLOCK + 64)],
+    ids=["1e200", "1e300", "two_blocks"])
+def test_simulate_refuses_jackknife_sums_that_overflow(sphere_quad_coarse,
+                                                       m_atom, n_traj):
+    # the fourth-order sums of a huge atom's kicks overflow: the stderr
+    # columns were NaN, after an "invalid value" or "overflow" warning
+    model = SingleSite(np.zeros(3), IsotropicDirection(),
+                       MaxwellBoltzmannFlux(300.0), 5.0)
+    with pytest.raises(NonFinite, match="jackknife errors of the covariance"):
+        simulate_ensemble(model, sphere_quad_coarse, m_atom, 1.0, n_traj,
+                          seed=1)
+
+
 def test_traced_peak_does_not_grow_with_trajectories(sphere_body):
     # blocks are merged as they are binned: eight blocks peak within
     # 1.25x of one; holding every trajectory, they peaked at 5.7x

@@ -16,8 +16,7 @@ from conftest import N2_MASS, SPHERE_RADIUS
 from desorb.constants import KB
 from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
                          FixedDirection, Isotropic, IsotropicDirection,
-                         SingleSite, TabulatedFlux, node_emission_rates,
-                         total_rate)
+                         SingleSite, TabulatedFlux, split, total_rate)
 from desorb.moments import diffusion_tensor, force_torque
 from desorb.montecarlo import compare_to_prediction, simulate_ensemble
 from desorb.rng import stream
@@ -81,7 +80,7 @@ def test_every_model_kind_is_consistent(sphere_quad_coarse, checked, kind):
     q = sphere_quad_coarse
     model = KINDS[kind](q)
     gamma, em, report = checked(kind)
-    assert gamma == np.sum(node_emission_rates(model, q))
+    assert gamma == np.sum(split(model, q).node_rates)
     assert EventSampler(model, q).total == gamma
     assert gamma == pytest.approx(EVENTS, rel=1e-12)
     n = em.n_trajectories
