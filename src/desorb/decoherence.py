@@ -51,33 +51,30 @@ blocks of at most _BLOCK values. _BLOCK is the one memory budget: it is
 defined in quadrules, whose filon_moments takes a law's phase scales in
 blocks of the same size.
 
-The 2x self-check samples the rings once, at the refined level, and
-takes the coarse level as every other sample in mu and every other
-node of the arc rule, whose refined level doubles the intervals per
-piece; each level weights only the nodes of its own energy rule. A
-law's Filon weights of both levels come from one filon_moments call: a
-kernel that takes wide panels from edge values (the thermal one) is
-evaluated once per distinct phase scale, at the refined panel edges,
-and a coarse panel reads every other edge. The check compares both
-Re F and Im F and returns the refined values.
+The 2x check (README's refinement rule) samples the rings once, at the
+refined level; the coarse level reads every other mu sample and arc-rule
+node, and each level weights only the nodes of its own energy rule. A
+law's Filon weights of both levels come from one filon_moments call,
+which evaluates an edged kernel (the thermal one) once per distinct
+phase scale, at the refined panel edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from numbers import Integral, Real
+from numbers import Integral
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .constants import HBAR
-from .errors import (DesorbError, NonFinite, QuadratureNotConverged,
-                     RateOutOfBounds)
+from .errors import DesorbError, NonFinite, RateOutOfBounds
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
 from .moments import MAX_ENERGY_NODES, momentum_scales
-from .quadrules import (_BLOCK, PanelKernel, check_order, filon_grid,
-                        filon_moments, frames, phase_moments, segment_rule)
+from .quadrules import (_BLOCK, PanelKernel, check_order, check_refinement,
+                        check_refinement_fields, filon_grid, filon_moments,
+                        frames, phase_moments, segment_rule)
 from .rotations import check_atom_mass, check_rotation, w_from_rotations
 
 
@@ -162,15 +159,13 @@ class LocalizationRate:
 @dataclass(frozen=True)
 class DecoherenceQuadrature:
     """Resolution of the aligned-axis angular rule, and of the energy
-    rule of a tabulated flux. A law's spectrum is not refined: the
-    Maxwell-Boltzmann and monoenergetic kernels are exact, and a
-    TabulatedSpectrum sums pure phases over a fixed 3-point rule per
-    segment at every level, so the check does not see that rule's error.
-    n_azimuth is read only for pairs with R != R', laws and tables alike:
-    their arc rule has max(2, n_azimuth // 8) intervals per piece where
-    both poses emit (7 and 15 interior points at 64 and its refinement).
-    A translation integrates phi in closed form. Each order is bounded at
-    its finest level by MAX_ORDERS (BlockTooLarge past it)."""
+    rule of a tabulated flux, which the check refines as README's
+    refinement rule states. n_azimuth is read only for pairs with R != R',
+    laws and tables alike: their arc rule has max(2, n_azimuth // 8)
+    intervals per piece where both poses emit (7 and 15 interior points
+    at 64 and its refinement). A translation integrates phi in closed
+    form. Each order is bounded at its finest level by MAX_ORDERS
+    (BlockTooLarge past it)."""
 
     n_mu_panels: int = 96       # polar Filon panels (2n+1 samples)
     n_azimuth: int = 64
@@ -185,10 +180,8 @@ class DecoherenceQuadrature:
             if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, "
                                  f"got {n!r}")
-        tol = self.convergence_tol
-        if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
-            raise ValueError(f"convergence_tol must be finite and positive, "
-                             f"got {tol!r}")
+        check_refinement_fields(self.check_convergence,
+                                self.convergence_tol)
         for name, bound in MAX_ORDERS.items():
             check_order(name, getattr(self, name), bound,
                         self.check_convergence)
@@ -524,26 +517,18 @@ def _pair_terms(pair: PosePair, em: Emitters, m_atom, levels):
 def localization_rate(pair: PosePair, model: FluxModel, q: SurfaceQuadrature,
                       m_atom: float,
                       quad: DecoherenceQuadrature = _DEF_QUAD) -> LocalizationRate:
-    """Complex localization rate F for one pose pair.
-
-    With check_convergence set, the angular grid (and a tabulated flux's
-    energy rule) is also doubled and the refined rate returned; a change
-    of Re F or Im F above convergence_tol times the emission rate raises
-    QuadratureNotConverged. The atom mass is checked first
-    (check_atom_mass), and a recoil phase past MAX_PHASE on the Filon
-    path (every pair but a fixed-direction site's) is NonFinite.
-    """
+    """Complex localization rate F for one pose pair, checked by README's
+    refinement rule. The atom mass is checked first (check_atom_mass),
+    and a recoil phase past MAX_PHASE on the Filon path (every pair but a
+    fixed-direction site's) is NonFinite."""
     check_atom_mass(m_atom)
     em = split(model, q)
     gamma = float(np.sum(em.node_rates))
     levels = [quad, quad.refined()] if quad.check_convergence else [quad]
     terms = _pair_terms(pair, em, m_atom, levels)
-    re, im = terms[-1]
-    change = max(abs(terms[0][0] - re), abs(terms[0][1] - im))
-    if change > quad.convergence_tol * gamma:
-        raise QuadratureNotConverged(
-            f"localization rate moved by {change:.3g} ({change / gamma:.2e} "
-            f"of the emission rate) under refinement")
+    (re0, im0), (re, im) = terms[0], terms[-1]
+    check_refinement([("Re F", re0, re, gamma), ("Im F", im0, im, gamma)],
+                     quad.convergence_tol)
     return LocalizationRate(re, im, gamma)
 
 

@@ -21,11 +21,9 @@ per-grid-point weights (the cos and energy rules folded through the
 grid's hat functions), at cost O(nodes x n_cos x n_E); the table is
 never interpolated point by point. The cos rule (3 Gauss points per
 segment) is exact, and so is the energy rule of D (p^2 is linear in E).
-Only F's energy rule carries error, as p is not polynomial in E; the
-energy order and the 2x check serve it alone. D and F come from one pass
-(transport): one contraction, which also carries F's refined energy
-weights, and one check of F, whose scale Gamma pbar is taken from the
-coarse p weights of that contraction.
+Only F's energy rule carries error, so D and F come from one pass
+(transport) whose contraction also carries F's refined energy weights,
+for README's refinement rule.
 """
 
 from __future__ import annotations
@@ -36,10 +34,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFinite, QuadratureNotConverged
+from .errors import NonFinite
 from .flux import Emitters, FluxModel, split
 from .geometry import SurfaceQuadrature
-from .quadrules import check_order, segment_rule
+from .quadrules import (check_order, check_refinement,
+                        check_refinement_fields, segment_rule)
 from .rotations import check_atom_mass
 
 
@@ -223,28 +222,27 @@ def _table_surface_moments(em: Emitters, m_atom, energy):
 # ---------------------------------------------------------------------------
 
 def _moment_blocks(em: Emitters, m_atom, energy):
-    """(Diffusion6, ForceTorque6, check). check is None for a separable
-    model; for a table it is (F under the refined energy rule, Gamma
-    pbar), with pbar the mean momentum over the spectral weight."""
-    check = None
+    """(Diffusion6, F, (refined F, Gamma pbar)): F per energy level, one for
+    a separable model (exact); pbar the mean momentum over the spectrum."""
     if em.table is not None:
         a0, a1, a2 = _table_surface_moments(em, m_atom, energy)
         tot, pbar = a0[:2] @ em.areas
         pbar /= max(tot, 1e-300)
-        f_t, f_r = _force_from_a1(em.points, em.areas[:, None] * a1[3])
-        check = (ForceTorque6(-f_t, -f_r), float(np.sum(em.node_rates)) * pbar)
-        a1, a2, w1, w2 = a1[1], a2[2], em.areas, em.areas
+        a1, a2, w1, w2 = a1[1::2], a2[2], em.areas, em.areas
     else:
         _, a1, a2 = _axial_moments_to_tensors(em.axes, *em.law.moments)
-        a1, a2 = em.rates[:, None] * a1, em.rates[:, None, None] * a2
-        j1, j2 = spectral_momentum_moments(em.spectrum, m_atom)
-        w1, w2 = j1 * em.areas, (0.5 * j2) * em.areas
+        a1, a2 = em.rates[None, :, None] * a1, em.rates[:, None, None] * a2
+        pbar, j2 = spectral_momentum_moments(em.spectrum, m_atom)
+        w1, w2 = pbar * em.areas, (0.5 * j2) * em.areas
     tt, tr, rt, rr = _diffusion_from_a2(em.points, w2[:, None, None] * a2)
     m = np.block([[tt, tr], [rt, rr]])
     m = 0.5 * (m + m.T)  # kill roundoff skew only
-    f_t, f_r = _force_from_a1(em.points, w1[:, None] * a1)
-    return (Diffusion6(m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]),
-            ForceTorque6(-f_t, -f_r), check)
+    ft = []
+    for level in a1:
+        f_t, f_r = _force_from_a1(em.points, w1[:, None] * level)
+        ft.append(ForceTorque6(-f_t, -f_r))
+    return (Diffusion6(m[:3, :3], m[:3, 3:], m[3:, :3], m[3:, 3:]), ft[0],
+            (ft[-1], float(np.sum(em.node_rates)) * pbar))
 
 
 def _skews(s: np.ndarray) -> np.ndarray:
@@ -278,30 +276,21 @@ def transport(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
     """D and F in the body frame from one pass, exact for a separable model.
 
     angular is accepted and ignored. A tabulated flux is contracted once;
-    D and the cos level are exact, and F is also taken under the refined
-    energy rule (the surface rule is not refined). With check_convergence
-    set, the refined F is returned, and QuadratureNotConverged is raised if
-    the force moves by more than convergence_tol Gamma pbar (the momentum
-    flux) or the torque by more than convergence_tol Gamma pbar R, with R
-    the largest emitter radius. The atom mass and the transport scale
-    are checked first (check_atom_mass, check_transport_scale).
+    D and the cos level are exact, and F is checked by README's
+    refinement rule. The inputs are checked first.
     """
+    check_refinement_fields(check_convergence, convergence_tol)
     check_atom_mass(m_atom)
     em = split(model, q)
     check_transport_scale(em, m_atom)
-    d, ft, check = _moment_blocks(em, m_atom, energy)
-    if not check_convergence or check is None:
+    d, ft, (ft_fine, f_scale) = _moment_blocks(em, m_atom, energy)
+    if not check_convergence:
         return d, ft
     # scale against the momentum flux, not the (possibly zero) force
-    ft_fine, f_scale = check
-    t_scale = f_scale * em.radius
-    df = float(np.max(np.abs(ft.force - ft_fine.force)))
-    dt = float(np.max(np.abs(ft.torque - ft_fine.torque)))
-    if (df > convergence_tol * max(f_scale, 1e-300)
-            or dt > convergence_tol * max(t_scale, 1e-300)):
-        raise QuadratureNotConverged(
-            f"force changed by {df:.3g} (scale {f_scale:.3g}), torque by "
-            f"{dt:.3g} (scale {t_scale:.3g}) under refinement")
+    check_refinement(
+        [("force", ft.force, ft_fine.force, max(f_scale, 1e-300)),
+         ("torque", ft.torque, ft_fine.torque,
+          max(f_scale * em.radius, 1e-300))], convergence_tol)
     return d, ft_fine
 
 
@@ -310,8 +299,8 @@ def diffusion_tensor(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                      energy: EnergyQuadrature = _DEF_EN,
                      check_convergence: bool = True,
                      convergence_tol: float = 1e-6) -> Diffusion6:
-    """Momentum diffusion tensor D (body frame): transport(...)[0]. A
-    tabulated flux is checked as in transport, which checks F."""
+    """Momentum diffusion tensor D (body frame): transport(...)[0], whose
+    check of F (README's refinement rule) holds for it too."""
     return transport(model, q, m_atom, angular, energy, check_convergence,
                      convergence_tol)[0]
 
@@ -322,7 +311,7 @@ def force_torque(model: FluxModel, q: SurfaceQuadrature, m_atom: float,
                  check_convergence: bool = True,
                  convergence_tol: float = 1e-6) -> ForceTorque6:
     """Thermophoresis-like force and torque F (body frame):
-    transport(...)[1]. A tabulated flux is checked as in transport."""
+    transport(...)[1], checked by README's refinement rule."""
     return transport(model, q, m_atom, angular, energy, check_convergence,
                      convergence_tol)[1]
 

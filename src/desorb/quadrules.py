@@ -8,9 +8,11 @@ segment; and a constant-time exact search of a sorted CDF (GuideTable).
 
 from __future__ import annotations
 
+from numbers import Real
+
 import numpy as np
 
-from .errors import BlockTooLarge
+from .errors import BlockTooLarge, QuadratureNotConverged
 
 
 def check_order(name: str, n: int, bound: int, checked: bool = False) -> None:
@@ -20,6 +22,29 @@ def check_order(name: str, n: int, bound: int, checked: bool = False) -> None:
     if n > top:
         why = ", as its 2x check doubles it" if checked else ""
         raise BlockTooLarge(f"{name} must be <= {top}{why}")
+
+
+def check_refinement_fields(check, tol) -> None:
+    """Refuse (ValueError) a 2x check's flag that is not a bool, and its
+    tol unless finite and positive."""
+    if not isinstance(check, (bool, np.bool_)):
+        raise ValueError(f"check_convergence must be a bool, got {check!r}")
+    if not (isinstance(tol, Real) and np.isfinite(tol) and tol > 0):
+        raise ValueError(f"convergence_tol must be finite and positive, "
+                         f"got {tol!r}")
+
+
+def check_refinement(quantities, tol: float) -> None:
+    """README's refinement rule: QuadratureNotConverged if any (name,
+    coarse, fine, scale) moves by more than tol x scale; NaN passes."""
+    for name, coarse, fine, scale in quantities:
+        change = float(np.max(np.abs(np.subtract(fine, coarse))))
+        bound = tol * scale
+        if change > bound:
+            raise QuadratureNotConverged(
+                f"{name} moved by {change:.3g} under 2x refinement, "
+                f"{change / bound if bound else np.inf:.3g} times tol "
+                f"{tol:.3g} x its scale {scale:.3g}")
 
 
 def gauss_legendre(n: int, a: float = -1.0, b: float = 1.0):

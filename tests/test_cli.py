@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -97,6 +98,17 @@ def test_tensors_not_converged_exit3(tmp_path, capsys):
         "quadrature": {"surface_resolution": 12, "energy_nodes": 4}})
     assert run(["tensors", "--config", cfg, "--out", "-"]) == 3
     assert "not converged" in capsys.readouterr().err
+
+
+def test_exit_codes_match_readme():
+    # README's "Exit codes:" sentence lists exactly the codes cli returns
+    readme = (pathlib.Path(__file__).resolve().parents[1]
+              / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("Exit codes:", 1)[1].split(".", 1)[0]
+    documented = {int(code) for code in re.findall(r"`(\d+)`", sentence)}
+    codes = {value for name, value in vars(desorb.cli).items()
+             if name.startswith("EXIT_")}
+    assert documented == codes == {0, 2, 3, 4}
 
 
 def test_tensors_resolution_scale_converged(tmp_path):

@@ -970,6 +970,16 @@ def test_quadrature_rejects_bad_fields(name, value):
         DecoherenceQuadrature(**{name: value})
 
 
+@pytest.mark.parametrize("value", ["false", None, 1, 0.0])
+def test_quadrature_rejects_a_flag_that_is_not_bool(value):
+    # the flag was read by truthiness: "false" ran the check and None
+    # turned it off
+    with pytest.raises(ValueError, match="check_convergence"):
+        DecoherenceQuadrature(check_convergence=value)
+    assert not DecoherenceQuadrature(
+        check_convergence=np.bool_(False)).check_convergence
+
+
 @pytest.mark.parametrize("name, bound", [
     ("n_mu_panels", 2**13), ("n_azimuth", 2**10), ("energy_nodes", 2**12)])
 def test_quadrature_bounds_its_finest_level(name, bound):

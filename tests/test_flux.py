@@ -190,6 +190,17 @@ def test_gold_preset_total_rate(sphere_quad):
     assert abs(gamma - 2000.0) / 2000.0 < 0.15
 
 
+def test_flux_eval_at_a_fixed_direction_site():
+    # a delta in angle has no pointwise density at its site, and a site
+    # model is 0 anywhere else
+    s0, d = np.array([1e-8, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
+    site = SingleSite(s0, FixedDirection(d), MaxwellBoltzmannFlux(T_ROOM), 2.0)
+    with pytest.raises(ValueError, match="no pointwise angular density"):
+        flux_eval(site, d, s0, d, 1e-21)
+    assert flux_eval(site, d, s0 + np.array([0.0, 1e-8, 0.0]), d,
+                     1e-21) == 0.0
+
+
 def test_single_site_sampling(sphere_quad_coarse):
     site = SingleSite(np.array([1e-8, 0.0, 0.0]), FixedDirection([0, 0, 1.0]),
                       MaxwellBoltzmannFlux(T_ROOM), 2.0)

@@ -314,6 +314,34 @@ def test_quadrature_not_converged_raises(sphere_quad_coarse):
                  convergence_tol=1e-3)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("convergence_tol", np.nan), ("convergence_tol", np.inf),
+    ("convergence_tol", -np.inf), ("convergence_tol", 0.0),
+    ("convergence_tol", -1.0), ("convergence_tol", "1e-6"),
+    ("check_convergence", "false"), ("check_convergence", None),
+    ("check_convergence", 1),
+])
+def test_transport_rejects_bad_check_fields(sphere_quad_coarse, name, value):
+    # a nan or infinite tol returned the table's F unchecked, 0 and -1
+    # refused every table, and a flag was read by truthiness
+    q = sphere_quad_coarse
+    table = _one_segment_table(q, np.where(q.points[:, 2] < 0.0, RATE, 0.0))
+    for call in (transport, diffusion_tensor, force_torque):
+        with pytest.raises(ValueError, match=name):
+            call(table, q, N2_MASS, energy=EnergyQuadrature(4),
+                 **{name: value})
+
+
+def test_transport_takes_a_numpy_bool_flag(sphere_quad_coarse):
+    q = sphere_quad_coarse
+    table = _one_segment_table(q, np.where(q.points[:, 2] < 0.0, RATE, 0.0))
+    with pytest.raises(QuadratureNotConverged):
+        transport(table, q, N2_MASS, energy=EnergyQuadrature(4),
+                  check_convergence=np.bool_(True))
+    transport(table, q, N2_MASS, energy=EnergyQuadrature(4),
+              check_convergence=np.bool_(False))
+
+
 def test_torque_check_against_its_own_scale():
     # pinwheel: the two z faces of a cube emit more towards +x on top and
     # towards -x below. The force cancels; the torque about y moves by

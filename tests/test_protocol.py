@@ -13,11 +13,15 @@ import pytest
 
 import desorb
 from conftest import N2_MASS, SPHERE_RADIUS
+from desorb import decoherence, moments
 from desorb.constants import KB
+from desorb.decoherence import PosePair, localization_rate
+from desorb.errors import QuadratureNotConverged
 from desorb.flux import (CosineDirection, CosineLaw, EventSampler,
                          FixedDirection, Isotropic, IsotropicDirection,
                          SingleSite, TabulatedFlux, split, total_rate)
-from desorb.moments import diffusion_tensor, force_torque
+from desorb.moments import (Diffusion6, ForceTorque6, diffusion_tensor,
+                            force_torque, transport)
 from desorb.montecarlo import compare_to_prediction, simulate_ensemble
 from desorb.rng import stream
 from desorb.spectra import MaxwellBoltzmannFlux
@@ -136,3 +140,76 @@ def test_decoherence_reads_the_table_only_in_parts():
     parts, = [fn for fn in tree.body
               if isinstance(fn, ast.FunctionDef) and fn.name == "_parts"]
     assert reads(parts) and len(reads(tree)) == len(reads(parts))
+
+
+def test_one_function_refuses_under_refinement():
+    # transport and localization_rate each compared their two levels with
+    # their own scale and message; both now refuse through one quadrules
+    # function and keep no comparison of their own
+    package = Path(desorb.__file__).parent
+    raisers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Raise) and node.exc is not None
+                    and "QuadratureNotConverged" in ast.unparse(node.exc)
+                    for node in ast.walk(fn)):
+                raisers.append((path.stem, fn.name))
+    assert raisers == [("quadrules", "check_refinement")]
+    for module, name in (("moments", "transport"),
+                         ("decoherence", "localization_rate")):
+        tree = ast.parse((package / f"{module}.py").read_text(encoding="utf-8"))
+        fn, = [f for f in tree.body
+               if isinstance(f, ast.FunctionDef) and f.name == name]
+        assert not [node for node in ast.walk(fn)
+                    if isinstance(node, ast.Compare)]
+
+
+_TOL = 1e-3
+
+
+def _refined(quantity, model, q, monkeypatch, change):
+    """The value of quantity that the check returns when it alone moves
+    by change under refinement, every other level value 0."""
+    if quantity in ("force", "torque"):
+        zero = ForceTorque6(np.zeros(3), np.zeros(3))
+        moved = np.zeros(3)
+        moved[1] = change
+        fine = ForceTorque6(*((moved, np.zeros(3)) if quantity == "force"
+                              else (np.zeros(3), moved)))
+        d = Diffusion6(*[np.zeros((3, 3))] * 4)
+        # pbar = 1: the force's scale is Gamma
+        gamma = float(np.sum(split(model, q).node_rates))
+        monkeypatch.setattr(moments, "_moment_blocks",
+                            lambda *a: (d, zero, (fine, gamma)))
+        ft = transport(model, q, N2_MASS, convergence_tol=_TOL)[1]
+        return getattr(ft, quantity)[1]
+    fine = (change, 0.0) if quantity == "Re F" else (0.0, change)
+    monkeypatch.setattr(decoherence, "_pair_terms",
+                        lambda *a: [(0.0, 0.0), fine])
+    rate = localization_rate(PosePair(np.zeros(3)), model, q, N2_MASS,
+                             decoherence.DecoherenceQuadrature(
+                                 convergence_tol=_TOL))
+    return rate.re if quantity == "Re F" else rate.im
+
+
+@pytest.mark.parametrize("quantity", ["force", "torque", "Re F", "Im F"])
+def test_refinement_refuses_just_past_tol_times_scale(
+        sphere_quad_coarse, monkeypatch, quantity):
+    # the check is strict: a change of exactly tol x scale passes, the
+    # next float above it refuses, and the message names the quantity and
+    # its change over tol x scale. Scales: Gamma pbar for the force,
+    # Gamma pbar R for the torque, Gamma for Re F and Im F
+    q = sphere_quad_coarse
+    model = KINDS["cosine"](q)
+    em = split(model, q)
+    gamma = float(np.sum(em.node_rates))
+    scale = gamma * em.radius if quantity == "torque" else gamma
+    bound = _TOL * scale
+    assert _refined(quantity, model, q, monkeypatch, bound) == bound
+    with pytest.raises(QuadratureNotConverged) as info:
+        _refined(quantity, model, q, monkeypatch,
+                 np.nextafter(bound, np.inf))
+    assert str(info.value).startswith(f"{quantity} moved by {bound:.3g} ")
+    assert " 1 times tol 0.001 x its scale " in str(info.value)
